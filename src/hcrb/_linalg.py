@@ -1,4 +1,4 @@
-"""Small linear-algebra helpers: guarded SPD solves, PSD checks, null spaces."""
+"""Small linear-algebra helpers: guarded SPD solves, null spaces, inverses."""
 
 import warnings
 
@@ -28,26 +28,6 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve(
             gram + ridge * np.eye(gram.shape[0]), rhs, assume_a="pos", check_finite=False
         )
-
-
-def inv_sqrt_apply(mat: np.ndarray, vec: np.ndarray, floor_rel: float = 1e-12) -> np.ndarray:
-    """Return mat^(-1/2) @ vec via symmetric eigendecomposition.
-
-    Eigenvalues are floored at floor_rel * max eigenvalue so nearly singular
-    matrices produce a finite, conservative result.
-    """
-    w, v = np.linalg.eigh(np.atleast_2d(mat))
-    w = np.maximum(w, floor_rel * max(w[-1], np.finfo(float).tiny))
-    return (v / np.sqrt(w)) @ (v.T @ vec)
-
-
-def check_psd(mat: np.ndarray, tol_rel: float = 1e-8) -> bool:
-    """True if all eigenvalues are >= -tol_rel * ||mat||."""
-    mat = np.atleast_2d(mat)
-    scale = np.linalg.norm(mat)
-    if scale == 0.0:
-        return True
-    return bool(np.linalg.eigvalsh(mat).min() >= -tol_rel * scale)
 
 
 def null_space(mat: np.ndarray, rcond: float = NULL_RCOND):

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import solve_spd
-from .contour import PERP, fourier_basis, geometry_table, reflection_weights, rotation
+from .contour import PERP, PoseField, pose_field, rotation
 from .errors import IdentifiabilityError, NoIlluminationError
-from .fisher import gamma_labels, radar_constants
+from .fisher import ENDFIRE_TOL, gamma_labels, radar_constants
 from .scenario import Scenario
 from .starcalc import (
     FieldPair,
-    SampledField,
     extended_inner,
     pair_norm_sq,
     pair_project_perp,
@@ -27,8 +26,6 @@ from .starcalc import (
     star_inner,
     star_norm_sq,
 )
-
-ENDFIRE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,16 +61,20 @@ class TBlocks:
         return np.block([[self.t11, self.t21.T], [self.t21, self.t22]])
 
 
-def t_blocks(scenario: Scenario) -> TBlocks:
-    """Evaluate the asymptotic blocks on the scenario's quadrature grid."""
-    table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
-    weights = reflection_weights(table, scenario.alpha)
+def t_blocks(scenario: Scenario, field: PoseField | None = None) -> TBlocks:
+    """Evaluate the asymptotic blocks on the scenario's quadrature grid.
+
+    field is pose_field(scenario), built here when not given; efim_exact can
+    share it.
+    """
+    if field is None:
+        field = pose_field(scenario)
+    table, weights, grid = field.table, field.weights, field.grid
+    w_norm_sq = field.w_norm_sq
     if not np.any(weights.w > 0.0):
         raise NoIlluminationError(
             "no contour point is lit: sin(phi - beta) <= 0 everywhere"
         )
-    grid = SampledField(weights.w, table.arc, table.du)
-    w_norm_sq = star_norm_sq(grid)
     wbar = grid.with_values(weights.w / np.sqrt(w_norm_sq))
     big_l, big_m, big_z = radar_constants(scenario)
     alpha = scenario.alpha
@@ -85,7 +86,7 @@ def t_blocks(scenario: Scenario) -> TBlocks:
     # cross-range offset of each contour point, in units of range
     x_vals = (PERP @ p_bar) @ (rot @ table.rho)
     rt_pbar = rot.T @ p_bar
-    sigma, varsigma, sigma_dot, varsigma_dot = fourier_basis(q, table.u)
+    sigma, varsigma, sigma_dot, varsigma_dot = table.basis
     s_rows = np.vstack([rt_pbar[0] * sigma, rt_pbar[1] * varsigma])
     speed_sq = table.arc * table.arc
     delta_rows = np.vstack(

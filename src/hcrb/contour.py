@@ -9,11 +9,13 @@ the roughness-weighted illumination profiles (w, v) derive from r and rdot.
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import QuadratureError, RegularityError, ScenarioError
+from .starcalc import SampledField, star_norm_sq
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,6 +123,7 @@ class GeometryTable:
     beta: np.ndarray       # (K,)
     psi: np.ndarray        # (K,)
     arc: np.ndarray        # (K,) ||r_dot||
+    basis: tuple           # fourier_basis at u: four (Q, K) arrays
 
 
 @dataclass(frozen=True)
@@ -144,9 +147,21 @@ def fourier_basis(q: int, u):
     return sigma, varsigma, -k * varsigma, k * sigma
 
 
-def eval_local(params: ContourParams, u):
-    """Local contour point rho(u) and tangent rho_dot(u), shapes (2,) + u.shape."""
-    sigma, varsigma, sigma_dot, varsigma_dot = fourier_basis(params.q, u)
+@lru_cache(maxsize=1)
+def _uniform_basis(q: int, nodes: int):
+    """fourier_basis on uniform_grid(nodes), shared read-only by every pose."""
+    basis = fourier_basis(q, uniform_grid(nodes)[0])
+    for array in basis:
+        array.flags.writeable = False
+    return basis
+
+
+def eval_local(params: ContourParams, u, basis=None):
+    """Local contour point rho(u) and tangent rho_dot(u), shapes (2,) + u.shape.
+    basis, if given, is fourier_basis(params.q, u)."""
+    if basis is None:
+        basis = fourier_basis(params.q, u)
+    sigma, varsigma, sigma_dot, varsigma_dot = basis
     rho = np.stack([np.tensordot(params.m, sigma, axes=1),
                     np.tensordot(params.n, varsigma, axes=1)])
     rho_dot = np.stack([np.tensordot(params.m, sigma_dot, axes=1),
@@ -168,8 +183,10 @@ def eval_global(params: ContourParams, pose: TargetPose, u) -> GeometryPoint:
 
 
 def geometry_at(params: ContourParams, pose: TargetPose, u: np.ndarray,
-                 du=None) -> GeometryTable:
-    rho, rho_dot = eval_local(params, u)
+                 du=None, basis=None) -> GeometryTable:
+    if basis is None:
+        basis = fourier_basis(params.q, u)
+    rho, rho_dot = eval_local(params, u, basis)
     rot = rotation(pose.heading)
     r = pose.p[:, None] + rot @ rho
     r_dot = rot @ rho_dot
@@ -181,7 +198,8 @@ def geometry_at(params: ContourParams, pose: TargetPose, u: np.ndarray,
     if du is None:
         du = np.array(0.0)
     return GeometryTable(u=u, du=np.asarray(du, dtype=float), rho=rho, rho_dot=rho_dot,
-                         r=r, r_dot=r_dot, d=d, phi=phi, beta=beta, psi=psi, arc=arc)
+                         r=r, r_dot=r_dot, d=d, phi=phi, beta=beta, psi=psi, arc=arc,
+                         basis=basis)
 
 
 def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
@@ -195,6 +213,26 @@ def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
     # 0**0 would give v = cos on the shadowed side; force the shadow to 0
     v = np.where(lit, sp**alpha * np.cos(theta), 0.0)
     return ReflectionWeights(w=w, v=v)
+
+
+@dataclass(frozen=True)
+class PoseField:
+    """One pose's geometry table and illumination, evaluated once and read by
+    efim_exact, t_blocks and the synthesis energy norm. grid is the scalar
+    field w on the quadrature grid, w_norm_sq its squared star norm."""
+
+    table: GeometryTable
+    weights: ReflectionWeights
+    grid: SampledField
+    w_norm_sq: float
+
+
+def pose_field(scenario) -> PoseField:
+    """Geometry table and reflection weights of a Scenario's target pose."""
+    table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
+    weights = reflection_weights(table, scenario.alpha)
+    grid = SampledField(weights.w, table.arc, table.du)
+    return PoseField(table=table, weights=weights, grid=grid, w_norm_sq=star_norm_sq(grid))
 
 
 def uniform_grid(nodes: int):
@@ -212,7 +250,7 @@ def geometry_table(params: ContourParams, pose: TargetPose,
     convergence for integrands with rectifier kinks.
     """
     u, du = uniform_grid(spec.nodes)
-    table = geometry_at(params, pose, u, du)
+    table = geometry_at(params, pose, u, du, _uniform_basis(params.q, spec.nodes))
     if table.arc.min() <= 0.0:
         raise RegularityError("contour is not regular: ||rho_dot|| vanishes on the grid")
     if not spec.split_at_shadow:

@@ -68,9 +68,17 @@ def _scan_grid(n_elem: int, n_grid: int):
     return grid, steering_matrix(n_elem, grid)
 
 
-def _reference(waveform: WaveformSpec, n_samples: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _conj_pulse(waveform: WaveformSpec) -> np.ndarray:
+    pulse = chirp(waveform).conj()
+    pulse.flags.writeable = False
+    return pulse
+
+
+def _reference_conj(waveform: WaveformSpec, n_samples: int) -> np.ndarray:
+    """Conjugate transmit chirp zero-padded to n_samples: the de-chirp mixer."""
     ref = np.zeros(n_samples, dtype=complex)
-    pulse = chirp(waveform)
+    pulse = _conj_pulse(waveform)
     ref[: pulse.size] = pulse
     return ref
 
@@ -88,9 +96,9 @@ def estimate_direction(
     profile means no detectable return.
     """
     y = frame.samples
-    ref = _reference(waveform, y.shape[1])
+    ref = _reference_conj(waveform, y.shape[1])
     nfft = 2 * int(2 ** np.ceil(np.log2(y.shape[1])))
-    spectra = np.fft.fft(ref.conj() * y, nfft, axis=1)
+    spectra = np.fft.fft(ref * y, nfft, axis=1)
     profile = np.sum(np.abs(spectra) ** 2, axis=0)
     bin_ = int(np.argmax(profile))
     ratio = float(profile[bin_] / np.median(profile))
@@ -133,7 +141,7 @@ def estimate_range(
     y = frame.samples
     a = steering(y.shape[0], phi)
     z = a.conj() @ y
-    mix = _reference(waveform, z.size).conj() * z
+    mix = _reference_conj(waveform, z.size) * z
 
     nfft = 8 * int(2 ** np.ceil(np.log2(z.size)))
     spec = np.fft.fft(mix, nfft)

@@ -17,16 +17,15 @@ from .contour import (
     PERP,
     ContourParams,
     GeometryTable,
+    PoseField,
     TargetPose,
-    fourier_basis,
     geometry_at,
-    geometry_table,
-    reflection_weights,
+    pose_field,
     rotation,
 )
 from .errors import IdentifiabilityError, NoIlluminationError
 from .scenario import Scenario
-from .starcalc import SampledField, project_perp, star_inner, star_norm_sq
+from .starcalc import project_perp, star_inner
 from .waveform import effective_bandwidth
 
 ENDFIRE_TOL = 1e-8
@@ -73,7 +72,7 @@ def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTab
     proj_p_perp = rho[0] * rtp_perp[0] + rho[1] * rtp_perp[1]
     rt_r = rot_t @ geo.r
     proj_r = rho[0] * rt_r[0] + rho[1] * rt_r[1]
-    sigma, varsigma, sigma_dot, varsigma_dot = fourier_basis(q, geo.u)
+    sigma, varsigma, sigma_dot, varsigma_dot = geo.basis
 
     d = geo.d
     d0 = pose.d
@@ -129,9 +128,7 @@ def received_energy(scenario: Scenario, w_norm_sq: float | None = None) -> float
     if scenario.energy.mode == "fixed_E_over_N0":
         return 10.0 ** (scenario.energy.e_over_n0_db / 10.0) * scenario.energy.n0
     if w_norm_sq is None:
-        table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
-        weights = reflection_weights(table, scenario.alpha)
-        w_norm_sq = star_norm_sq(SampledField(weights.w, table.arc, table.du))
+        w_norm_sq = pose_field(scenario).w_norm_sq
     return scenario.gain_g(w_norm_sq) ** 2 * scenario.array_n * w_norm_sq
 
 
@@ -151,21 +148,24 @@ class EfimResult:
         return self.matrix.shape[0]
 
 
-def efim_exact(scenario: Scenario) -> EfimResult:
+def efim_exact(scenario: Scenario, field: PoseField | None = None) -> EfimResult:
     """Assemble the equivalent Fisher information over the quadrature grid.
 
     J = (2 E/N0 / ||w||^2) [ L <w mu, w mu> + M <w cos(phi) eta, w cos(phi) eta>
         + (alpha+1)^2 <P_w(v xi), P_w(v xi)> ]
     with P_w the star-orthogonal complement of the scalar weight field w.
+    field is pose_field(scenario), built here when not given; t_blocks can
+    share it. One matrix serves both bounds: the known-contour bound is
+    hcrb_from_efim(result, contour_known=True), the inverse of its pose block.
     """
-    table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
-    weights = reflection_weights(table, scenario.alpha)
+    if field is None:
+        field = pose_field(scenario)
+    table, weights, w_field = field.table, field.weights, field.grid
+    w_norm_sq = field.w_norm_sq
     if not np.any(weights.w > 0.0):
         raise NoIlluminationError(
             "no contour point is lit: sin(phi - beta) <= 0 everywhere"
         )
-    w_field = SampledField(weights.w, table.arc, table.du)
-    w_norm_sq = star_norm_sq(w_field)
     e_over_n0 = scenario.e_over_n0(w_norm_sq)
     big_l, big_m, big_z = radar_constants(scenario)
 
@@ -239,18 +239,12 @@ def hcrb_exact(scenario: Scenario, contour_known: bool = False) -> CrbReport:
 def point_target_crb(scenario: Scenario) -> np.ndarray:
     """2x2 range/bearing CRB for an unstructured point at the target center.
 
-    diag(1/L, 1/Z) / (2 E/N0); the point echo has no contour, so in physical
-    gain mode the energy is g^2 N.
+    diag(1/L, 1/Z) / (2 E/N0); the point echo has no contour, so its E/N0
+    is the scenario's at ||w||^2 = 1 (energy g^2 N in physical gain mode).
     """
     big_l, _, big_z = radar_constants(scenario)
     if abs(np.cos(scenario.pose.phi)) < ENDFIRE_TOL:
         raise IdentifiabilityError(
             "array is endfire to the target (cos(phi) = 0): bearing unobservable"
         )
-    if scenario.energy.mode == "fixed_E_over_N0":
-        e_over_n0 = 10.0 ** (scenario.energy.e_over_n0_db / 10.0)
-    else:
-        e_over_n0 = (
-            scenario.gain_g(1.0) ** 2 * scenario.array_n / scenario.energy.n0
-        )
-    return np.diag([1.0 / big_l, 1.0 / big_z]) / (2.0 * e_over_n0)
+    return np.diag([1.0 / big_l, 1.0 / big_z]) / (2.0 * scenario.e_over_n0(1.0))

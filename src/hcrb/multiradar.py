@@ -87,6 +87,12 @@ class FusedFim:
     def covariance(self) -> np.ndarray:
         return invert_info_matrix(self.matrix, self.labels)
 
+    def pose_block(self) -> "FusedFim":
+        """The known-contour information, the [p_x, p_y, heading] block; exact
+        because every chain matrix is the identity outside its 2x2 corner."""
+        return replace(self, matrix=self.matrix[:3, :3], labels=self.labels[:3],
+                       contributions=tuple(c[:3, :3] for c in self.contributions))
+
 
 def fuse(
     template: Scenario,
@@ -99,7 +105,8 @@ def fuse(
     """Accumulate per-radar information onto [p_x, p_y, heading, a_q, b_q].
 
     With total_e_over_n0_db set, the budget is split evenly so adding radars
-    trades per-radar SNR for geometric diversity.
+    trades per-radar SNR for geometric diversity. The known-contour result
+    is the pose block of the unknown-contour one.
     """
     radars = list(radars)
     if not radars:
@@ -114,8 +121,7 @@ def fuse(
     locals_ = []
     for radar in radars:
         local = radar_local_scenario(template, target_xy, heading, radar, per_db)
-        efim = efim_exact(local)
-        j_local = efim.matrix[:3, :3] if contour_known else efim.matrix
+        j_local = efim_exact(local).matrix
         delta = target_xy - radar.position
         chain = _chain_matrix(delta, local.pose.d, j_local.shape[0])
         j_global = chain @ j_local @ chain.T
@@ -124,18 +130,17 @@ def fuse(
         locals_.append(local)
         matrix = j_global if matrix is None else matrix + j_global
 
-    labels = ("px", "py", "heading")
-    if not contour_known:
-        q = template.contour.q
-        labels = labels + tuple(
-            [f"a{k}" for k in range(1, q + 1)] + [f"b{k}" for k in range(1, q + 1)]
-        )
-    return FusedFim(
+    q = template.contour.q
+    labels = ("px", "py", "heading") + tuple(
+        [f"a{k}" for k in range(1, q + 1)] + [f"b{k}" for k in range(1, q + 1)]
+    )
+    fused = FusedFim(
         matrix=matrix,
         labels=labels,
         contributions=tuple(contributions),
         scenarios=tuple(locals_),
     )
+    return fused.pose_block() if contour_known else fused
 
 
 def peb(fused: FusedFim) -> float:

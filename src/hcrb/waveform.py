@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .contour import arclength_params, geometry_at, perimeter, reflection_weights
+from .contour import arclength_params, geometry_at, perimeter, pose_field, reflection_weights
 from .errors import ScenarioError
 from .scenario import Scenario, SegmentationConfig, WaveformSpec
 
@@ -176,7 +176,7 @@ def synthesis_workspace(
     weights = reflection_weights(geo, scenario.alpha)
 
     # Continuous-contour weight norm fixes g in fixed-energy mode.
-    w_norm_sq = _weight_norm_sq(scenario)
+    w_norm_sq = pose_field(scenario).w_norm_sq
     gain = scenario.gain_g(w_norm_sq)
     amps = gain * np.sqrt(total / k) * weights.w
 
@@ -237,16 +237,6 @@ def point_workspace(scenario: Scenario) -> SynthWorkspace:
     )
 
 
-def _weight_norm_sq(scenario: Scenario) -> float:
-    from .contour import geometry_table
-    from .starcalc import SampledField, star_norm_sq
-
-    table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
-    weights = reflection_weights(table, scenario.alpha)
-    field = SampledField(weights.w, table.arc, table.du)
-    return star_norm_sq(field)
-
-
 def synthesize_frame(workspace: SynthWorkspace, seed: int) -> SignalFrame:
     """Draw scatterer gains and noise, return the received frame.
 
@@ -261,14 +251,13 @@ def synthesize_frame(workspace: SynthWorkspace, seed: int) -> SignalFrame:
     else:
         h = np.exp(2j * np.pi * rng.uniform(size=k))
     coeff = workspace.amps * h
-    clean = (workspace.steer * coeff) @ workspace.delayed
-    shape = clean.shape
-    noise = workspace.noise_std * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
+    samples = (workspace.steer * coeff) @ workspace.delayed
+    # clean + noise_std * (re + 1j * im), added in place in the order drawn
+    samples.real += workspace.noise_std * rng.standard_normal(samples.shape)
+    samples.imag += workspace.noise_std * rng.standard_normal(samples.shape)
     wf = workspace.scenario.waveform
     return SignalFrame(
-        samples=clean + noise,
+        samples=samples,
         sample_rate=wf.sample_rate,
         time_offset=-wf.duration / 2.0,
         noise_density=workspace.scenario.energy.n0,

@@ -166,6 +166,19 @@ def test_geometry_table_grid(scenario):
     assert np.all(np.isfinite(table.r_dot))
 
 
+def test_geometry_table_shares_one_read_only_basis(scenario):
+    spec = QuadratureSpec(nodes=64)
+    table = geometry_table(scenario.contour, scenario.pose, spec)
+    other = geometry_table(scenario.contour, TargetPose(20.0, -0.3, 1.0), spec)
+    assert all(a is b for a, b in zip(table.basis, other.basis))
+    assert not any(array.flags.writeable for array in table.basis)
+    fresh = geometry_at(scenario.contour, scenario.pose, table.u, table.du)
+    for name in ("rho", "rho_dot", "r", "r_dot", "d", "phi", "beta", "psi", "arc"):
+        assert np.array_equal(getattr(table, name), getattr(fresh, name)), name
+    for cached, computed in zip(table.basis, fresh.basis):
+        assert np.array_equal(cached, computed)
+
+
 def test_eval_global_single_point(scenario):
     point = eval_global(scenario.contour, scenario.pose, 0.3)
     table = geometry_at(scenario.contour, scenario.pose, np.array([0.3]))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import small_waveform
 
+from hcrb import estimators
 from hcrb.contour import ContourParams, TargetPose
 from hcrb.estimators import estimate, estimate_direction, estimate_range
 from hcrb.fisher import point_target_crb
@@ -70,6 +71,26 @@ def test_direction_stays_in_unambiguous_sector():
         frame = synthesize_point(sc, seed=seed)
         est = estimate_direction(frame, sc.waveform)
         assert -np.pi / 2.0 < est.phi < np.pi / 2.0
+
+
+def test_reference_chirp_is_built_once_per_waveform(monkeypatch):
+    wf = small_waveform()
+    sc = _point_scenario(10.0, 0.1, EnergySpec(e_over_n0_db=40.0), wf)
+    calls = []
+
+    def counting_chirp(waveform):
+        calls.append(waveform)
+        return chirp(waveform)
+
+    monkeypatch.setattr(estimators, "chirp", counting_chirp)
+    estimators._conj_pulse.cache_clear()
+    first = estimate(synthesize_point(sc, seed=0), wf)
+    second = estimate(synthesize_point(sc, seed=1), wf)
+    assert calls == [wf]
+    pulse = estimators._conj_pulse(wf)
+    assert not pulse.flags.writeable
+    assert np.array_equal(pulse, chirp(wf).conj())
+    assert first.confident and second.confident
 
 
 def test_point_estimator_is_unbiased_and_efficient():

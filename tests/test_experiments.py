@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from hcrb.contour import TargetPose
 from hcrb.experiments import (
     MC_RANGES,
     THREADS_ENV,
@@ -16,6 +17,7 @@ from hcrb.experiments import (
     run_mc,
     run_range_sweep,
 )
+from hcrb.fisher import hcrb_exact
 
 HEADER = ["sweep", "quantity", "method", "value", "units", "n_trials", "seed"]
 
@@ -73,6 +75,32 @@ def test_direction_bounds_converge_with_range(scenario):
     assert ratio[-1] < 1e-2 * ratio[0]
 
 
+def test_sweep_exact_rows_match_standalone_bounds(scenario):
+    """Both exact rows of a pose come from one information matrix; they
+    equal the bounds hcrb_exact computes on its own for each case."""
+    table = run_range_sweep(scenario, n_points=3)
+    for k, xy in enumerate(ray_positions(3)):
+        pose = TargetPose(d=float(np.hypot(*xy)), phi=float(np.arctan2(xy[1], xy[0])),
+                          heading=scenario.pose.heading)
+        moved = scenario.with_pose(pose)
+        rows = {r.quantity: r.value for r in table.rows[14 * k:14 * (k + 1)]
+                if r.method == "exact"}
+        for name, known in (("known", True), ("unknown", False)):
+            report = hcrb_exact(moved, contour_known=known)
+            for axis in ("range", "bearing", "heading"):
+                assert rows[f"c_{axis}_{name}"] == pytest.approx(
+                    getattr(report, f"c_{axis}"), rel=1e-12)
+
+
+def test_bounds_fall_as_e_over_n0_rises(scenario):
+    base = run_range_sweep(scenario, n_points=3)
+    louder = run_range_sweep(scenario.with_e_over_n0_db(46.0), n_points=3)
+    assert len(base.rows) == len(louder.rows) == 3 * 14
+    for quiet, loud in zip(base.rows, louder.rows):
+        assert (quiet.sweep, quiet.quantity) == (loud.sweep, loud.quantity)
+        assert loud.value < quiet.value, quiet
+
+
 def test_sweep_is_deterministic(scenario):
     a = run_range_sweep(scenario, n_points=3).csv_text()
     b = run_range_sweep(scenario, n_points=3).csv_text()
@@ -124,6 +152,17 @@ def test_diversity_frozen_defaults(scenario, bundle):
         assert abs(nxt - prev) / prev < 0.05
     # adding the second radar buys the big unknown-contour win
     assert unknown[0] / unknown[1] >= 5.0
+
+
+def test_diversity_reports_every_size_at_a_wider_radius(scenario, bundle):
+    """At 10 m the PEB steps up slightly with some added radars; the run
+    still reports all sizes, and a known contour never does worse."""
+    table = run_diversity(scenario, bundle.target_xy, bundle.heading, radius=10.0)
+    assert len(table.rows) == 12
+    known = [r.value for r in table.rows if r.quantity == "peb_known"]
+    unknown = [r.value for r in table.rows if r.quantity == "peb_unknown"]
+    assert len(known) == len(unknown) == 6
+    assert all(u >= k for k, u in zip(known, unknown))
 
 
 def test_diversity_custom_start_angle(scenario, bundle):

@@ -6,6 +6,7 @@ import pytest
 
 from hcrb.contour import wrap_angle
 from hcrb.errors import IdentifiabilityError, ScenarioError
+from hcrb.fisher import efim_exact
 from hcrb.multiradar import (
     RadarPose,
     _chain_matrix,
@@ -69,6 +70,23 @@ def test_fused_information_is_sum_of_psd_contributions(scenario):
     npt.assert_allclose(fused.matrix, total, rtol=1e-12)
     assert fused.labels[:3] == ("px", "py", "heading")
     assert len(fused.labels) == 3 + 2 * scenario.contour.q
+
+
+def test_known_contour_fusion_is_the_pose_block(scenario):
+    """Fusing only the per-radar pose blocks gives the pose block of the
+    unknown-contour fusion, since the chain matrices leave shape rows alone."""
+    radars = uniform_constellation(TARGET, 3, 7.0, start_angle=0.9)
+    unknown = fuse(scenario, TARGET, HEADING, radars, total_e_over_n0_db=40.0)
+    known = fuse(scenario, TARGET, HEADING, radars, total_e_over_n0_db=40.0,
+                 contour_known=True)
+    pose_only = np.zeros((3, 3))
+    for radar, local in zip(radars, unknown.scenarios):
+        chain = _chain_matrix(TARGET - radar.position, local.pose.d, 3)
+        pose_only += chain @ efim_exact(local).matrix[:3, :3] @ chain.T
+    npt.assert_allclose(known.matrix, unknown.matrix[:3, :3], rtol=1e-12, atol=0)
+    npt.assert_allclose(known.matrix, pose_only, rtol=1e-12, atol=0)
+    assert known.labels == unknown.labels[:3] == ("px", "py", "heading")
+    assert peb(known) <= peb(unknown)
 
 
 def test_energy_budget_split(scenario):

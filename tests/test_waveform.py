@@ -131,6 +131,25 @@ def test_synthesis_is_seed_deterministic():
     assert a.time_offset == pytest.approx(-sc.waveform.duration / 2.0)
 
 
+@pytest.mark.parametrize("kind", ("extended", "point"))
+def test_frame_equals_clean_plus_noise_from_the_same_draws(kind):
+    """The frame is bit-identical to clean + noise_std * (re + 1j * im) with
+    the gains, then the real and the imaginary noise drawn in that order."""
+    sc = _extended_scenario(EnergySpec(e_over_n0_db=40.0))
+    ws = synthesis_workspace(sc) if kind == "extended" else point_workspace(sc)
+    seed = 1234
+    rng = np.random.default_rng(seed)
+    k = len(ws.amps)
+    if kind == "extended":
+        h = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
+    else:
+        h = np.exp(2j * np.pi * rng.uniform(size=k))
+    clean = (ws.steer * (ws.amps * h)) @ ws.delayed
+    shape = clean.shape
+    noise = ws.noise_std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert np.array_equal(synthesize_frame(ws, seed).samples, clean + noise)
+
+
 def test_zero_gain_frame_is_calibrated_noise(scenario):
     quiet = replace(scenario, energy=EnergySpec(gain=0.0, n0=2.5e-10))
     samples = np.concatenate(
