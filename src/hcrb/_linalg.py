@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+from .errors import IdentifiabilityError
+
 # relative ridge added to a Gram matrix when a Cholesky solve fails
 GRAM_RIDGE = 1e-12
 # relative eigenvalue cutoff below which a direction counts as null
@@ -46,8 +48,6 @@ def invert_info_matrix(mat: np.ndarray, labels=None, rcond: float = NULL_RCOND) 
     The error carries the null-space basis and the parameter labels so the
     unidentifiable combinations can be reported to the user.
     """
-    from .errors import IdentifiabilityError
-
     mat = np.atleast_2d(mat)
     ns = null_space(mat, rcond)
     if ns.shape[1] > 0:

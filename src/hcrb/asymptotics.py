@@ -14,7 +14,7 @@ import numpy as np
 from ._linalg import solve_spd
 from .contour import PERP, PoseField, pose_field, rotation
 from .errors import IdentifiabilityError, NoIlluminationError
-from .fisher import ENDFIRE_TOL, gamma_labels, radar_constants
+from .fisher import check_not_endfire, gamma_labels, radar_constants
 from .scenario import Scenario
 from .starcalc import (
     FieldPair,
@@ -161,10 +161,7 @@ def _pose_inverse(big_l: float, a: float, b: float, big_z: float) -> np.ndarray:
     Written with the determinant L B - A^2 so the expression stays finite
     when the range/heading coupling A vanishes by symmetry.
     """
-    if big_z <= ENDFIRE_TOL:
-        raise IdentifiabilityError(
-            "array is endfire to the target (cos(phi) = 0): bearing unobservable"
-        )
+    check_not_endfire(big_z)
     det = big_l * b - a * a
     if b <= 0.0 or det <= 0.0:
         raise IdentifiabilityError(
@@ -266,10 +263,7 @@ def unknown_shape_projection(blocks: TBlocks) -> dict:
     onto its complement reproduces the Schur-complement quantities without
     ever forming T22.
     """
-    if blocks.big_z <= ENDFIRE_TOL:
-        raise IdentifiabilityError(
-            "array is endfire to the target (cos(phi) = 0): bearing unobservable"
-        )
+    check_not_endfire(blocks.big_z)
     wn_sq = blocks.w_norm_sq
     res_f = pair_project_perp(blocks.pair_f, blocks.pair_basis)
     res_b = pair_project_perp(blocks.pair_b, blocks.pair_basis)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import QuadratureError, RegularityError, ScenarioError
 from .starcalc import SampledField, star_norm_sq
@@ -83,11 +82,9 @@ class TargetPose:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Contour quadrature: uniform periodic-trapezoid grid, optionally split
-    at the shadow boundaries (zeros of sin(phi - beta)) for kink-aware panels."""
+    """Contour quadrature: the uniform periodic trapezoid on `nodes` points."""
 
     nodes: int = 4096
-    split_at_shadow: bool = False
 
     def __post_init__(self):
         if self.nodes < 16:
@@ -243,64 +240,12 @@ def uniform_grid(nodes: int):
 
 def geometry_table(params: ContourParams, pose: TargetPose,
                    spec: QuadratureSpec = QuadratureSpec()) -> GeometryTable:
-    """Evaluate the full contour geometry on the configured quadrature grid.
-
-    With split_at_shadow the grid is rebuilt from composite trapezoid panels
-    whose endpoints sit on the zeros of sin(phi - beta), restoring high-order
-    convergence for integrands with rectifier kinks.
-    """
+    """Evaluate the full contour geometry on the uniform quadrature grid."""
     u, du = uniform_grid(spec.nodes)
     table = geometry_at(params, pose, u, du, _uniform_basis(params.q, spec.nodes))
     if table.arc.min() <= 0.0:
         raise RegularityError("contour is not regular: ||rho_dot|| vanishes on the grid")
-    if not spec.split_at_shadow:
-        return table
-    kinks = _shadow_boundaries(params, pose, table)
-    if not kinks:
-        return table
-    u, du = _panel_grid(kinks, spec.nodes)
-    return geometry_at(params, pose, u, du)
-
-
-def _shadow_boundaries(params, pose, coarse: GeometryTable):
-    """Zeros of sin(phi - beta) in [0, 2pi), located by bracketing + brentq."""
-
-    def f(u):
-        g = geometry_at(params, pose, np.atleast_1d(float(u)))
-        return float(np.sin(g.phi[0] - g.beta[0]))
-
-    vals = np.sin(coarse.phi - coarse.beta)
-    u = coarse.u
-    zeros = []
-    for i in range(len(u)):
-        j = (i + 1) % len(u)
-        a, b = u[i], u[i] + (TWO_PI / len(u))
-        if vals[i] == 0.0:
-            zeros.append(a)
-        elif vals[i] * vals[j] < 0.0:
-            zeros.append(brentq(f, a, b, xtol=1e-13))
-    return sorted(z % TWO_PI for z in zeros)
-
-
-def _panel_grid(kinks, total_nodes):
-    """Composite open-trapezoid panels between consecutive kinks over one period."""
-    edges = list(kinks) + [kinks[0] + TWO_PI]
-    us, dus = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        length = b - a
-        n = max(8, int(round(total_nodes * length / TWO_PI)))
-        # closed trapezoid over [a, b]; endpoints carry half weights so the
-        # kink itself is a node of both adjacent panels
-        h = length / n
-        pts = a + h * np.arange(n + 1)
-        wts = np.full(n + 1, h)
-        wts[0] = wts[-1] = h / 2.0
-        us.append(pts)
-        dus.append(wts)
-    u = np.concatenate(us) % TWO_PI
-    du = np.concatenate(dus)
-    order = np.argsort(u, kind="stable")
-    return u[order], du[order]
+    return table
 
 
 def perimeter(params: ContourParams, spec: QuadratureSpec = QuadratureSpec(),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .asymptotics import hcrb_known_shape, hcrb_unknown_shape, t_blocks
 from .contour import TargetPose, pose_field
-from .errors import ScenarioError
+from .errors import IdentifiabilityError, ScenarioError
 from .estimators import estimate
 from .fisher import efim_exact, hcrb_from_efim, point_target_crb
 from .multiradar import fuse, peb, uniform_constellation
@@ -124,9 +124,10 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
     """Exact, asymptotic and point-target bound rows for one pose.
 
     The pose's geometry and weights are evaluated once (pose_field) and
-    shared by efim_exact and t_blocks. Both exact reports come from that one
-    information matrix: the known-contour bound inverts its pose block, the
-    unknown-contour bound the whole matrix.
+    shared by efim_exact and t_blocks; the field is returned so synthesis can
+    share it too. Both exact reports come from that one information matrix:
+    the known-contour bound inverts its pose block, the unknown-contour bound
+    the whole matrix.
     """
     field = pose_field(scenario)
     efim = efim_exact(scenario, field)
@@ -146,6 +147,7 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
                           getattr(report, f"c_{axis}"), units[axis], 0, seed)
     table.add(sweep, "c_range_point", "point_target", point[0, 0], "m^2", 0, seed)
     table.add(sweep, "c_bearing_point", "point_target", point[1, 1], "rad^2", 0, seed)
+    return field
 
 
 def run_range_sweep(scenario: Scenario, n_points: int = 30, seed: int = 0,
@@ -156,8 +158,6 @@ def run_range_sweep(scenario: Scenario, n_points: int = 30, seed: int = 0,
     With skip_singular, positions whose information matrix is singular are
     recorded in table.failures instead of aborting the sweep.
     """
-    from .errors import IdentifiabilityError
-
     table = ResultTable()
     for xy in ray_positions(n_points, start, stop):
         moved = scenario.with_pose(_pose_at(scenario, xy))
@@ -227,9 +227,9 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
         xy = positions[int(np.argmin(np.abs(dists - want)))]
         moved = scenario.with_pose(_pose_at(scenario, xy))
         sweep = f"mc:{moved.pose.d:.6g}"
-        _bound_rows(table, sweep, moved, seed)
+        field = _bound_rows(table, sweep, moved, seed)
 
-        ws_ext = synthesis_workspace(moved, segmentation)
+        ws_ext = synthesis_workspace(moved, segmentation, field)
         d_hat, phi_hat, used = _mc_point(
             moved, ws_ext, _trial_seeds(seed, index, 0, trials=trials))
         _variance_rows(table, sweep, "extended", d_hat, phi_hat, used,

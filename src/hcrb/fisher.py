@@ -122,14 +122,12 @@ def radar_constants(scenario: Scenario):
     return big_l, big_m, big_z
 
 
-def received_energy(scenario: Scenario, w_norm_sq: float | None = None) -> float:
-    """Mean echo energy E; the configured value in fixed-E/N0 mode, else
-    g^2 N ||w||^2 from the physical gain."""
-    if scenario.energy.mode == "fixed_E_over_N0":
-        return 10.0 ** (scenario.energy.e_over_n0_db / 10.0) * scenario.energy.n0
-    if w_norm_sq is None:
-        w_norm_sq = pose_field(scenario).w_norm_sq
-    return scenario.gain_g(w_norm_sq) ** 2 * scenario.array_n * w_norm_sq
+def check_not_endfire(big_z: float) -> None:
+    """Raise when the bearing is unobservable: Z = M cos^2(phi) <= ENDFIRE_TOL."""
+    if big_z <= ENDFIRE_TOL:
+        raise IdentifiabilityError(
+            "array is endfire to the target (cos(phi) = 0): bearing unobservable"
+        )
 
 
 @dataclass(frozen=True)
@@ -243,8 +241,5 @@ def point_target_crb(scenario: Scenario) -> np.ndarray:
     is the scenario's at ||w||^2 = 1 (energy g^2 N in physical gain mode).
     """
     big_l, _, big_z = radar_constants(scenario)
-    if abs(np.cos(scenario.pose.phi)) < ENDFIRE_TOL:
-        raise IdentifiabilityError(
-            "array is endfire to the target (cos(phi) = 0): bearing unobservable"
-        )
+    check_not_endfire(big_z)
     return np.diag([1.0 / big_l, 1.0 / big_z]) / (2.0 * scenario.e_over_n0(1.0))

@@ -98,21 +98,31 @@ class Scenario:
         if self.alpha < 0.0:
             raise ScenarioError(f"surface roughness must be >= 0, got {self.alpha}")
 
+    # The energy model E = g^2 N ||w||^2, with ||w||^2 the squared star norm
+    # of the illumination profile (1 for a point target). Fixed mode pins
+    # E/N0 = 10^(dB/10) and derives g; physical mode pins g = sqrt(G)/d^2 and
+    # derives E/N0. Each mode starts from its pinned quantity, so neither
+    # divides out and re-multiplies N0.
+
+    def received_energy(self, w_norm_sq: float) -> float:
+        """Mean echo energy E given the squared star norm of the illumination profile."""
+        if self.energy.mode == "fixed_E_over_N0":
+            return self.e_over_n0(w_norm_sq) * self.energy.n0
+        return self.gain_g(w_norm_sq) ** 2 * self.array_n * w_norm_sq
+
     def gain_g(self, w_norm_sq: float) -> float:
         """Channel amplitude g consistent with the configured energy mode."""
         if self.energy.mode == "physical_gain":
             return np.sqrt(self.energy.gain) / self.pose.d**2
-        e = 10.0 ** (self.energy.e_over_n0_db / 10.0) * self.energy.n0
         if w_norm_sq <= 0.0:
             raise ScenarioError("cannot place energy on a fully shadowed target")
-        return float(np.sqrt(e / (self.array_n * w_norm_sq)))
+        return float(np.sqrt(self.received_energy(w_norm_sq) / (self.array_n * w_norm_sq)))
 
     def e_over_n0(self, w_norm_sq: float) -> float:
         """Linear E/N0 given the squared star norm of the illumination profile."""
         if self.energy.mode == "fixed_E_over_N0":
             return 10.0 ** (self.energy.e_over_n0_db / 10.0)
-        g = np.sqrt(self.energy.gain) / self.pose.d**2
-        return g**2 * self.array_n * w_norm_sq / self.energy.n0
+        return self.received_energy(w_norm_sq) / self.energy.n0
 
     def with_pose(self, pose: TargetPose) -> "Scenario":
         return replace(self, pose=pose)

@@ -24,7 +24,7 @@ from .scenario import (
     WaveformSpec,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _SECTIONS = ("contour", "target", "radar", "channel", "waveform",
              "quadrature", "segmentation")
@@ -144,8 +144,11 @@ def normalize(doc: dict) -> dict:
 
     quad = doc.get("quadrature", {})
     _check_keys("quadrature", quad, {"nodes", "split_at_shadow"}, set())
-    quad_norm = {"nodes": quad.get("nodes", 4096),
-                 "split_at_shadow": bool(quad.get("split_at_shadow", False))}
+    # schema 1 carried split_at_shadow; its default (false) still loads
+    if quad.get("split_at_shadow", False) is not False:
+        raise ScenarioError("quadrature.split_at_shadow was removed in schema 2; "
+                            "the uniform periodic trapezoid is the only rule")
+    quad_norm = {"nodes": quad.get("nodes", 4096)}
     if not isinstance(quad_norm["nodes"], int):
         raise ScenarioError("quadrature.nodes must be an integer")
 
@@ -216,8 +219,7 @@ def build(doc: dict) -> ScenarioBundle:
                             duration=doc["waveform"]["T"],
                             sample_rate=doc["waveform"]["fs"],
                             carrier=doc["waveform"]["fc"])
-    quadrature = QuadratureSpec(nodes=doc["quadrature"]["nodes"],
-                                split_at_shadow=doc["quadrature"]["split_at_shadow"])
+    quadrature = QuadratureSpec(nodes=doc["quadrature"]["nodes"])
     scenario = Scenario(contour=contour, pose=pose, alpha=channel["alpha"],
                         array_n=first.array_n, waveform=waveform, energy=energy,
                         quadrature=quadrature)

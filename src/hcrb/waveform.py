@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .contour import arclength_params, geometry_at, perimeter, pose_field, reflection_weights
+from .contour import (
+    PoseField,
+    arclength_params,
+    geometry_at,
+    perimeter,
+    pose_field,
+    reflection_weights,
+)
 from .errors import ScenarioError
 from .scenario import Scenario, SegmentationConfig, WaveformSpec
 
@@ -145,19 +152,41 @@ def _delayed_chirps(wf: WaveformSpec, delays: np.ndarray, n_total: int) -> np.nd
     return np.fft.ifft(spec[None, :] * ramp, axis=1)
 
 
+def _workspace(scenario: Scenario, kind: str, amps: np.ndarray, d: np.ndarray,
+               phi: np.ndarray, **truth) -> SynthWorkspace:
+    """Tables for echoes of amplitudes amps from ranges d at bearings phi."""
+    wf = scenario.waveform
+    delays = 2.0 * d / SPEED_OF_LIGHT
+    n_total = wf.samples + int(np.ceil(delays.max() * wf.sample_rate)) + FRAME_GUARD
+    pose = scenario.pose
+    return SynthWorkspace(
+        scenario=scenario,
+        kind=kind,
+        steer=steering(scenario.array_n, phi),
+        amps=amps,
+        delayed=_delayed_chirps(wf, delays, n_total),
+        delays=delays,
+        n_total=n_total,
+        noise_std=np.sqrt(scenario.energy.n0 * wf.sample_rate / 2.0),
+        truth={"kind": kind, "d": pose.d, "phi": pose.phi, "heading": pose.heading,
+               **truth},
+    )
+
+
 def synthesis_workspace(
-    scenario: Scenario, seg: SegmentationConfig | None = None
+    scenario: Scenario, seg: SegmentationConfig | None = None,
+    field: PoseField | None = None,
 ) -> SynthWorkspace:
     """Build the reusable tables for extended-target synthesis.
 
     The contour is cut into K equal arc-length segments (K from the
     segmentation config and the perimeter); each contributes one echo from
-    its midpoint with deterministic amplitude g*sqrt(l_T/K)*w_k.
+    its midpoint with deterministic amplitude g*sqrt(l_T/K)*w_k. field is
+    pose_field(scenario), built here when not given; the bounds can share it.
     """
     if seg is None:
         seg = SegmentationConfig()
-    wf = scenario.waveform
-    wavelength = SPEED_OF_LIGHT / wf.carrier
+    wavelength = SPEED_OF_LIGHT / scenario.waveform.carrier
     if seg.segment_length < 10.0 * wavelength:
         warnings.warn(
             "segment length is within 10 wavelengths; independent-scatterer "
@@ -174,67 +203,21 @@ def synthesis_workspace(
     u_k = arclength_params(scenario.contour, mids)
     geo = geometry_at(scenario.contour, scenario.pose, u_k)
     weights = reflection_weights(geo, scenario.alpha)
-
     # Continuous-contour weight norm fixes g in fixed-energy mode.
-    w_norm_sq = pose_field(scenario).w_norm_sq
-    gain = scenario.gain_g(w_norm_sq)
+    if field is None:
+        field = pose_field(scenario)
+    gain = scenario.gain_g(field.w_norm_sq)
     amps = gain * np.sqrt(total / k) * weights.w
-
-    delays = 2.0 * geo.d / SPEED_OF_LIGHT
-    n_total = wf.samples + int(np.ceil(delays.max() * wf.sample_rate)) + FRAME_GUARD
-    delayed = _delayed_chirps(wf, delays, n_total)
-    steer = steering(scenario.array_n, geo.phi)
-    noise_std = np.sqrt(scenario.energy.n0 * wf.sample_rate / 2.0)
-    truth = {
-        "kind": "extended",
-        "d": scenario.pose.d,
-        "phi": scenario.pose.phi,
-        "heading": scenario.pose.heading,
-        "segments": k,
-    }
-    return SynthWorkspace(
-        scenario=scenario,
-        kind="extended",
-        steer=steer,
-        amps=amps,
-        delayed=delayed,
-        delays=delays,
-        n_total=n_total,
-        noise_std=noise_std,
-        truth=truth,
-    )
+    return _workspace(scenario, "extended", amps, geo.d, geo.phi, segments=k)
 
 
 def point_workspace(scenario: Scenario) -> SynthWorkspace:
-    """Synthesis tables for a point target at the contour's reference pose."""
-    wf = scenario.waveform
-    if scenario.energy.mode == "fixed_E_over_N0":
-        energy = 10.0 ** (scenario.energy.e_over_n0_db / 10.0) * scenario.energy.n0
-    else:
-        energy = scenario.gain_g(1.0) ** 2 * scenario.array_n
-    amp = np.sqrt(energy / scenario.array_n)
-    delay = 2.0 * scenario.pose.d / SPEED_OF_LIGHT
-    n_total = wf.samples + int(np.ceil(delay * wf.sample_rate)) + FRAME_GUARD
-    delayed = _delayed_chirps(wf, np.array([delay]), n_total)
-    steer = steering(scenario.array_n, scenario.pose.phi).reshape(-1, 1)
-    noise_std = np.sqrt(scenario.energy.n0 * wf.sample_rate / 2.0)
-    truth = {
-        "kind": "point",
-        "d": scenario.pose.d,
-        "phi": scenario.pose.phi,
-        "heading": scenario.pose.heading,
-    }
-    return SynthWorkspace(
-        scenario=scenario,
-        kind="point",
-        steer=steer,
-        amps=np.array([amp]),
-        delayed=delayed,
-        delays=np.array([delay]),
-        n_total=n_total,
-        noise_std=noise_std,
-        truth=truth,
-    )
+    """Synthesis tables for a point target at the contour's reference pose:
+    one echo from the pose centre carrying the energy at ||w||^2 = 1."""
+    amp = np.sqrt(scenario.received_energy(1.0) / scenario.array_n)
+    pose = scenario.pose
+    return _workspace(scenario, "point", np.array([amp]), np.array([pose.d]),
+                      np.array([pose.phi]))
 
 
 def synthesize_frame(workspace: SynthWorkspace, seed: int) -> SignalFrame:

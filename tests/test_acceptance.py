@@ -168,6 +168,7 @@ def test_criterion_6_constellation_diversity(bundle):
     assert time.monotonic() - start < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_7_monte_carlo_validates_bounds(bundle):
     start = time.monotonic()
     table = run_mc(bundle.scenario, ranges=MC_RANGES, trials=500, seed=0,

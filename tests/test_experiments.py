@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hcrb.contour
 from hcrb.contour import TargetPose
 from hcrb.experiments import (
     MC_RANGES,
@@ -129,6 +130,21 @@ def test_mc_table_structure(scenario):
     bound_rows = [r for r in table.rows if r.method != "monte_carlo"]
     assert all(r.n_trials == 0 for r in bound_rows)
     assert MC_RANGES[0] == pytest.approx(6.7082039325)
+
+
+def test_mc_evaluates_each_pose_geometry_once(scenario, monkeypatch):
+    # the bounds and the synthesis workspace share one pose field per range
+    calls = []
+    original = hcrb.contour.geometry_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hcrb.contour, "geometry_table", counted)
+    run_mc(scenario, ranges=(10.0, 15.0), trials=2, seed=1)
+    assert len(calls) == 2
+    assert calls[0] != calls[1]
 
 
 def test_diversity_frozen_defaults(scenario, bundle):

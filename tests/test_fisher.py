@@ -7,6 +7,12 @@ from scipy.constants import c as SPEED_OF_LIGHT
 
 from conftest import finite_difference_gradients, random_scenario
 
+from hcrb.asymptotics import (
+    hcrb_known_shape,
+    hcrb_unknown_shape,
+    t_blocks,
+    unknown_shape_projection,
+)
 from hcrb.contour import ContourParams, TargetPose
 from hcrb.errors import IdentifiabilityError
 from hcrb.fisher import (
@@ -18,7 +24,6 @@ from hcrb.fisher import (
     hcrb_from_efim,
     point_target_crb,
     radar_constants,
-    received_energy,
     scenario_with_gamma,
 )
 from hcrb.scenario import EnergySpec, Scenario, WaveformSpec
@@ -95,9 +100,15 @@ def test_point_target_crb_frozen(scenario):
 
 
 def test_endfire_raises(scenario):
-    endfire = scenario.with_pose(TargetPose(30.0, np.pi / 2.0, 0.0))
-    with pytest.raises(IdentifiabilityError):
-        point_target_crb(endfire)
+    # one predicate for every route, also a hair off exact endfire
+    for phi in (np.pi / 2.0, np.arccos(1e-6)):
+        endfire = scenario.with_pose(TargetPose(30.0, phi, 0.0))
+        blocks = t_blocks(endfire)
+        for route, arg in ((point_target_crb, endfire), (hcrb_known_shape, blocks),
+                           (hcrb_unknown_shape, blocks),
+                           (unknown_shape_projection, blocks)):
+            with pytest.raises(IdentifiabilityError, match="endfire"):
+                route(arg)
 
 
 def test_exact_bounds_frozen(scenario):
@@ -153,12 +164,12 @@ def test_noise_scale_equivariance(scenario):
 
 def test_received_energy_modes(scenario):
     # fixed mode pins E/N0, so E = 1e4 * N0 with N0 = 1
-    assert received_energy(scenario) == pytest.approx(1e4, rel=1e-12)
+    assert scenario.received_energy(1.0) == pytest.approx(1e4, rel=1e-12)
     phys = _physical_scenario(scenario, 1e-3)
     res = efim_exact(phys)
     g = np.sqrt(2.5) / phys.pose.d**2
     expected = g**2 * phys.array_n * res.w_norm_sq
-    assert received_energy(phys, res.w_norm_sq) == pytest.approx(expected, rel=1e-12)
+    assert phys.received_energy(res.w_norm_sq) == pytest.approx(expected, rel=1e-12)
     assert phys.e_over_n0(res.w_norm_sq) == pytest.approx(expected / 1e-3, rel=1e-12)
 
 

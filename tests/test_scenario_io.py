@@ -29,7 +29,7 @@ def test_normalize_fills_defaults():
     assert nd["contour"]["Q"] == 1
     assert nd["channel"]["N0"] == 1.0
     assert nd["radar"] == [{"x": 0.0, "y": 0.0, "kappa": 0.0, "N": 30}]
-    assert nd["quadrature"] == {"nodes": 4096, "split_at_shadow": False}
+    assert nd["quadrature"] == {"nodes": 4096}
     assert nd["segmentation"] == {"lR": 0.2}
     assert nd["waveform"]["fs"] == 2e9
     assert nd["waveform"]["fc"] == 77e9
@@ -98,3 +98,8 @@ def test_validation_errors():
         build(normalize(_doc(contour={"m": [-2.0], "n": [1.0]})))
     with pytest.raises(ScenarioError):
         normalize(_doc(contour={"m": [2.0, 0.1], "n": [1.0]}))
+    # schema-1 documents carry split_at_shadow: false; it loads and is dropped
+    legacy = build(_doc(quadrature={"nodes": 512, "split_at_shadow": False}))
+    assert legacy.document["quadrature"] == {"nodes": 512}
+    with pytest.raises(ScenarioError, match="split_at_shadow was removed"):
+        normalize(_doc(quadrature={"split_at_shadow": True}))

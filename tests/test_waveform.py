@@ -18,10 +18,10 @@ from hcrb.contour import (
     geometry_at,
     geometry_table,
     perimeter,
+    pose_field,
     reflection_weights,
 )
 from hcrb.errors import ScenarioError
-from hcrb.fisher import received_energy
 from hcrb.scenario import EnergySpec, Scenario, SegmentationConfig, WaveformSpec
 from hcrb.starcalc import SampledField, star_norm_sq
 from hcrb.waveform import (
@@ -169,7 +169,19 @@ def test_mean_frame_energy_matches_closed_form():
         / sc.waveform.sample_rate
         for seed in range(500)
     ]
-    assert np.mean(energies) == pytest.approx(received_energy(sc), rel=0.05)
+    expected = sc.received_energy(pose_field(sc).w_norm_sq)
+    assert np.mean(energies) == pytest.approx(expected, rel=0.05)
+
+
+def test_workspace_takes_the_pose_field():
+    sc = _extended_scenario(EnergySpec(e_over_n0_db=40.0))
+    seg = SegmentationConfig()
+    built = synthesis_workspace(sc, seg)
+    shared = synthesis_workspace(sc, seg, field=pose_field(sc))
+    for name in ("steer", "amps", "delayed", "delays"):
+        npt.assert_array_equal(getattr(shared, name), getattr(built, name))
+    assert (shared.n_total, shared.noise_std, shared.truth) == (
+        built.n_total, built.noise_std, built.truth)
 
 
 def test_single_return_delay_lands_on_the_right_sample():
