@@ -7,7 +7,8 @@ by star-orthogonal projections against the shape basis, which serves as an
 independent cross-check of the Schur algebra.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .fisher import check_not_endfire, gamma_labels, radar_constants
 from .scenario import Scenario
 from .starcalc import (
     FieldPair,
+    SampledField,
     extended_inner,
     pair_norm_sq,
     pair_project_perp,
@@ -33,8 +35,10 @@ class TBlocks:
     """Range-free factor T of the asymptotic information 2(E/N0) T.
 
     t11 is the pose block [[L, A, -A], [A, Z+B, -B], [-A, -B, B]], t21 the
-    shape/pose coupling [c q -q], t22 the shape block. The field pairs carry
-    the corresponding star-calculus objects for the projection route.
+    shape/pose coupling [c q -q], t22 the shape block. The field pairs
+    pair_f, pair_b and pair_basis carry the corresponding star-calculus
+    objects for the projection route; only that route reads them, so they are
+    built on first access from the fields kept below.
     """
 
     t11: np.ndarray
@@ -51,9 +55,37 @@ class TBlocks:
     w_norm_sq: float
     alpha: float
     labels: tuple
-    pair_f: FieldPair
-    pair_b: FieldPair
-    pair_basis: FieldPair
+    # w on the grid, cross-range offsets x, shape rows s, P_w v and P_w(v delta)
+    w_field: SampledField = dataclass_field(repr=False, compare=False)
+    x_vals: np.ndarray = dataclass_field(repr=False, compare=False)
+    s_rows: np.ndarray = dataclass_field(repr=False, compare=False)
+    pv: SampledField = dataclass_field(repr=False, compare=False)
+    t_rows: SampledField = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def pair_f(self) -> FieldPair:
+        """Range probe (sqrt(L) w, 0)."""
+        w = self.w_field
+        return FieldPair(w.with_values(np.sqrt(self.big_l) * w.values),
+                         w.with_values(np.zeros_like(w.values)))
+
+    @cached_property
+    def pair_b(self) -> FieldPair:
+        """Width probe (sqrt(L) w x, (1+alpha) P_w v)."""
+        w = self.w_field
+        return FieldPair(
+            w.with_values(np.sqrt(self.big_l) * w.values * self.x_vals),
+            w.with_values((self.alpha + 1.0) * self.pv.values),
+        )
+
+    @cached_property
+    def pair_basis(self) -> FieldPair:
+        """Shape basis rows (sqrt(L) w s_q, (1+alpha) t_q)."""
+        w = self.w_field
+        return FieldPair(
+            w.with_values(np.sqrt(self.big_l) * w.values * self.s_rows),
+            w.with_values((self.alpha + 1.0) * self.t_rows.values),
+        )
 
     @property
     def t_full(self) -> np.ndarray:
@@ -87,18 +119,19 @@ def t_blocks(scenario: Scenario, field: PoseField | None = None) -> TBlocks:
     x_vals = (PERP @ p_bar) @ (rot @ table.rho)
     rt_pbar = rot.T @ p_bar
     sigma, varsigma, sigma_dot, varsigma_dot = table.basis
-    s_rows = np.vstack([rt_pbar[0] * sigma, rt_pbar[1] * varsigma])
-    speed_sq = table.arc * table.arc
-    delta_rows = np.vstack(
-        [
-            table.rho_dot[1] * sigma_dot / speed_sq,
-            -table.rho_dot[0] * varsigma_dot / speed_sq,
-        ]
-    )
+    s_rows = np.empty((2 * q, table.u.size))
+    np.multiply(rt_pbar[0], sigma, out=s_rows[:q])
+    np.multiply(rt_pbar[1], varsigma, out=s_rows[q:])
+    # v delta, built in one (2Q, K) array: product, quotient, then the weight
+    vdelta = np.empty_like(s_rows)
+    np.multiply(table.rho_dot[1], sigma_dot, out=vdelta[:q])
+    np.multiply(-table.rho_dot[0], varsigma_dot, out=vdelta[q:])
+    vdelta /= table.arc * table.arc
+    vdelta *= weights.v
 
     wbx = grid.with_values(wbar.values * x_vals)
     pv = project_perp(grid.with_values(weights.v), grid)
-    t_rows = project_perp(grid.with_values(weights.v * delta_rows), grid)
+    t_rows = project_perp(grid.with_values(vdelta), grid)
     wbs = grid.with_values(wbar.values * s_rows)
 
     ap1_sq = (alpha + 1.0) ** 2
@@ -123,17 +156,6 @@ def t_blocks(scenario: Scenario, field: PoseField | None = None) -> TBlocks:
     )
     t22 = 0.5 * (t22 + t22.T)
 
-    sqrt_l = np.sqrt(big_l)
-    zeros = grid.with_values(np.zeros_like(weights.w))
-    pair_f = FieldPair(grid.with_values(sqrt_l * weights.w), zeros)
-    pair_b = FieldPair(
-        grid.with_values(sqrt_l * weights.w * x_vals),
-        grid.with_values((alpha + 1.0) * pv.values),
-    )
-    pair_basis = FieldPair(
-        grid.with_values(sqrt_l * weights.w * s_rows),
-        grid.with_values((alpha + 1.0) * t_rows.values),
-    )
     return TBlocks(
         t11=t11,
         t21=t21,
@@ -149,9 +171,11 @@ def t_blocks(scenario: Scenario, field: PoseField | None = None) -> TBlocks:
         w_norm_sq=w_norm_sq,
         alpha=alpha,
         labels=tuple(gamma_labels(q)),
-        pair_f=pair_f,
-        pair_b=pair_b,
-        pair_basis=pair_basis,
+        w_field=grid,
+        x_vals=x_vals,
+        s_rows=s_rows,
+        pv=pv,
+        t_rows=t_rows,
     )
 
 

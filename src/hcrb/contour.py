@@ -248,11 +248,30 @@ def geometry_table(params: ContourParams, pose: TargetPose,
     return table
 
 
+def _coefficient_key(params: ContourParams):
+    """Cache key of a contour: the exact bytes of its coefficients."""
+    return params.m.tobytes(), params.n.tobytes()
+
+
+def _from_key(key) -> ContourParams:
+    m, n = key
+    return ContourParams(np.frombuffer(m), np.frombuffer(n))
+
+
 def perimeter(params: ContourParams, spec: QuadratureSpec = QuadratureSpec(),
               rel_tol: float = 1e-7) -> float:
-    """Total contour length, with a refinement check on convergence."""
+    """Total contour length, with a refinement check on convergence.
+
+    It depends on the contour alone, so it is cached per coefficients, node
+    count and tolerance; failures raise on every call."""
+    return _perimeter(_coefficient_key(params), spec.nodes, rel_tol)
+
+
+@lru_cache(maxsize=8)
+def _perimeter(key, base_nodes: int, rel_tol: float) -> float:
+    params = _from_key(key)
     total = None
-    for nodes in (spec.nodes, 2 * spec.nodes):
+    for nodes in (base_nodes, 2 * base_nodes):
         u, du = uniform_grid(nodes)
         _, rho_dot = eval_local(params, u)
         speed = np.hypot(rho_dot[0], rho_dot[1])
@@ -261,19 +280,28 @@ def perimeter(params: ContourParams, spec: QuadratureSpec = QuadratureSpec(),
         prev, total = total, float(np.sum(speed * du))
     if abs(total - prev) > rel_tol * abs(total):
         raise QuadratureError(
-            f"perimeter quadrature not converged: {prev} vs {total} at {spec.nodes} nodes"
+            f"perimeter quadrature not converged: {prev} vs {total} at {base_nodes} nodes"
         )
     return total
 
 
 def arclength_params(params: ContourParams, fractions, nodes: int = 8192) -> np.ndarray:
     """Contour parameters u at the given arc-length fractions of the perimeter."""
-    u = np.linspace(0.0, TWO_PI, nodes + 1)
-    _, rho_dot = eval_local(params, u)
-    speed = np.hypot(rho_dot[0], rho_dot[1])
-    # cumulative trapezoid arc length along u
-    s = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(u))])
+    s, u = _cumulative_length(_coefficient_key(params), nodes)
     return np.interp(np.asarray(fractions, dtype=float) * s[-1], s, u)
+
+
+@lru_cache(maxsize=8)
+def _cumulative_length(key, nodes: int):
+    """Cumulative trapezoid arc length s along u on nodes + 1 points, both
+    read-only; like the perimeter it depends on the contour alone."""
+    u = np.linspace(0.0, TWO_PI, nodes + 1)
+    _, rho_dot = eval_local(_from_key(key), u)
+    speed = np.hypot(rho_dot[0], rho_dot[1])
+    s = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(u))])
+    for array in (s, u):
+        array.flags.writeable = False
+    return s, u
 
 
 def check_simple(params: ContourParams, nodes: int = 256) -> bool:

@@ -43,8 +43,11 @@ def worker_count() -> int:
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
         return 1
-    count = int(raw)
-    if count < 1:
+    try:
+        count = int(raw)
+    except ValueError:
+        count = None
+    if count is None or count < 1:
         raise ScenarioError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     return count
 

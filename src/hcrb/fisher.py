@@ -78,28 +78,37 @@ def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTab
     d0 = pose.d
     size = 2 * q + 3
 
+    # The (Q, K) shape rows are written straight into their slices, each
+    # product then quotient in the order the formulas read.
+    a_rows, b_rows = slice(3, 3 + q), slice(3 + q, size)
     mu = np.empty((size, d.size))
     mu[0] = (d0 + proj_p / d0) / d
     mu[1] = proj_p_perp / d
     mu[2] = -proj_p_perp / d
-    mu[3 : 3 + q] = rt_r[0] * sigma / d
-    mu[3 + q :] = rt_r[1] * varsigma / d
+    np.multiply(rt_r[0], sigma, out=mu[a_rows])
+    np.multiply(rt_r[1], varsigma, out=mu[b_rows])
+    mu[3:] /= d
 
     d_sq = d * d
     eta = np.empty_like(mu)
     eta[0] = -proj_p_perp / (d0 * d_sq)
     eta[1] = (d0 * d0 + proj_p) / d_sq
     eta[2] = proj_r / d_sq
-    eta[3 : 3 + q] = -rt_r[1] * sigma / d_sq
-    eta[3 + q :] = rt_r[0] * varsigma / d_sq
+    np.multiply(-rt_r[1], sigma, out=eta[a_rows])
+    np.multiply(rt_r[0], varsigma, out=eta[b_rows])
+    eta[3:] /= d_sq
 
+    # xi = eta - d(beta)/dgamma; d(beta)/dgamma is 0, 0, 1 on the pose rows
     speed_sq = geo.arc * geo.arc
-    dbeta = np.zeros_like(mu)
-    dbeta[2] = 1.0
-    dbeta[3 : 3 + q] = -geo.rho_dot[1] * sigma_dot / speed_sq
-    dbeta[3 + q :] = geo.rho_dot[0] * varsigma_dot / speed_sq
+    xi = np.empty_like(mu)
+    xi[:2] = eta[:2]
+    xi[2] = eta[2] - 1.0
+    np.multiply(-geo.rho_dot[1], sigma_dot, out=xi[a_rows])
+    np.multiply(geo.rho_dot[0], varsigma_dot, out=xi[b_rows])
+    xi[3:] /= speed_sq
+    np.subtract(eta[3:], xi[3:], out=xi[3:])
 
-    return mu, eta, eta - dbeta
+    return mu, eta, xi
 
 
 def gamma_derivatives(scenario: Scenario, u):
@@ -167,10 +176,14 @@ def efim_exact(scenario: Scenario, field: PoseField | None = None) -> EfimResult
     e_over_n0 = scenario.e_over_n0(w_norm_sq)
     big_l, big_m, big_z = radar_constants(scenario)
 
+    # the derivative fields are this call's own, so they are weighted in place
     mu, eta, xi = _derivative_fields(scenario.contour, scenario.pose, table)
-    wmu = w_field.with_values(weights.w * mu)
-    weta = w_field.with_values(weights.w * np.cos(table.phi) * eta)
-    vxi_perp = project_perp(w_field.with_values(weights.v * xi), w_field)
+    mu *= weights.w
+    eta *= weights.w * np.cos(table.phi)
+    xi *= weights.v
+    wmu = w_field.with_values(mu)
+    weta = w_field.with_values(eta)
+    vxi_perp = project_perp(w_field.with_values(xi), w_field)
 
     j = (
         big_l * star_inner(wmu, wmu)

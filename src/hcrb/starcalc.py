@@ -7,6 +7,8 @@ rows, for which the overloaded product returns the Gram matrix. The extended
 product over pairs (F x F) adds the two slot products.
 """
 
+import copy
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +52,14 @@ class SampledField:
         return self.arc_weights * self.du
 
     def with_values(self, values) -> "SampledField":
-        return SampledField(values, self.arc_weights, self.du)
+        """The same grid with new values; the grid was checked when self was
+        built, so only the new values' length is."""
+        values = np.asarray(values, dtype=float)
+        if values.shape[-1:] != self.arc_weights.shape:
+            raise ScenarioError("field values and arc_weights lengths differ")
+        field = copy.copy(self)
+        object.__setattr__(field, "values", values)
+        return field
 
 
 @dataclass(frozen=True)
@@ -67,10 +76,27 @@ class FieldPair:
 
 
 def _require_same_grid(f: SampledField, g: SampledField):
+    if f.arc_weights is g.arc_weights and f.du is g.du:
+        return
     if f.arc_weights.shape != g.arc_weights.shape or not (
         np.array_equal(f.arc_weights, g.arc_weights) and np.array_equal(f.du, g.du)
     ):
         raise ScenarioError("fields live on different quadrature grids")
+
+
+# Per-thread scratch for the weighted left operand of star_inner. A fresh
+# (P, K) temporary per call, freed next to the caller's other (P, K) fields,
+# lets glibc trim the heap and fault the same pages back in on the next pose.
+_scratch = threading.local()
+
+
+def _weighted_buffer(shape) -> np.ndarray:
+    """A C-ordered (P, K) view of this thread's reusable scratch array."""
+    size = shape[0] * shape[1]
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.buf = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def star_inner(f: SampledField, g: SampledField):
@@ -82,7 +108,8 @@ def star_inner(f: SampledField, g: SampledField):
     _require_same_grid(f, g)
     a = np.atleast_2d(f.values)
     b = np.atleast_2d(g.values)
-    gram = (a * f.quad_weights) @ b.T
+    weighted = np.multiply(a, f.quad_weights, out=_weighted_buffer(a.shape))
+    gram = weighted @ b.T
     if f.values.ndim == 1 and g.values.ndim == 1:
         return float(gram[0, 0])
     if f.values.ndim == 1:
@@ -116,7 +143,9 @@ def project(f: SampledField, basis: SampledField) -> SampledField:
 
 def project_perp(f: SampledField, basis: SampledField) -> SampledField:
     """Residual of f after projecting out the span of the basis rows."""
-    return f.with_values(f.values - project(f, basis).values)
+    # the projection's values are a fresh array: the residual overwrites it
+    residual = project(f, basis).values
+    return f.with_values(np.subtract(f.values, residual, out=residual))
 
 
 def extended_inner(a: FieldPair, b: FieldPair):

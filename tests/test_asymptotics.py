@@ -52,9 +52,14 @@ def test_unknown_shape_frozen(blocks):
     assert rep.c_heading == pytest.approx(0.6424213633298126, rel=1e-9)
 
 
-def test_algebraic_equals_projection_route(blocks):
+def test_algebraic_equals_projection_route(scenario):
+    blocks = t_blocks(scenario)
+    # only the projection route reads the pair fields, so t_blocks builds none
+    pairs = ("pair_f", "pair_b", "pair_basis")
+    assert not any(name in vars(blocks) for name in pairs)
     alg = hcrb_unknown_shape(blocks)
     proj = unknown_shape_projection(blocks)
+    assert all(name in vars(blocks) for name in pairs)
     assert proj["c_range"] == pytest.approx(alg.c_range, rel=1e-6)
     assert proj["c_heading"] == pytest.approx(alg.c_heading, rel=1e-6)
     assert proj["l_prime"] > 0.0 and proj["b_prime"] > 0.0

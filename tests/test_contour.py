@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hcrb.contour
 from hcrb.contour import (
     ContourParams,
     QuadratureSpec,
@@ -156,6 +157,32 @@ def test_arclength_params_inverts_cumulative_length(scenario):
     npt.assert_allclose(
         np.interp(u_f, grid, s) / total, fractions, atol=2e-5
     )
+
+
+def test_contour_tables_are_cached_per_coefficients(scenario):
+    params = scenario.contour
+    twin = ContourParams(params.m.copy(), params.n.copy())
+    fractions = (np.arange(40) + 0.5) / 40
+    first = arclength_params(params, fractions)
+    hits = hcrb.contour._cumulative_length.cache_info().hits
+    assert np.array_equal(arclength_params(twin, fractions), first)
+    assert hcrb.contour._cumulative_length.cache_info().hits == hits + 1
+    # the uncached construction, bit for bit
+    u = np.linspace(0.0, 2.0 * np.pi, 8193)
+    _, rho_dot = eval_local(params, u)
+    speed = np.hypot(rho_dot[0], rho_dot[1])
+    s = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(u))])
+    assert np.array_equal(first, np.interp(fractions * s[-1], s, u))
+    assert not any(a.flags.writeable
+                   for a in hcrb.contour._cumulative_length(
+                       hcrb.contour._coefficient_key(params), 8192))
+
+    hits = hcrb.contour._perimeter.cache_info().hits
+    assert perimeter(twin) == perimeter(params)
+    assert hcrb.contour._perimeter.cache_info().hits >= hits + 1
+    # the key is the exact coefficients: a nudged contour is measured anew
+    nudged = ContourParams(params.m * (1.0 + 1e-3), params.n)
+    assert perimeter(nudged) != perimeter(params)
 
 
 def test_geometry_table_grid(scenario):

@@ -2,6 +2,11 @@
 
 import csv
 import io
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +14,7 @@ import pytest
 
 import hcrb.contour
 from hcrb.contour import TargetPose
+from hcrb.errors import ScenarioError
 from hcrb.experiments import (
     MC_RANGES,
     THREADS_ENV,
@@ -17,6 +23,7 @@ from hcrb.experiments import (
     run_diversity,
     run_mc,
     run_range_sweep,
+    worker_count,
 )
 from hcrb.fisher import hcrb_exact
 
@@ -114,6 +121,42 @@ def test_mc_serial_and_threaded_agree(scenario, monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "2")
     threaded = run_mc(scenario, ranges=(10.0,), trials=4, seed=9).csv_text()
     assert serial == threaded
+    for bad in ("0", "abc"):
+        monkeypatch.setenv(THREADS_ENV, bad)
+        with pytest.raises(ScenarioError, match=THREADS_ENV):
+            worker_count()
+
+
+# Minor page faults of a second, warmed-up 30-pose sweep in a fresh process.
+# Earlier tests' large arrays would raise glibc's trim threshold in this
+# process and hide a regression, hence the subprocess.
+SWEEP_FAULTS = """
+import resource
+from hcrb.experiments import run_range_sweep
+from hcrb.scenario_io import load_file
+scenario = load_file({path!r}).scenario
+run_range_sweep(scenario, 30)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_range_sweep(scenario, 30)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="measures glibc's heap trimming")
+def test_range_sweep_does_not_churn_pages():
+    # Freeing two or more (2Q+3, K) temporaries together per pose lets glibc
+    # trim the heap and fault the pages back in on the next pose (about 75k
+    # faults per sweep); reused buffers keep the sweep to a few dozen.
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(hcrb.contour.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = SWEEP_FAULTS.format(path=str(root / "scenarios" / "vehicle.json"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert int(out.stdout.strip().splitlines()[-1]) < 1000
 
 
 def test_mc_table_structure(scenario):

@@ -1,5 +1,8 @@
 """Star-product calculus: inner products, projections, paired fields."""
 
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -121,3 +124,43 @@ def test_grid_mismatch_rejected():
         star_inner(f, g)
     with pytest.raises(ScenarioError):
         SampledField(np.ones(4), -np.ones(4), 0.1)
+
+
+def test_with_values_keeps_the_grid_and_checks_length():
+    f = SampledField(np.ones(8), np.full(8, 2.0), 0.1)
+    g = f.with_values(np.arange(16.0).reshape(2, 8))
+    assert g.arc_weights is f.arc_weights and g.du is f.du
+    assert g.values.shape == (2, 8) and f.values.shape == (8,)
+    with pytest.raises(ScenarioError):
+        f.with_values(np.ones(7))
+
+
+def test_star_inner_agrees_across_threads():
+    # each thread weights its operand in its own scratch buffer; a shared one
+    # would let a thread overwrite another's operand between multiply and GEMM
+    rng = np.random.default_rng(11)
+    k = 512
+    arc = rng.uniform(0.5, 2.0, k)
+    fields = [SampledField(rng.normal(size=(rows, k)), arc, 0.01)
+              for rows in (1, 3, 7, 12)]
+    expected = [np.asarray(star_inner(f, f)) for f in fields]
+    results = [[] for _ in fields]
+
+    def work(index):
+        for _ in range(200):
+            results[index].append(np.asarray(star_inner(fields[index], fields[index])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(expected, results):
+        assert len(got) == 200
+        assert all(np.array_equal(g, want) for g in got)
