@@ -15,7 +15,6 @@ from .contour import (
     ContourParams,
     QuadratureSpec,
     TargetPose,
-    eval_global,
     eval_local,
     geometry_table,
     perimeter,
@@ -47,7 +46,7 @@ from .fisher import (
 from .multiradar import FusedFim, RadarPose, fuse, peb, uniform_constellation
 from .scenario import EnergySpec, Scenario, SegmentationConfig, WaveformSpec
 from .scenario_io import ScenarioBundle, build, dumps_normalized, load_file, normalize
-from .starcalc import FieldPair, SampledField, project_perp, star_inner, star_norm
+from .starcalc import SampledField, project_perp, star_inner, star_norm
 from .waveform import (
     SignalFrame,
     chirp,

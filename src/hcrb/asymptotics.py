@@ -8,7 +8,6 @@ independent cross-check of the Schur algebra.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 
 import numpy as np
 
@@ -18,12 +17,8 @@ from .errors import IdentifiabilityError, NoIlluminationError
 from .fisher import check_not_endfire, gamma_labels, radar_constants
 from .scenario import Scenario
 from .starcalc import (
-    FieldPair,
     SampledField,
-    extended_inner,
-    pair_norm_sq,
-    pair_project_perp,
-    pair_stack,
+    doubled_grid,
     project_perp,
     star_inner,
     star_norm_sq,
@@ -35,10 +30,8 @@ class TBlocks:
     """Range-free factor T of the asymptotic information 2(E/N0) T.
 
     t11 is the pose block [[L, A, -A], [A, Z+B, -B], [-A, -B, B]], t21 the
-    shape/pose coupling [c q -q], t22 the shape block. The field pairs
-    pair_f, pair_b and pair_basis carry the corresponding star-calculus
-    objects for the projection route; only that route reads them, so they are
-    built on first access from the fields kept below.
+    shape/pose coupling [c q -q], t22 the shape block. The fields kept below
+    are what the projection route builds its pairs from.
     """
 
     t11: np.ndarray
@@ -61,31 +54,6 @@ class TBlocks:
     s_rows: np.ndarray = dataclass_field(repr=False, compare=False)
     pv: SampledField = dataclass_field(repr=False, compare=False)
     t_rows: SampledField = dataclass_field(repr=False, compare=False)
-
-    @cached_property
-    def pair_f(self) -> FieldPair:
-        """Range probe (sqrt(L) w, 0)."""
-        w = self.w_field
-        return FieldPair(w.with_values(np.sqrt(self.big_l) * w.values),
-                         w.with_values(np.zeros_like(w.values)))
-
-    @cached_property
-    def pair_b(self) -> FieldPair:
-        """Width probe (sqrt(L) w x, (1+alpha) P_w v)."""
-        w = self.w_field
-        return FieldPair(
-            w.with_values(np.sqrt(self.big_l) * w.values * self.x_vals),
-            w.with_values((self.alpha + 1.0) * self.pv.values),
-        )
-
-    @cached_property
-    def pair_basis(self) -> FieldPair:
-        """Shape basis rows (sqrt(L) w s_q, (1+alpha) t_q)."""
-        w = self.w_field
-        return FieldPair(
-            w.with_values(np.sqrt(self.big_l) * w.values * self.s_rows),
-            w.with_values((self.alpha + 1.0) * self.t_rows.values),
-        )
 
     @property
     def t_full(self) -> np.ndarray:
@@ -279,7 +247,7 @@ def hcrb_unknown_shape(blocks: TBlocks) -> AsymptoticReport:
 
 
 def unknown_shape_projection(blocks: TBlocks) -> dict:
-    """Unknown-shape variances via orthogonal projections in the pair space.
+    """Unknown-shape variances via orthogonal projections in the pair space F x F.
 
     The shape basis zeta_q = (sqrt(L) w s_q, (1+alpha) t_q) spans what the
     contour coefficients can absorb; projecting the range probe
@@ -289,18 +257,27 @@ def unknown_shape_projection(blocks: TBlocks) -> dict:
     """
     check_not_endfire(blocks.big_z)
     wn_sq = blocks.w_norm_sq
-    res_f = pair_project_perp(blocks.pair_f, blocks.pair_basis)
-    res_b = pair_project_perp(blocks.pair_b, blocks.pair_basis)
-    l_prime = pair_norm_sq(res_f) / wn_sq
-    b_prime = pair_norm_sq(res_b) / wn_sq
-    a_prime = extended_inner(res_f, res_b) / wn_sq
+    # a pair is one field on the doubled grid: first slot, then second
+    grid = doubled_grid(blocks.w_field)
+    w = blocks.w_field.values
+    root_l, ap1 = np.sqrt(blocks.big_l), blocks.alpha + 1.0
 
-    basis_with_b = pair_stack([blocks.pair_basis, blocks.pair_b])
-    basis_with_f = pair_stack([blocks.pair_basis, blocks.pair_f])
-    res_f_full = pair_project_perp(blocks.pair_f, basis_with_b)
-    res_b_full = pair_project_perp(blocks.pair_b, basis_with_f)
-    denom_f = pair_norm_sq(res_f_full)
-    denom_b = pair_norm_sq(res_b_full)
+    def pair(first, second):
+        return grid.with_values(np.concatenate([first, second], axis=-1))
+
+    probe_f = pair(root_l * w, np.zeros_like(w))
+    probe_b = pair(root_l * w * blocks.x_vals, ap1 * blocks.pv.values)
+    basis = pair(root_l * w * blocks.s_rows, ap1 * blocks.t_rows.values)
+    res_f = project_perp(probe_f, basis)
+    res_b = project_perp(probe_b, basis)
+    l_prime = star_norm_sq(res_f) / wn_sq
+    b_prime = star_norm_sq(res_b) / wn_sq
+    a_prime = star_inner(res_f, res_b) / wn_sq
+
+    basis_with_b = basis.with_values(np.vstack([basis.values, probe_b.values]))
+    basis_with_f = basis.with_values(np.vstack([basis.values, probe_f.values]))
+    denom_f = star_norm_sq(project_perp(probe_f, basis_with_b))
+    denom_b = star_norm_sq(project_perp(probe_b, basis_with_f))
     if denom_f <= 0.0 or denom_b <= 0.0:
         raise IdentifiabilityError("projection residual vanished: pose not identifiable")
     scale = 1.0 / (2.0 * blocks.e_over_n0)

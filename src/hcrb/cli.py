@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import hcrb_known_shape, hcrb_unknown_shape, t_blocks
-from .errors import HcrbError, IdentifiabilityError
+from .errors import HcrbError, IdentifiabilityError, ScenarioError
 from .estimators import estimate
 from .experiments import (
     ResultTable,
@@ -102,14 +102,41 @@ def _parser() -> argparse.ArgumentParser:
 
 def _parse_counts(text: str):
     text = text.strip()
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        counts = list(range(int(lo), int(hi) + 1))
-    else:
-        counts = [int(part) for part in text.split(",") if part.strip()]
+    try:
+        if "-" in text and "," not in text:
+            lo, hi = text.split("-", 1)
+            counts = list(range(int(lo), int(hi) + 1))
+        else:
+            counts = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        counts = []
     if not counts or min(counts) < 1:
-        raise HcrbError(f"invalid radar counts {text!r}")
+        raise ScenarioError(f"--counts: invalid radar counts {text!r} "
+                            "(e.g. 1-6 or 1,2,4)")
     return counts
+
+
+def _parse_ranges(text: str):
+    try:
+        ranges = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        ranges = []
+    if not ranges:
+        raise ScenarioError(f"--ranges: invalid target ranges {text!r} "
+                            "(e.g. 6.7,15,35)")
+    return ranges
+
+
+def _check_args(args):
+    """Value rules for --seed, --trials and --points, raised as schema errors
+    (exit 1); an argparse error would exit 2, the code for a singular matrix."""
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ScenarioError(f"--seed must be a non-negative integer, got {seed}")
+    for name in ("trials", "points"):
+        count = getattr(args, name, 1)
+        if count < 1:
+            raise ScenarioError(f"--{name} must be at least 1, got {count}")
 
 
 def _maybe_print_normalized(args, bundle: ScenarioBundle) -> bool:
@@ -230,9 +257,9 @@ def _cmd_mc(args) -> int:
     bundle = load_file(args.scenario)
     if _maybe_print_normalized(args, bundle):
         return 0
-    ranges = [float(part) for part in args.ranges.split(",") if part.strip()]
-    table = run_mc(bundle.scenario, ranges=ranges, trials=args.trials,
-                   seed=args.seed, segmentation=bundle.segmentation)
+    table = run_mc(bundle.scenario, ranges=_parse_ranges(args.ranges),
+                   trials=args.trials, seed=args.seed,
+                   segmentation=bundle.segmentation)
     _write(table, args.out)
     return 0
 
@@ -261,6 +288,7 @@ _COMMANDS = {
 def entry(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_args(args)
         return _COMMANDS[args.command](args)
     except IdentifiabilityError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -92,20 +92,6 @@ class QuadratureSpec:
 
 
 @dataclass(frozen=True)
-class GeometryPoint:
-    """Geometry of one contour point in the global (radar-centered) frame."""
-
-    u: float
-    r: np.ndarray
-    r_dot: np.ndarray
-    d: float
-    phi: float
-    beta: float
-    psi: float
-    arc_weight: float
-
-
-@dataclass(frozen=True)
 class GeometryTable:
     """Vectorized geometry over a quadrature grid; the source of all fields."""
 
@@ -166,19 +152,6 @@ def eval_local(params: ContourParams, u, basis=None):
     return rho, rho_dot
 
 
-def eval_global(params: ContourParams, pose: TargetPose, u) -> GeometryPoint:
-    """Geometry of the contour point at parameter u in the global frame."""
-    g = geometry_at(params, pose, np.atleast_1d(np.asarray(u, dtype=float)))
-    if g.arc.min() <= 0.0:
-        raise RegularityError(f"degenerate tangent at u={u}")
-    i = 0
-    return GeometryPoint(
-        u=float(np.atleast_1d(u)[i]), r=g.r[:, i].copy(), r_dot=g.r_dot[:, i].copy(),
-        d=float(g.d[i]), phi=float(g.phi[i]), beta=float(g.beta[i]),
-        psi=float(g.psi[i]), arc_weight=float(g.arc[i]),
-    )
-
-
 def geometry_at(params: ContourParams, pose: TargetPose, u: np.ndarray,
                  du=None, basis=None) -> GeometryTable:
     if basis is None:
@@ -200,7 +173,7 @@ def geometry_at(params: ContourParams, pose: TargetPose, u: np.ndarray,
 
 
 def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
-    """Illumination weights for a GeometryPoint or GeometryTable."""
+    """Illumination weights on a GeometryTable."""
     if alpha < 0.0:
         raise ScenarioError(f"surface roughness must be >= 0, got {alpha}")
     theta = np.asarray(geometry.phi) - np.asarray(geometry.beta)

@@ -3,8 +3,9 @@
 The star product <f, g> = integral of f g ||r_dot|| du over [0, 2pi) is the
 inner product under which all bound formulas are assembled. Fields are
 tabulated on a shared quadrature grid; vector-valued fields are stacks of
-rows, for which the overloaded product returns the Gram matrix. The extended
-product over pairs (F x F) adds the two slot products.
+rows, for which the overloaded product returns the Gram matrix. A pair
+(f1, f2) in F x F, whose inner product adds the two slot products, is one
+field on the grid taken twice (see doubled_grid).
 """
 
 import copy
@@ -60,19 +61,6 @@ class SampledField:
         field = copy.copy(self)
         object.__setattr__(field, "values", values)
         return field
-
-
-@dataclass(frozen=True)
-class FieldPair:
-    """Element of F x F: two fields (or stacks) on the same grid."""
-
-    first: SampledField
-    second: SampledField
-
-    def __post_init__(self):
-        _require_same_grid(self.first, self.second)
-        if self.first.values.shape != self.second.values.shape:
-            raise ScenarioError("pair slots must hold equally shaped fields")
 
 
 def _require_same_grid(f: SampledField, g: SampledField):
@@ -148,32 +136,16 @@ def project_perp(f: SampledField, basis: SampledField) -> SampledField:
     return f.with_values(np.subtract(f.values, residual, out=residual))
 
 
-def extended_inner(a: FieldPair, b: FieldPair):
-    """Inner product on F x F: slot-wise star products, summed."""
-    return star_inner(a.first, b.first) + star_inner(a.second, b.second)
+def doubled_grid(field: SampledField) -> SampledField:
+    """field's grid taken twice, carrying field's values in both halves.
 
-
-def pair_norm_sq(a: FieldPair):
-    return star_norm_sq(a.first) + star_norm_sq(a.second)
-
-
-def pair_project_perp(f: FieldPair, basis: FieldPair) -> FieldPair:
-    """Orthogonal complement projection in F x F against stacked basis rows."""
-    gram = np.atleast_2d(extended_inner(basis, basis))
-    rhs = np.atleast_2d(extended_inner(basis, f))
-    if f.first.values.ndim == 1:
-        rhs = rhs.reshape(-1, 1)
-    coef = solve_spd(gram, rhs)
-    b1 = np.atleast_2d(basis.first.values)
-    b2 = np.atleast_2d(basis.second.values)
-    r1 = f.first.values - (coef.T @ b1).reshape(f.first.values.shape)
-    r2 = f.second.values - (coef.T @ b2).reshape(f.second.values.shape)
-    return FieldPair(f.first.with_values(r1), f.second.with_values(r2))
-
-
-def pair_stack(pairs) -> FieldPair:
-    """Stack single-row FieldPairs into one stacked FieldPair (basis builder)."""
-    first = np.vstack([np.atleast_2d(p.first.values) for p in pairs])
-    second = np.vstack([np.atleast_2d(p.second.values) for p in pairs])
-    grid = pairs[0].first
-    return FieldPair(grid.with_values(first), grid.with_values(second))
+    A pair (f1, f2) is the field on this grid whose values are f1 and f2
+    concatenated along the node axis; star_inner, star_norm_sq and
+    project_perp on it are then the F x F operations.
+    """
+    du = np.broadcast_to(field.du, field.arc_weights.shape)
+    return SampledField(
+        np.concatenate([field.values, field.values], axis=-1),
+        np.concatenate([field.arc_weights, field.arc_weights]),
+        np.concatenate([du, du]),
+    )

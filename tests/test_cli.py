@@ -64,6 +64,28 @@ def test_schema_errors_exit_one(tmp_path, capsys):
     assert "unknown top-level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["diversity", "--counts", "1-2,4"],
+    ["diversity", "--counts", "a"],
+    ["diversity", "--seed", "-1"],
+    ["sweep", "--seed", "-1"],
+    ["sweep", "--points", "-3"],
+    ["sweep", "--points", "0"],
+    ["mc", "--ranges", "10,abc"],
+    ["mc", "--seed", "-1"],
+    ["mc", "--trials", "-1"],
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--trials", "-1"],
+    ["simulate", "--trials", "0"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_argument_errors_exit_one(tmp_path, capsys, argv):
+    command, option, value = argv
+    out = [] if command == "simulate" else ["--out", str(tmp_path / "out.csv")]
+    assert entry([command, "--scenario", SCENARIO, option, value, *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
+
+
 def test_singular_geometry_exits_two(tmp_path, capsys):
     doc = json.loads(SCENARIO_FILE.read_text())
     doc["target"] = {"x": 0.0, "y": 7.0, "heading": 90.0}

@@ -11,7 +11,6 @@ from hcrb.contour import (
     TargetPose,
     arclength_params,
     check_simple,
-    eval_global,
     eval_local,
     geometry_at,
     geometry_table,
@@ -204,14 +203,6 @@ def test_geometry_table_shares_one_read_only_basis(scenario):
         assert np.array_equal(getattr(table, name), getattr(fresh, name)), name
     for cached, computed in zip(table.basis, fresh.basis):
         assert np.array_equal(cached, computed)
-
-
-def test_eval_global_single_point(scenario):
-    point = eval_global(scenario.contour, scenario.pose, 0.3)
-    table = geometry_at(scenario.contour, scenario.pose, np.array([0.3]))
-    assert point.d == pytest.approx(table.d[0], rel=1e-15)
-    assert point.psi == pytest.approx(table.psi[0], rel=1e-15)
-    assert point.arc_weight > 0.0
 
 
 def test_check_simple(scenario):

@@ -1,4 +1,4 @@
-"""Star-product calculus: inner products, projections, paired fields."""
+"""Star-product calculus: inner products, projections, the doubled grid."""
 
 import sys
 import threading
@@ -12,12 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from hcrb.errors import ScenarioError
 from hcrb.starcalc import (
-    FieldPair,
     SampledField,
-    extended_inner,
-    pair_norm_sq,
-    pair_project_perp,
-    pair_stack,
+    doubled_grid,
     project,
     project_perp,
     star_inner,
@@ -97,24 +93,33 @@ def test_stacked_basis_gram():
     npt.assert_allclose(perp.values, 2.0 * np.cos(2 * u), atol=1e-10)
 
 
-def test_pair_operations_reduce_to_componentwise():
+@pytest.mark.parametrize("du_kind", ["scalar", "per_node"])
+def test_doubled_grid_is_the_pair_space(du_kind):
     k = 32
     rng = np.random.default_rng(5)
     arc = rng.uniform(0.5, 2.0, k)
-    du = 0.17
-    mk = lambda: SampledField(rng.normal(size=k), arc, du)
-    a = FieldPair(mk(), mk())
-    b = FieldPair(mk(), mk())
-    assert extended_inner(a, b) == pytest.approx(
-        star_inner(a.first, b.first) + star_inner(a.second, b.second), rel=1e-12
-    )
-    assert pair_norm_sq(a) == pytest.approx(
-        star_norm_sq(a.first) + star_norm_sq(a.second), rel=1e-12
-    )
-    perp = pair_project_perp(a, b)
-    assert extended_inner(perp, b) == pytest.approx(0.0, abs=1e-9)
-    stacked = pair_stack([a, b])
-    assert stacked.first.values.shape == (2, k)
+    du = 0.17 if du_kind == "scalar" else rng.uniform(0.05, 0.3, k)
+    grid = SampledField(np.ones(k), arc, du)
+    doubled = doubled_grid(grid)
+    assert doubled.arc_weights.shape == doubled.du.shape == (2 * k,)
+    mk = lambda: grid.with_values(rng.normal(size=k))
+
+    def pair(first, second):
+        return doubled.with_values(
+            np.concatenate([first.values, second.values], axis=-1))
+
+    a1, a2, b1, b2 = mk(), mk(), mk(), mk()
+    a, b = pair(a1, a2), pair(b1, b2)
+    assert star_inner(a, b) == pytest.approx(
+        star_inner(a1, b1) + star_inner(a2, b2), rel=1e-12)
+    assert star_norm_sq(a) == pytest.approx(
+        star_norm_sq(a1) + star_norm_sq(a2), rel=1e-12)
+    stacked = doubled.with_values(np.vstack([a.values, b.values]))
+    assert stacked.values.shape == (2, 2 * k)
+    f = pair(mk(), mk())
+    for basis in (b, stacked):
+        perp = project_perp(f, basis)
+        npt.assert_allclose(star_inner(basis, perp), 0.0, atol=1e-9)
 
 
 def test_grid_mismatch_rejected():
