@@ -4,7 +4,6 @@ targets with Fourier-series contours."""
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    AsymptoticReport,
     TBlocks,
     hcrb_known_shape,
     hcrb_unknown_shape,
@@ -46,13 +45,11 @@ from .fisher import (
 from .multiradar import FusedFim, RadarPose, fuse, peb, uniform_constellation
 from .scenario import EnergySpec, Scenario, SegmentationConfig, WaveformSpec
 from .scenario_io import ScenarioBundle, build, dumps_normalized, load_file, normalize
-from .starcalc import SampledField, project_perp, star_inner, star_norm
+from .starcalc import SampledField, project_perp, star_inner
 from .waveform import (
     SignalFrame,
     chirp,
     dump_frame,
     effective_bandwidth,
     steering,
-    synthesize,
-    synthesize_point,
 )

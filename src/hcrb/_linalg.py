@@ -1,4 +1,4 @@
-"""Small linear-algebra helpers: guarded SPD solves, null spaces, inverses."""
+"""Small linear-algebra helpers: guarded SPD solves and checked inverses."""
 
 import warnings
 
@@ -32,25 +32,22 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         )
 
 
-def null_space(mat: np.ndarray, rcond: float = NULL_RCOND):
-    """Eigenvectors of a symmetric matrix with eigenvalues below rcond * max.
-
-    Returns an (n, k) array of null directions, k possibly 0.
-    """
-    w, v = np.linalg.eigh(np.atleast_2d(mat))
-    cutoff = rcond * max(abs(w).max(), np.finfo(float).tiny)
-    return v[:, np.abs(w) <= cutoff]
-
-
-def invert_info_matrix(mat: np.ndarray, labels=None, rcond: float = NULL_RCOND) -> np.ndarray:
+def invert_info_matrix(mat: np.ndarray, labels=None) -> np.ndarray:
     """Invert an information matrix, raising IdentifiabilityError when singular.
 
-    The error carries the null-space basis and the parameter labels so the
-    unidentifiable combinations can be reported to the user.
+    A direction is null when its eigenvalue is at most NULL_RCOND times the
+    largest. The error carries the orthonormal null-space basis and the labels
+    of the parameters it involves: those whose basis row has norm above
+    sqrt(NULL_RCOND).
     """
     mat = np.atleast_2d(mat)
-    ns = null_space(mat, rcond)
+    w, v = np.linalg.eigh(mat)
+    cutoff = NULL_RCOND * max(abs(w).max(), np.finfo(float).tiny)
+    ns = v[:, np.abs(w) <= cutoff]
     if ns.shape[1] > 0:
+        if labels is not None:
+            involved = np.linalg.norm(ns, axis=1) > np.sqrt(NULL_RCOND)
+            labels = [label for label, keep in zip(labels, involved) if keep]
         raise IdentifiabilityError(
             f"information matrix is singular ({ns.shape[1]} null direction(s))",
             null_space=ns,

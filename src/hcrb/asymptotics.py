@@ -14,7 +14,7 @@ import numpy as np
 from ._linalg import solve_spd
 from .contour import PERP, PoseField, pose_field, rotation
 from .errors import IdentifiabilityError, NoIlluminationError
-from .fisher import check_not_endfire, gamma_labels, radar_constants
+from .fisher import CrbReport, check_not_endfire, gamma_labels, radar_constants
 from .scenario import Scenario
 from .starcalc import (
     SampledField,
@@ -38,7 +38,6 @@ class TBlocks:
     t21: np.ndarray
     t22: np.ndarray
     big_l: float
-    big_m: float
     big_z: float
     a_coef: float
     b_coef: float
@@ -76,7 +75,7 @@ def t_blocks(scenario: Scenario, field: PoseField | None = None) -> TBlocks:
             "no contour point is lit: sin(phi - beta) <= 0 everywhere"
         )
     wbar = grid.with_values(weights.w / np.sqrt(w_norm_sq))
-    big_l, big_m, big_z = radar_constants(scenario)
+    big_l, _, big_z = radar_constants(scenario)
     alpha = scenario.alpha
     q = scenario.contour.q
 
@@ -129,7 +128,6 @@ def t_blocks(scenario: Scenario, field: PoseField | None = None) -> TBlocks:
         t21=t21,
         t22=t22,
         big_l=big_l,
-        big_m=big_m,
         big_z=big_z,
         a_coef=a_coef,
         b_coef=b_coef,
@@ -168,40 +166,11 @@ def _pose_inverse(big_l: float, a: float, b: float, big_z: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """3x3 pose covariance in the long-range regime."""
-
-    covariance: np.ndarray
-    labels: tuple
-    contour_known: bool
-    e_over_n0: float
-    blocks: TBlocks
-
-    @property
-    def c_range(self) -> float:
-        return float(self.covariance[0, 0])
-
-    @property
-    def c_bearing(self) -> float:
-        return float(self.covariance[1, 1])
-
-    @property
-    def c_heading(self) -> float:
-        return float(self.covariance[2, 2])
-
-
-def hcrb_known_shape(blocks: TBlocks) -> AsymptoticReport:
+def hcrb_known_shape(blocks: TBlocks) -> CrbReport:
     """Asymptotic pose bound with the contour coefficients known."""
     cov = _pose_inverse(blocks.big_l, blocks.a_coef, blocks.b_coef, blocks.big_z)
     cov = cov / (2.0 * blocks.e_over_n0)
-    return AsymptoticReport(
-        covariance=cov,
-        labels=blocks.labels[:3],
-        contour_known=True,
-        e_over_n0=blocks.e_over_n0,
-        blocks=blocks,
-    )
+    return CrbReport(covariance=cov, labels=blocks.labels[:3])
 
 
 def heading_variance_split(blocks: TBlocks):
@@ -227,7 +196,7 @@ def _schur_primes(blocks: TBlocks):
     return blocks.big_l - h, blocks.a_coef - j, blocks.b_coef - i
 
 
-def hcrb_unknown_shape(blocks: TBlocks) -> AsymptoticReport:
+def hcrb_unknown_shape(blocks: TBlocks) -> CrbReport:
     """Asymptotic pose bound with the contour coefficients jointly unknown.
 
     Eliminating the shape block leaves a pose block with the same algebraic
@@ -237,13 +206,7 @@ def hcrb_unknown_shape(blocks: TBlocks) -> AsymptoticReport:
     lp, ap, bp = _schur_primes(blocks)
     cov = _pose_inverse(lp, ap, bp, blocks.big_z)
     cov = cov / (2.0 * blocks.e_over_n0)
-    return AsymptoticReport(
-        covariance=cov,
-        labels=blocks.labels[:3],
-        contour_known=False,
-        e_over_n0=blocks.e_over_n0,
-        blocks=blocks,
-    )
+    return CrbReport(covariance=cov, labels=blocks.labels[:3])
 
 
 def unknown_shape_projection(blocks: TBlocks) -> dict:

@@ -66,8 +66,8 @@ def _parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="synthesize frames and run the "
                                             "matched-filter estimator")
     _add_scenario_arg(p_sim)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--trials", type=int, default=10)
+    p_sim.add_argument("--seed", default=0)
+    p_sim.add_argument("--trials", default=10)
     p_sim.add_argument("--point", action="store_true",
                        help="point target instead of the extended contour")
     p_sim.add_argument("--dump-frames", metavar="DIR",
@@ -76,14 +76,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bounds along the range sweep")
     _add_scenario_arg(p_sweep)
-    p_sweep.add_argument("--points", type=int, default=30)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--points", default=30)
+    p_sweep.add_argument("--seed", default=0)
     p_sweep.add_argument("--out", metavar="CSV", required=True)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimator variance vs bounds")
     _add_scenario_arg(p_mc)
-    p_mc.add_argument("--trials", type=int, default=500)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--trials", default=500)
+    p_mc.add_argument("--seed", default=0)
     p_mc.add_argument("--ranges", default="6.7,15,35,80",
                       help="comma-separated target ranges in meters")
     p_mc.add_argument("--out", metavar="CSV", required=True)
@@ -92,10 +92,10 @@ def _parser() -> argparse.ArgumentParser:
     _add_scenario_arg(p_div)
     p_div.add_argument("--counts", default="1-6",
                        help="radar counts, e.g. 1-6 or 1,2,4")
-    p_div.add_argument("--radius", type=float, default=7.0)
-    p_div.add_argument("--total-db", type=float, default=40.0,
+    p_div.add_argument("--radius", default=7.0)
+    p_div.add_argument("--total-db", default=40.0,
                        help="aggregate E/N0 budget in dB, split evenly")
-    p_div.add_argument("--seed", type=int, default=0)
+    p_div.add_argument("--seed", default=0)
     p_div.add_argument("--out", metavar="CSV", required=True)
     return parser
 
@@ -127,16 +127,33 @@ def _parse_ranges(text: str):
     return ranges
 
 
+# numeric options: attribute -> (what the text must be, type, least value)
+_NUMBERS = {
+    "seed": ("a non-negative integer", int, 0),
+    "trials": ("an integer of at least 1", int, 1),
+    "points": ("an integer of at least 1", int, 1),
+    "radius": ("a finite number", float, None),
+    "total_db": ("a finite number", float, None),
+}
+
+
 def _check_args(args):
-    """Value rules for --seed, --trials and --points, raised as schema errors
-    (exit 1); an argparse error would exit 2, the code for a singular matrix."""
-    seed = getattr(args, "seed", 0)
-    if seed < 0:
-        raise ScenarioError(f"--seed must be a non-negative integer, got {seed}")
-    for name in ("trials", "points"):
-        count = getattr(args, name, 1)
-        if count < 1:
-            raise ScenarioError(f"--{name} must be at least 1, got {count}")
+    """Convert the numeric options and apply their value rules, raising
+    schema errors (exit 1); an argparse type= error would exit 2, the code
+    for a singular matrix."""
+    for name, (rule, kind, least) in _NUMBERS.items():
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or (kind is float and not np.isfinite(value)) or (
+                least is not None and value < least):
+            option = "--" + name.replace("_", "-")
+            raise ScenarioError(f"{option} must be {rule}, got {text!r}")
+        setattr(args, name, value)
 
 
 def _maybe_print_normalized(args, bundle: ScenarioBundle) -> bool:
@@ -161,8 +178,9 @@ def _cmd_bounds(args) -> int:
     label = "known" if args.known else "unknown"
 
     if len(bundle.radars) > 1:
-        fused = fuse(scenario, bundle.target_xy, bundle.heading,
-                     bundle.radars, contour_known=args.known)
+        fused = fuse(scenario, bundle.target_xy, bundle.heading, bundle.radars)
+        if args.known:
+            fused = fused.pose_block()
         cov = fused.covariance()
         bound = peb(fused)
         print(f"{len(bundle.radars)} radars, contour {label}")

@@ -21,6 +21,11 @@ TWO_PI = 2.0 * np.pi
 # rotate a 2-vector by +90 degrees: x_perp = PERP @ x
 PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
+# largest relative change of the perimeter when its node count doubles
+PERIMETER_REL_TOL = 1e-7
+# trapezoid intervals of the cumulative arc-length table
+ARCLENGTH_NODES = 8192
+
 
 def wrap_angle(x):
     """Wrap angle(s) to (-pi, pi]."""
@@ -231,17 +236,17 @@ def _from_key(key) -> ContourParams:
     return ContourParams(np.frombuffer(m), np.frombuffer(n))
 
 
-def perimeter(params: ContourParams, spec: QuadratureSpec = QuadratureSpec(),
-              rel_tol: float = 1e-7) -> float:
-    """Total contour length, with a refinement check on convergence.
+def perimeter(params: ContourParams, spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """Total contour length; raises unless doubling the nodes moves it by at
+    most PERIMETER_REL_TOL.
 
-    It depends on the contour alone, so it is cached per coefficients, node
-    count and tolerance; failures raise on every call."""
-    return _perimeter(_coefficient_key(params), spec.nodes, rel_tol)
+    It depends on the contour alone, so it is cached per coefficients and
+    node count; failures raise on every call."""
+    return _perimeter(_coefficient_key(params), spec.nodes)
 
 
 @lru_cache(maxsize=8)
-def _perimeter(key, base_nodes: int, rel_tol: float) -> float:
+def _perimeter(key, base_nodes: int) -> float:
     params = _from_key(key)
     total = None
     for nodes in (base_nodes, 2 * base_nodes):
@@ -251,24 +256,25 @@ def _perimeter(key, base_nodes: int, rel_tol: float) -> float:
         if speed.min() <= 0.0:
             raise RegularityError("contour is not regular: ||rho_dot|| vanishes on the grid")
         prev, total = total, float(np.sum(speed * du))
-    if abs(total - prev) > rel_tol * abs(total):
+    if abs(total - prev) > PERIMETER_REL_TOL * abs(total):
         raise QuadratureError(
             f"perimeter quadrature not converged: {prev} vs {total} at {base_nodes} nodes"
         )
     return total
 
 
-def arclength_params(params: ContourParams, fractions, nodes: int = 8192) -> np.ndarray:
+def arclength_params(params: ContourParams, fractions) -> np.ndarray:
     """Contour parameters u at the given arc-length fractions of the perimeter."""
-    s, u = _cumulative_length(_coefficient_key(params), nodes)
+    s, u = _cumulative_length(_coefficient_key(params))
     return np.interp(np.asarray(fractions, dtype=float) * s[-1], s, u)
 
 
 @lru_cache(maxsize=8)
-def _cumulative_length(key, nodes: int):
-    """Cumulative trapezoid arc length s along u on nodes + 1 points, both
-    read-only; like the perimeter it depends on the contour alone."""
-    u = np.linspace(0.0, TWO_PI, nodes + 1)
+def _cumulative_length(key):
+    """Cumulative trapezoid arc length s along u on ARCLENGTH_NODES + 1
+    points, both read-only; like the perimeter it depends on the contour
+    alone."""
+    u = np.linspace(0.0, TWO_PI, ARCLENGTH_NODES + 1)
     _, rho_dot = eval_local(_from_key(key), u)
     speed = np.hypot(rho_dot[0], rho_dot[1])
     s = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(u))])

@@ -17,7 +17,7 @@ from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.optimize import minimize_scalar
 
 from .scenario import WaveformSpec
-from .waveform import SignalFrame, chirp, steering, steering_matrix
+from .waveform import SignalFrame, chirp, steering
 
 # de-chirped range profiles below this peak-to-median power ratio are
 # noise-like (pure noise sits near 2, any usable return above ~50)
@@ -27,6 +27,9 @@ CONFIDENCE_RATIO = 10.0
 # concentrates near log2(nbins); a confident beat peak must clear a
 # multiple of that level
 BEAT_MARGIN = 3.0
+
+# bearings on the coarse beamscan grid, strictly inside (-pi/2, pi/2)
+SCAN_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,9 @@ class EstimateResult:
 
 
 @lru_cache(maxsize=8)
-def _scan_grid(n_elem: int, n_grid: int):
-    grid = np.linspace(-np.pi / 2.0, np.pi / 2.0, n_grid + 2)[1:-1]
-    return grid, steering_matrix(n_elem, grid)
+def _scan_grid(n_elem: int):
+    grid = np.linspace(-np.pi / 2.0, np.pi / 2.0, SCAN_POINTS + 2)[1:-1]
+    return grid, steering(n_elem, grid)
 
 
 @lru_cache(maxsize=8)
@@ -83,9 +86,7 @@ def _reference_conj(waveform: WaveformSpec, n_samples: int) -> np.ndarray:
     return ref
 
 
-def estimate_direction(
-    frame: SignalFrame, waveform: WaveformSpec, n_grid: int = 2048
-) -> DirectionEstimate:
+def estimate_direction(frame: SignalFrame, waveform: WaveformSpec) -> DirectionEstimate:
     """Beamscan bearing on the dominant de-chirped range bin.
 
     Each element is mixed with the conjugate reference chirp and FFT'd; the
@@ -104,7 +105,7 @@ def estimate_direction(
     ratio = float(profile[bin_] / np.median(profile))
 
     snapshot = spectra[:, bin_]
-    grid, mat = _scan_grid(y.shape[0], n_grid)
+    grid, mat = _scan_grid(y.shape[0])
     power = np.abs(mat.conj().T @ snapshot) ** 2
     peak = int(np.argmax(power))
 
@@ -177,9 +178,8 @@ def estimate_range(
     )
 
 
-def estimate(frame: SignalFrame, waveform: WaveformSpec,
-             n_grid: int = 2048) -> EstimateResult:
+def estimate(frame: SignalFrame, waveform: WaveformSpec) -> EstimateResult:
     """Bearing first, then range at the estimated bearing."""
-    direction = estimate_direction(frame, waveform, n_grid)
+    direction = estimate_direction(frame, waveform)
     rng = estimate_range(frame, waveform, direction.phi)
     return EstimateResult(direction=direction, range_=rng)

@@ -35,7 +35,7 @@ MC_RANGES = (6.7082039325, 15.0, 35.0, 80.0)
 
 # Constellation orientation relative to the target bow. Dead-ahead or astern
 # views are shape-degenerate (the lit arc collapses onto the symmetry axis),
-# so the default keeps every radar well clear of that alignment.
+# so every constellation keeps each radar well clear of that alignment.
 BOW_OFFSET = np.radians(40.0)
 
 
@@ -103,10 +103,10 @@ class ResultTable:
         return buf.getvalue()
 
 
-def ray_positions(n_points: int, start=SWEEP_START, stop=SWEEP_STOP) -> np.ndarray:
-    """(n, 2) positions on the segment start->stop with log-spaced ranges."""
-    start = np.asarray(start, dtype=float)
-    stop = np.asarray(stop, dtype=float)
+def ray_positions(n_points: int) -> np.ndarray:
+    """(n, 2) positions on the sweep segment with log-spaced ranges."""
+    start = np.asarray(SWEEP_START, dtype=float)
+    stop = np.asarray(SWEEP_STOP, dtype=float)
     t_fine = np.linspace(0.0, 1.0, 20001)
     points = start[None, :] + t_fine[:, None] * (stop - start)[None, :]
     dists = np.hypot(points[:, 0], points[:, 1])
@@ -154,7 +154,6 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
 
 
 def run_range_sweep(scenario: Scenario, n_points: int = 30, seed: int = 0,
-                    start=SWEEP_START, stop=SWEEP_STOP,
                     skip_singular: bool = False) -> ResultTable:
     """Bounds along the range sweep, energy pinned by the scenario config.
 
@@ -162,7 +161,7 @@ def run_range_sweep(scenario: Scenario, n_points: int = 30, seed: int = 0,
     recorded in table.failures instead of aborting the sweep.
     """
     table = ResultTable()
-    for xy in ray_positions(n_points, start, stop):
+    for xy in ray_positions(n_points):
         moved = scenario.with_pose(_pose_at(scenario, xy))
         sweep = f"range:{moved.pose.d:.6g}"
         try:
@@ -213,8 +212,7 @@ def _variance_rows(table, sweep, kind, d_hat, phi_hat, used, truth, seed):
 
 
 def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 0,
-           segmentation: SegmentationConfig = None,
-           start=SWEEP_START, stop=SWEEP_STOP) -> ResultTable:
+           segmentation: SegmentationConfig = None) -> ResultTable:
     """Matched-filter estimator variance against the bounds, range by range.
 
     Extended-target trials redraw the segment gains every frame; point-target
@@ -223,7 +221,7 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
     n_trials column.
     """
     table = ResultTable()
-    positions = ray_positions(1001, start, stop)
+    positions = ray_positions(1001)
     dists = np.hypot(positions[:, 0], positions[:, 1])
 
     for index, want in enumerate(ranges):
@@ -248,15 +246,14 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
 
 def run_diversity(template: Scenario, target_xy, heading: float,
                   counts=tuple(range(1, 7)), radius: float = 7.0,
-                  total_e_over_n0_db: float = 40.0, seed: int = 0,
-                  start_angle: float = None) -> ResultTable:
+                  total_e_over_n0_db: float = 40.0, seed: int = 0) -> ResultTable:
     """PEB versus constellation size at fixed aggregate energy.
 
     Radars sit uniformly on a circle around the target, boresights on the
-    center, each granted an equal share of the energy budget. The default
-    orientation places the first radar BOW_OFFSET off the target's bow: a
-    radar dead ahead (or astern) sees a shape-degenerate slice of the
-    contour and single-radar fusion turns singular there.
+    center, each granted an equal share of the energy budget. The first
+    radar sits BOW_OFFSET off the target's bow: a radar dead ahead (or
+    astern) sees a shape-degenerate slice of the contour and single-radar
+    fusion turns singular there.
 
     Each constellation size is fused once, with the contour unknown; the
     known-contour PEB comes from the pose block of that same fused matrix
@@ -267,8 +264,7 @@ def run_diversity(template: Scenario, target_xy, heading: float,
     """
     table = ResultTable()
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
-    if start_angle is None:
-        start_angle = float(heading) - BOW_OFFSET
+    start_angle = float(heading) - BOW_OFFSET
     for count in counts:
         radars = uniform_constellation(target_xy, count, radius,
                                        start_angle=start_angle)

@@ -150,10 +150,6 @@ class EfimResult:
     constants: tuple  # (L, M, Z)
     alpha: float
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 def efim_exact(scenario: Scenario, field: PoseField | None = None) -> EfimResult:
     """Assemble the equivalent Fisher information over the quadrature grid.
@@ -204,12 +200,10 @@ def efim_exact(scenario: Scenario, field: PoseField | None = None) -> EfimResult
 
 @dataclass(frozen=True)
 class CrbReport:
-    """Bound covariance with its source information matrix."""
+    """Bound covariance over the labelled parameters, pose first."""
 
     covariance: np.ndarray
     labels: tuple
-    contour_known: bool
-    efim: EfimResult
 
     @property
     def c_range(self) -> float:
@@ -223,10 +217,6 @@ class CrbReport:
     def c_heading(self) -> float:
         return float(self.covariance[2, 2])
 
-    def variance(self, label: str) -> float:
-        i = self.labels.index(label)
-        return float(self.covariance[i, i])
-
 
 def hcrb_from_efim(efim: EfimResult, contour_known: bool = False) -> CrbReport:
     """Invert the information matrix (pose block only if the shape is known)."""
@@ -236,10 +226,7 @@ def hcrb_from_efim(efim: EfimResult, contour_known: bool = False) -> CrbReport:
     else:
         sub = efim.matrix
         labels = efim.labels
-    cov = invert_info_matrix(sub, labels)
-    return CrbReport(
-        covariance=cov, labels=tuple(labels), contour_known=contour_known, efim=efim
-    )
+    return CrbReport(covariance=invert_info_matrix(sub, labels), labels=tuple(labels))
 
 
 def hcrb_exact(scenario: Scenario, contour_known: bool = False) -> CrbReport:

@@ -77,12 +77,12 @@ def _chain_matrix(delta: np.ndarray, dist: float, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FusedFim:
-    """Summed information in global coordinates, with per-radar terms kept."""
+    """Summed information in global coordinates, with the per-radar local
+    scenarios it came from."""
 
     matrix: np.ndarray
     labels: tuple
-    contributions: tuple  # per-radar information in global coordinates
-    scenarios: tuple  # per-radar local scenarios
+    scenarios: tuple
 
     def covariance(self) -> np.ndarray:
         return invert_info_matrix(self.matrix, self.labels)
@@ -90,8 +90,7 @@ class FusedFim:
     def pose_block(self) -> "FusedFim":
         """The known-contour information, the [p_x, p_y, heading] block; exact
         because every chain matrix is the identity outside its 2x2 corner."""
-        return replace(self, matrix=self.matrix[:3, :3], labels=self.labels[:3],
-                       contributions=tuple(c[:3, :3] for c in self.contributions))
+        return replace(self, matrix=self.matrix[:3, :3], labels=self.labels[:3])
 
 
 def fuse(
@@ -100,13 +99,12 @@ def fuse(
     heading: float,
     radars,
     total_e_over_n0_db: float = None,
-    contour_known: bool = False,
 ) -> FusedFim:
     """Accumulate per-radar information onto [p_x, p_y, heading, a_q, b_q].
 
     With total_e_over_n0_db set, the budget is split evenly so adding radars
-    trades per-radar SNR for geometric diversity. The known-contour result
-    is the pose block of the unknown-contour one.
+    trades per-radar SNR for geometric diversity. The known-contour
+    information is the pose block of the result (FusedFim.pose_block).
     """
     radars = list(radars)
     if not radars:
@@ -117,7 +115,6 @@ def fuse(
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
 
     matrix = None
-    contributions = []
     locals_ = []
     for radar in radars:
         local = radar_local_scenario(template, target_xy, heading, radar, per_db)
@@ -126,7 +123,6 @@ def fuse(
         chain = _chain_matrix(delta, local.pose.d, j_local.shape[0])
         j_global = chain @ j_local @ chain.T
         j_global = 0.5 * (j_global + j_global.T)
-        contributions.append(j_global)
         locals_.append(local)
         matrix = j_global if matrix is None else matrix + j_global
 
@@ -134,13 +130,7 @@ def fuse(
     labels = ("px", "py", "heading") + tuple(
         [f"a{k}" for k in range(1, q + 1)] + [f"b{k}" for k in range(1, q + 1)]
     )
-    fused = FusedFim(
-        matrix=matrix,
-        labels=labels,
-        contributions=tuple(contributions),
-        scenarios=tuple(locals_),
-    )
-    return fused.pose_block() if contour_known else fused
+    return FusedFim(matrix=matrix, labels=labels, scenarios=tuple(locals_))
 
 
 def peb(fused: FusedFim) -> float:
@@ -149,9 +139,8 @@ def peb(fused: FusedFim) -> float:
     return float(np.sqrt(cov[0, 0] + cov[1, 1]))
 
 
-def uniform_constellation(
-    target_xy, count: int, radius: float, start_angle: float = 0.0, array_n: int = None
-):
+def uniform_constellation(target_xy, count: int, radius: float,
+                          start_angle: float = 0.0):
     """Radars on a circle around the target, each boresighted at the center."""
     if count < 1:
         raise ScenarioError("constellation needs at least one radar")
@@ -162,7 +151,5 @@ def uniform_constellation(
     for k in range(count):
         angle = start_angle + 2.0 * np.pi * k / count
         position = target_xy + radius * np.array([np.cos(angle), np.sin(angle)])
-        out.append(
-            RadarPose(position=position, kappa=angle + np.pi, array_n=array_n)
-        )
+        out.append(RadarPose(position=position, kappa=angle + np.pi))
     return out

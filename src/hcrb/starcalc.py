@@ -114,10 +114,6 @@ def star_norm_sq(f: SampledField):
     return float(out[0]) if f.values.ndim == 1 else out
 
 
-def star_norm(f: SampledField):
-    return np.sqrt(star_norm_sq(f))
-
-
 def project(f: SampledField, basis: SampledField) -> SampledField:
     """Star-orthogonal projection of f onto the span of the basis rows."""
     gram = np.atleast_2d(star_inner(basis, basis))

@@ -97,11 +97,6 @@ def steering(n_elem: int, phi, centered: bool = False, derivative: bool = False)
     return a.reshape(n_elem), adot.reshape(n_elem)
 
 
-def steering_matrix(n_elem: int, grid: np.ndarray) -> np.ndarray:
-    """Stack steering vectors for a bearing grid into an (N, P) matrix."""
-    return steering(n_elem, np.asarray(grid, dtype=float))
-
-
 @dataclass(frozen=True)
 class SignalFrame:
     """One received burst: rows are antennas, columns time samples."""
@@ -247,27 +242,6 @@ def synthesize_frame(workspace: SynthWorkspace, seed: int) -> SignalFrame:
         seed=seed,
         truth=dict(workspace.truth),
     )
-
-
-def synthesize(
-    scenario: Scenario,
-    seed: int,
-    seg: SegmentationConfig | None = None,
-    workspace: SynthWorkspace | None = None,
-) -> SignalFrame:
-    """Extended-target received frame for one noise/scatterer draw."""
-    if workspace is None:
-        workspace = synthesis_workspace(scenario, seg)
-    return synthesize_frame(workspace, seed)
-
-
-def synthesize_point(
-    scenario: Scenario, seed: int, workspace: SynthWorkspace | None = None
-) -> SignalFrame:
-    """Point-target frame with the same energy accounting as the bound."""
-    if workspace is None:
-        workspace = point_workspace(scenario)
-    return synthesize_frame(workspace, seed)
 
 
 def dump_frame(frame: SignalFrame, path: str | Path) -> Path:

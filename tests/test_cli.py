@@ -9,7 +9,8 @@ from conftest import SCENARIO_FILE
 
 from hcrb import __version__
 from hcrb.cli import entry
-from hcrb.scenario_io import SCHEMA_VERSION, dumps_normalized, normalize
+from hcrb.multiradar import fuse, peb
+from hcrb.scenario_io import SCHEMA_VERSION, dumps_normalized, load_file, normalize
 
 SCENARIO = str(SCENARIO_FILE)
 
@@ -77,6 +78,12 @@ def test_schema_errors_exit_one(tmp_path, capsys):
     ["simulate", "--seed", "-1"],
     ["simulate", "--trials", "-1"],
     ["simulate", "--trials", "0"],
+    ["sweep", "--seed", "abc"],
+    ["sweep", "--points", "1.5"],
+    ["mc", "--trials", "x"],
+    ["diversity", "--radius", "abc"],
+    ["diversity", "--total-db", "abc"],
+    ["diversity", "--total-db", "nan"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_argument_errors_exit_one(tmp_path, capsys, argv):
     command, option, value = argv
@@ -94,7 +101,33 @@ def test_singular_geometry_exits_two(tmp_path, capsys):
     assert entry(["bounds", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert "singular" in err
-    assert "null space involves" in err
+    # only the parameters with weight in the null space are named
+    line = next(s for s in err.splitlines() if "null space involves:" in s)
+    named = [name.strip() for name in line.split(":", 1)[1].split(",")]
+    assert "d" in named
+    assert "phi" not in named and "heading" not in named
+
+
+def test_multi_radar_bounds(tmp_path, capsys):
+    """Two radars: the known-contour PEB is the pose block's, and no worse."""
+    doc = json.loads(SCENARIO_FILE.read_text())
+    doc["radar"] = [{"x": 0.0, "y": 0.0, "kappa": 0.0, "N": 30},
+                    {"x": 12.0, "y": 0.0, "kappa": 180.0, "N": 30}]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    pebs = {}
+    for label in ("known", "unknown"):
+        out = tmp_path / f"{label}.csv"
+        assert entry(["bounds", "--scenario", str(path), f"--{label}",
+                      "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == [f"peb_{label}", f"c_heading_{label}"]
+        assert all(r[0] == "bounds:2radars" for r in rows)
+        pebs[label] = float(rows[0][3])
+    assert pebs["known"] <= pebs["unknown"]
+    bundle = load_file(path)
+    fused = fuse(bundle.scenario, bundle.target_xy, bundle.heading, bundle.radars)
+    assert pebs["known"] == peb(fused.pose_block())
 
 
 def test_sweep_row_count(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_contour_tables_are_cached_per_coefficients(scenario):
     assert np.array_equal(first, np.interp(fractions * s[-1], s, u))
     assert not any(a.flags.writeable
                    for a in hcrb.contour._cumulative_length(
-                       hcrb.contour._coefficient_key(params), 8192))
+                       hcrb.contour._coefficient_key(params)))
 
     hits = hcrb.contour._perimeter.cache_info().hits
     assert perimeter(twin) == perimeter(params)

@@ -10,7 +10,7 @@ from hcrb.contour import ContourParams, TargetPose
 from hcrb.estimators import estimate, estimate_direction, estimate_range
 from hcrb.fisher import point_target_crb
 from hcrb.scenario import EnergySpec, Scenario, WaveformSpec
-from hcrb.waveform import SignalFrame, chirp, synthesize_point
+from hcrb.waveform import SignalFrame, chirp, point_workspace, synthesize_frame
 
 CIRCLE = ContourParams(np.array([2.0]), np.array([2.0]))
 
@@ -33,7 +33,7 @@ def test_noiseless_point_estimates_are_sharp():
         30.0, 0.2, EnergySpec(gain=1.0, n0=1e-30),
         WaveformSpec(bandwidth=1e9, duration=1e-5),
     )
-    frame = synthesize_point(sc, seed=0)
+    frame = synthesize_frame(point_workspace(sc), 0)
     result = estimate(frame, sc.waveform)
     assert result.confident
     assert abs(result.d - 30.0) < 0.0375  # c/(2B)/4
@@ -43,7 +43,7 @@ def test_noiseless_point_estimates_are_sharp():
 def test_pure_noise_sets_low_confidence():
     sc = _point_scenario(10.0, 0.0, EnergySpec(gain=0.0, n0=1.0),
                          small_waveform())
-    frame = synthesize_point(sc, seed=42)
+    frame = synthesize_frame(point_workspace(sc), 42)
     result = estimate(frame, sc.waveform)
     assert not result.direction.confident
     assert not result.confident
@@ -68,7 +68,7 @@ def test_direction_stays_in_unambiguous_sector():
     sc = _point_scenario(10.0, 0.0, EnergySpec(gain=0.0, n0=1.0),
                          small_waveform())
     for seed in range(4):
-        frame = synthesize_point(sc, seed=seed)
+        frame = synthesize_frame(point_workspace(sc), seed)
         est = estimate_direction(frame, sc.waveform)
         assert -np.pi / 2.0 < est.phi < np.pi / 2.0
 
@@ -84,8 +84,8 @@ def test_reference_chirp_is_built_once_per_waveform(monkeypatch):
 
     monkeypatch.setattr(estimators, "chirp", counting_chirp)
     estimators._conj_pulse.cache_clear()
-    first = estimate(synthesize_point(sc, seed=0), wf)
-    second = estimate(synthesize_point(sc, seed=1), wf)
+    first = estimate(synthesize_frame(point_workspace(sc), 0), wf)
+    second = estimate(synthesize_frame(point_workspace(sc), 1), wf)
     assert calls == [wf]
     pulse = estimators._conj_pulse(wf)
     assert not pulse.flags.writeable
@@ -104,7 +104,7 @@ def test_point_estimator_is_unbiased_and_efficient():
 
     d_hat, phi_hat = [], []
     for seed in range(300):
-        frame = synthesize_point(sc, seed=seed)
+        frame = synthesize_frame(point_workspace(sc), seed)
         result = estimate(frame, sc.waveform)
         assert result.confident
         d_hat.append(result.d)

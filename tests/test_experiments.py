@@ -224,17 +224,6 @@ def test_diversity_reports_every_size_at_a_wider_radius(scenario, bundle):
     assert all(u >= k for k, u in zip(known, unknown))
 
 
-def test_diversity_custom_start_angle(scenario, bundle):
-    table = run_diversity(scenario, bundle.target_xy, bundle.heading,
-                          counts=(1, 2), start_angle=0.9)
-    values = [r.value for r in table.rows]
-    assert len(values) == 4
-    assert all(v > 0.0 for v in values)
-    again = run_diversity(scenario, bundle.target_xy, bundle.heading,
-                          counts=(1, 2), start_angle=0.9)
-    assert table.csv_text() == again.csv_text()
-
-
 def test_result_table_serialization(tmp_path):
     table = ResultTable()
     table.add("demo:1", "quantity_a", "exact", 1.0 / 3.0, "m^2")

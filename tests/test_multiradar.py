@@ -62,7 +62,10 @@ def test_fused_information_is_sum_of_psd_contributions(scenario):
     radars = uniform_constellation(TARGET, 3, 7.0, start_angle=0.9)
     fused = fuse(scenario, TARGET, HEADING, radars, total_e_over_n0_db=40.0)
     total = np.zeros_like(fused.matrix)
-    for contrib in fused.contributions:
+    for radar, local in zip(radars, fused.scenarios):
+        j_local = efim_exact(local).matrix
+        chain = _chain_matrix(TARGET - radar.position, local.pose.d, j_local.shape[0])
+        contrib = chain @ j_local @ chain.T
         npt.assert_allclose(contrib, contrib.T, rtol=1e-10)
         eig = np.linalg.eigvalsh(contrib)
         assert eig.min() >= -1e-8 * eig.max()
@@ -77,8 +80,7 @@ def test_known_contour_fusion_is_the_pose_block(scenario):
     unknown-contour fusion, since the chain matrices leave shape rows alone."""
     radars = uniform_constellation(TARGET, 3, 7.0, start_angle=0.9)
     unknown = fuse(scenario, TARGET, HEADING, radars, total_e_over_n0_db=40.0)
-    known = fuse(scenario, TARGET, HEADING, radars, total_e_over_n0_db=40.0,
-                 contour_known=True)
+    known = unknown.pose_block()
     pose_only = np.zeros((3, 3))
     for radar, local in zip(radars, unknown.scenarios):
         chain = _chain_matrix(TARGET - radar.position, local.pose.d, 3)

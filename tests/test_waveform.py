@@ -31,11 +31,8 @@ from hcrb.waveform import (
     effective_bandwidth,
     point_workspace,
     steering,
-    steering_matrix,
     synthesis_workspace,
-    synthesize,
     synthesize_frame,
-    synthesize_point,
 )
 
 
@@ -98,7 +95,7 @@ def test_steering_derivative_matches_finite_difference():
 def test_steering_matched_peak():
     n = 16
     grid = np.linspace(-1.2, 1.2, 241)
-    mat = steering_matrix(n, grid)
+    mat = steering(n, grid)
     assert mat.shape == (n, 241)
     response = np.abs(mat.conj().T @ steering(n, grid[170]))
     assert np.argmax(response) == 170
@@ -121,10 +118,11 @@ def _extended_scenario(energy, alpha=5.0):
 
 def test_synthesis_is_seed_deterministic():
     sc = _extended_scenario(EnergySpec(e_over_n0_db=40.0))
-    a = synthesize(sc, seed=7)
-    b = synthesize(sc, seed=7)
+    ws = synthesis_workspace(sc)
+    a = synthesize_frame(ws, 7)
+    b = synthesize_frame(synthesis_workspace(sc), 7)
     assert np.array_equal(a.samples, b.samples)
-    c = synthesize(sc, seed=8)
+    c = synthesize_frame(ws, 8)
     assert not np.array_equal(a.samples, c.samples)
     assert a.n_antennas == 30
     assert a.sample_rate == sc.waveform.sample_rate
@@ -152,8 +150,9 @@ def test_frame_equals_clean_plus_noise_from_the_same_draws(kind):
 
 def test_zero_gain_frame_is_calibrated_noise(scenario):
     quiet = replace(scenario, energy=EnergySpec(gain=0.0, n0=2.5e-10))
+    ws = synthesis_workspace(quiet)
     samples = np.concatenate(
-        [synthesize(quiet, seed=s).samples.ravel() for s in (0, 1)]
+        [synthesize_frame(ws, s).samples.ravel() for s in (0, 1)]
     )
     assert samples.size >= 1_000_000
     level = np.mean(np.abs(samples) ** 2)
@@ -194,7 +193,7 @@ def test_single_return_delay_lands_on_the_right_sample():
         waveform=wf,
         energy=EnergySpec(gain=1.0, n0=1e-30),
     )
-    frame = synthesize_point(sc, seed=3)
+    frame = synthesize_frame(point_workspace(sc), 3)
     lags = np.abs(np.correlate(frame.samples[0], chirp(wf), mode="full"))
     lag = np.argmax(lags) - (wf.samples - 1)
     expected = 2.0 * 30.0 / SPEED_OF_LIGHT * wf.sample_rate
@@ -211,7 +210,7 @@ def test_segmentation_guards():
 
 def test_dump_frame_roundtrip(tmp_path):
     sc = _extended_scenario(EnergySpec(e_over_n0_db=40.0))
-    frame = synthesize(sc, seed=11)
+    frame = synthesize_frame(synthesis_workspace(sc), 11)
     raw_path = tmp_path / "frame.c64"
     sidecar_path = dump_frame(frame, raw_path)
     assert sidecar_path == tmp_path / "frame.c64.json"
