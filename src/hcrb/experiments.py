@@ -40,9 +40,13 @@ BOW_OFFSET = np.radians(40.0)
 
 
 def worker_count() -> int:
+    """Trial workers: HCRB_THREADS if set (1 runs serially), otherwise the
+    CPUs this process may run on."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
-        return 1
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         count = int(raw)
     except ValueError:
@@ -53,11 +57,30 @@ def worker_count() -> int:
 
 
 def _map_items(fn, items):
-    workers = worker_count()
+    """[fn(item) for item in items] on worker_count() threads, in order.
+
+    The calling thread is one of the workers: it runs every w-th item while
+    w - 1 pool threads run the rest. Each pool thread gets its own glibc
+    malloc arena, so one fewer pool thread keeps the peak RSS of a run
+    close to the serial one.
+    """
+    items = list(items)
+    workers = min(worker_count(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    out = [None] * len(items)
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        pooled = [(i, pool.submit(fn, item)) for i, item in enumerate(items)
+                  if i % workers]
+        try:
+            for i in range(0, len(items), workers):
+                out[i] = fn(items[i])
+            for i, future in pooled:
+                out[i] = future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return out
 
 
 @dataclass(frozen=True)
@@ -187,7 +210,7 @@ def _mc_point(scenario, workspace, seeds):
         res = estimate(frame, wf)
         return res.d, res.phi, res.confident
 
-    out = _map_items(one, list(seeds))
+    out = _map_items(one, seeds)
     d_hat = np.array([o[0] for o in out])
     phi_hat = np.array([o[1] for o in out])
     used = np.array([o[2] for o in out], dtype=bool)
@@ -211,6 +234,26 @@ def _variance_rows(table, sweep, kind, d_hat, phi_hat, used, truth, seed):
               float(np.mean(phi_hat[used]) - truth.phi), "rad", n_used, seed)
 
 
+def _mc_positions(ranges) -> list:
+    """The sweep position nearest each wanted range, on a 1001-point sweep.
+
+    A range that is not finite, or lies more than one position spacing from
+    its nearest position (off the sweep segment), is a ScenarioError.
+    """
+    positions = ray_positions(1001)
+    dists = np.hypot(positions[:, 0], positions[:, 1])
+    spacing = np.gradient(dists)
+    chosen = []
+    for want in ranges:
+        index = int(np.argmin(np.abs(dists - want)))
+        if not np.isfinite(want) or abs(dists[index] - want) > spacing[index]:
+            raise ScenarioError(
+                f"Monte Carlo range {float(want):g} m is off the sweep segment "
+                f"({dists[0]:.6g} m to {dists[-1]:.6g} m)")
+        chosen.append(positions[index])
+    return chosen
+
+
 def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 0,
            segmentation: SegmentationConfig = None) -> ResultTable:
     """Matched-filter estimator variance against the bounds, range by range.
@@ -218,14 +261,11 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
     Extended-target trials redraw the segment gains every frame; point-target
     trials replace the contour with a single scatterer of the same energy.
     Low-confidence trials (noise-like peaks) are excluded but counted via the
-    n_trials column.
+    n_trials column. Each range runs at its nearest sweep position; a range
+    off the sweep segment raises ScenarioError before any trial runs.
     """
     table = ResultTable()
-    positions = ray_positions(1001)
-    dists = np.hypot(positions[:, 0], positions[:, 1])
-
-    for index, want in enumerate(ranges):
-        xy = positions[int(np.argmin(np.abs(dists - want)))]
+    for index, xy in enumerate(_mc_positions(ranges)):
         moved = scenario.with_pose(_pose_at(scenario, xy))
         sweep = f"mc:{moved.pose.d:.6g}"
         field = _bound_rows(table, sweep, moved, seed)

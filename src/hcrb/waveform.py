@@ -15,6 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .contour import (
@@ -143,8 +144,12 @@ def _delayed_chirps(wf: WaveformSpec, delays: np.ndarray, n_total: int) -> np.nd
     ref[: wf.samples] = chirp(wf)
     spec = np.fft.fft(ref)
     freq = np.fft.fftfreq(n_total, d=1.0 / wf.sample_rate)
-    ramp = np.exp(-2j * np.pi * np.outer(delays, freq))
-    return np.fft.ifft(spec[None, :] * ramp, axis=1)
+    # one (K, n_total) buffer carries the ramp, the product and the
+    # transform; spec stays the left operand, which fixes the rounding
+    ramp = np.multiply(-2j * np.pi, np.outer(delays, freq))
+    np.exp(ramp, out=ramp)
+    np.multiply(spec[None, :], ramp, out=ramp)
+    return scipy.fft.ifft(ramp, axis=1, overwrite_x=True)
 
 
 def _workspace(scenario: Scenario, kind: str, amps: np.ndarray, d: np.ndarray,
@@ -230,9 +235,13 @@ def synthesize_frame(workspace: SynthWorkspace, seed: int) -> SignalFrame:
         h = np.exp(2j * np.pi * rng.uniform(size=k))
     coeff = workspace.amps * h
     samples = (workspace.steer * coeff) @ workspace.delayed
-    # clean + noise_std * (re + 1j * im), added in place in the order drawn
-    samples.real += workspace.noise_std * rng.standard_normal(samples.shape)
-    samples.imag += workspace.noise_std * rng.standard_normal(samples.shape)
+    # clean + noise_std * (re + 1j * im), added in place in the order drawn;
+    # both halves pass through one buffer
+    noise = np.empty(samples.shape)
+    for part in (samples.real, samples.imag):
+        rng.standard_normal(out=noise)
+        noise *= workspace.noise_std
+        part += noise
     wf = workspace.scenario.waveform
     return SignalFrame(
         samples=samples,

@@ -93,6 +93,16 @@ def test_argument_errors_exit_one(tmp_path, capsys, argv):
     assert err.startswith("error: ") and option in err
 
 
+@pytest.mark.parametrize("want", ("nan", "-5", "1000"))
+def test_mc_range_off_the_sweep_exits_one(tmp_path, capsys, want):
+    out = tmp_path / "mc.csv"
+    assert entry(["mc", "--scenario", SCENARIO, "--trials", "2", "--ranges", want,
+                  "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"range {want} m" in err
+    assert not out.exists()
+
+
 def test_singular_geometry_exits_two(tmp_path, capsys):
     doc = json.loads(SCENARIO_FILE.read_text())
     doc["target"] = {"x": 0.0, "y": 7.0, "heading": 90.0}

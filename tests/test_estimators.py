@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from conftest import small_waveform
 
@@ -10,7 +11,14 @@ from hcrb.contour import ContourParams, TargetPose
 from hcrb.estimators import estimate, estimate_direction, estimate_range
 from hcrb.fisher import point_target_crb
 from hcrb.scenario import EnergySpec, Scenario, WaveformSpec
-from hcrb.waveform import SignalFrame, chirp, point_workspace, synthesize_frame
+from hcrb.waveform import (
+    SignalFrame,
+    chirp,
+    point_workspace,
+    steering,
+    synthesis_workspace,
+    synthesize_frame,
+)
 
 CIRCLE = ContourParams(np.array([2.0]), np.array([2.0]))
 
@@ -83,14 +91,66 @@ def test_reference_chirp_is_built_once_per_waveform(monkeypatch):
         return chirp(waveform)
 
     monkeypatch.setattr(estimators, "chirp", counting_chirp)
-    estimators._conj_pulse.cache_clear()
-    first = estimate(synthesize_frame(point_workspace(sc), 0), wf)
+    estimators._reference_conj.cache_clear()
+    first_frame = synthesize_frame(point_workspace(sc), 0)
+    first = estimate(first_frame, wf)
     second = estimate(synthesize_frame(point_workspace(sc), 1), wf)
     assert calls == [wf]
-    pulse = estimators._conj_pulse(wf)
-    assert not pulse.flags.writeable
-    assert np.array_equal(pulse, chirp(wf).conj())
+    ref = estimators._reference_conj(wf, first_frame.n_samples)
+    assert not ref.flags.writeable
+    assert np.array_equal(ref[: wf.samples], chirp(wf).conj())
+    assert not ref[wf.samples:].any()
     assert first.confident and second.confident
+
+
+def test_scan_grid_is_read_only_and_conjugated():
+    grid, steer_h = estimators._scan_grid(12)
+    assert not grid.flags.writeable and not steer_h.flags.writeable
+    assert steer_h.shape == (estimators.SCAN_POINTS, 12)
+    assert np.array_equal(steer_h, steering(12, grid).conj().T)
+    assert estimators._scan_grid(12)[1] is steer_h
+
+
+def _stacked_direction(frame, wf):
+    """The direction stage on the stacked transform of every row, with the
+    snapshot read off the spectra and the products done by @."""
+    y = frame.samples
+    ref = np.zeros(y.shape[1], dtype=complex)
+    ref[: wf.samples] = chirp(wf).conj()
+    nfft = 2 * int(2 ** np.ceil(np.log2(y.shape[1])))
+    spectra = np.fft.fft(ref * y, nfft, axis=1)
+    profile = np.sum(np.abs(spectra) ** 2, axis=0)
+    bin_ = int(np.argmax(profile))
+    snapshot = spectra[:, bin_]
+    grid = np.linspace(-np.pi / 2.0, np.pi / 2.0, estimators.SCAN_POINTS + 2)[1:-1]
+    peak = int(np.argmax(np.abs(steering(y.shape[0], grid).conj().T @ snapshot)))
+    res = minimize_scalar(
+        lambda phi: -abs(steering(y.shape[0], phi).conj() @ snapshot) ** 2,
+        bounds=(grid[max(peak - 1, 0)], grid[min(peak + 1, grid.size - 1)]),
+        method="bounded", options={"xatol": 1e-10})
+    return ref, nfft, profile, profile[bin_] / np.median(profile), res.x
+
+
+@pytest.mark.parametrize("kind", ("extended", "point"))
+def test_direction_matches_the_stacked_transform(kind, bundle):
+    """The row-by-row profile is the stacked one bit for bit, so the bin and
+    the peak-to-median ratio are the same; the directly computed snapshot
+    moves the bearing by rounding only."""
+    if kind == "extended":
+        sc = bundle.scenario
+        workspace = synthesis_workspace(sc, bundle.segmentation)
+    else:
+        sc = _point_scenario(25.0, -0.3, EnergySpec(e_over_n0_db=30.0),
+                             small_waveform())
+        workspace = point_workspace(sc)
+    frame = synthesize_frame(workspace, 17)
+    ref, nfft, profile, ratio, phi = _stacked_direction(frame, sc.waveform)
+    assert np.array_equal(
+        estimators._dechirped_profile(frame.samples, ref, nfft), profile)
+    est = estimate_direction(frame, sc.waveform)
+    assert est.peak_to_median == ratio
+    assert est.confident
+    assert abs(est.phi - phi) < 1e-9
 
 
 def test_point_estimator_is_unbiased_and_efficient():

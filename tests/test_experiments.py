@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from hcrb.experiments import (
     MC_RANGES,
     THREADS_ENV,
     ResultTable,
+    _map_items,
+    _mc_positions,
     ray_positions,
     run_diversity,
     run_mc,
@@ -118,13 +121,47 @@ def test_sweep_is_deterministic(scenario):
 def test_mc_serial_and_threaded_agree(scenario, monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "1")
     serial = run_mc(scenario, ranges=(10.0,), trials=4, seed=9).csv_text()
-    monkeypatch.setenv(THREADS_ENV, "2")
-    threaded = run_mc(scenario, ranges=(10.0,), trials=4, seed=9).csv_text()
-    assert serial == threaded
+    for count in (None, "2", "3"):
+        if count is None:
+            monkeypatch.delenv(THREADS_ENV)
+        else:
+            monkeypatch.setenv(THREADS_ENV, count)
+        threaded = run_mc(scenario, ranges=(10.0,), trials=4, seed=9).csv_text()
+        assert serial == threaded, count
     for bad in ("0", "abc"):
         monkeypatch.setenv(THREADS_ENV, bad)
         with pytest.raises(ScenarioError, match=THREADS_ENV):
             worker_count()
+
+
+def test_worker_count_defaults_to_the_available_cpus(monkeypatch):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    if hasattr(os, "sched_getaffinity"):
+        assert worker_count() == len(os.sched_getaffinity(0))
+    else:
+        assert worker_count() == os.cpu_count()
+    monkeypatch.setenv(THREADS_ENV, "1")
+    assert worker_count() == 1
+
+
+def test_map_items_keeps_order_and_reraises(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "3")
+    callers = set()
+
+    def square(x):
+        callers.add(threading.get_ident())
+        return x * x
+
+    assert _map_items(square, range(7)) == [x * x for x in range(7)]
+    assert threading.get_ident() in callers
+
+    def fails_on_five(x):
+        if x == 5:
+            raise ValueError("five")
+        return x
+
+    with pytest.raises(ValueError, match="five"):
+        _map_items(fails_on_five, range(7))
 
 
 # Minor page faults of a second, warmed-up 30-pose sweep in a fresh process.
@@ -173,6 +210,14 @@ def test_mc_table_structure(scenario):
     bound_rows = [r for r in table.rows if r.method != "monte_carlo"]
     assert all(r.n_trials == 0 for r in bound_rows)
     assert MC_RANGES[0] == pytest.approx(6.7082039325)
+
+
+def test_mc_ranges_on_the_sweep_run(scenario):
+    # 6.7 m, the lower edge of the benchmark's range band, lies 0.008 m
+    # before the segment start, within one position spacing (0.018 m)
+    assert len(_mc_positions(MC_RANGES + (6.7,))) == len(MC_RANGES) + 1
+    table = run_mc(scenario, ranges=(6.7,), trials=2, seed=4)
+    assert {r.sweep for r in table.rows} == {"mc:6.7082"}
 
 
 def test_mc_evaluates_each_pose_geometry_once(scenario, monkeypatch):

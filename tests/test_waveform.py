@@ -183,6 +183,21 @@ def test_workspace_takes_the_pose_field():
         built.n_total, built.noise_std, built.truth)
 
 
+def test_delayed_chirps_equal_the_plain_phase_ramp():
+    """The in-place ramp and scipy's overwriting inverse FFT give the bits of
+    the textbook expression."""
+    wf = small_waveform()
+    n_total = wf.samples + 37
+    delays = np.array([1.3e-8, 5.07e-8, 2.2e-7])
+    ref = np.zeros(n_total, dtype=complex)
+    ref[: wf.samples] = chirp(wf)
+    spec = np.fft.fft(ref)
+    freq = np.fft.fftfreq(n_total, d=1.0 / wf.sample_rate)
+    expected = np.fft.ifft(
+        spec[None, :] * np.exp(-2j * np.pi * np.outer(delays, freq)), axis=1)
+    assert np.array_equal(_delayed_chirps(wf, delays, n_total), expected)
+
+
 def test_single_return_delay_lands_on_the_right_sample():
     wf = small_waveform()
     sc = Scenario(
