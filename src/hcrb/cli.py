@@ -1,4 +1,4 @@
-"""Command-line front end: bounds, simulate, sweep, diversity.
+"""Command-line front end: bounds, simulate, sweep, mc, diversity.
 
 Scenario files are JSON (angles in degrees); all CSV output is in radians
 and meters. Exit codes: 0 success, 1 configuration/schema error, 2

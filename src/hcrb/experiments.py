@@ -9,13 +9,12 @@ the sweep column carrying name:abscissa (e.g. "range:6.7082").
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._pool import map_items
 from .asymptotics import hcrb_known_shape, hcrb_unknown_shape, t_blocks
 from .contour import TargetPose, pose_field
 from .errors import IdentifiabilityError, ScenarioError
@@ -24,8 +23,6 @@ from .fisher import efim_exact, hcrb_from_efim, point_target_crb
 from .multiradar import fuse, peb, uniform_constellation
 from .scenario import Scenario, SegmentationConfig
 from .waveform import point_workspace, synthesis_workspace, synthesize_frame
-
-THREADS_ENV = "HCRB_THREADS"
 
 # Range sweeps move the target along the segment below with the received
 # energy pinned, so range is the only moving part.
@@ -37,50 +34,6 @@ MC_RANGES = (6.7082039325, 15.0, 35.0, 80.0)
 # views are shape-degenerate (the lit arc collapses onto the symmetry axis),
 # so every constellation keeps each radar well clear of that alignment.
 BOW_OFFSET = np.radians(40.0)
-
-
-def worker_count() -> int:
-    """Trial workers: HCRB_THREADS if set (1 runs serially), otherwise the
-    CPUs this process may run on."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = None
-    if count is None or count < 1:
-        raise ScenarioError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
-
-
-def _map_items(fn, items):
-    """[fn(item) for item in items] on worker_count() threads, in order.
-
-    The calling thread is one of the workers: it runs every w-th item while
-    w - 1 pool threads run the rest. Each pool thread gets its own glibc
-    malloc arena, so one fewer pool thread keeps the peak RSS of a run
-    close to the serial one.
-    """
-    items = list(items)
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    out = [None] * len(items)
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        pooled = [(i, pool.submit(fn, item)) for i, item in enumerate(items)
-                  if i % workers]
-        try:
-            for i in range(0, len(items), workers):
-                out[i] = fn(items[i])
-            for i, future in pooled:
-                out[i] = future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return out
 
 
 @dataclass(frozen=True)
@@ -210,7 +163,7 @@ def _mc_point(scenario, workspace, seeds):
         res = estimate(frame, wf)
         return res.d, res.phi, res.confident
 
-    out = _map_items(one, seeds)
+    out = map_items(one, seeds)
     d_hat = np.array([o[0] for o in out])
     phi_hat = np.array([o[1] for o in out])
     used = np.array([o[2] for o in out], dtype=bool)
@@ -262,8 +215,12 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
     trials replace the contour with a single scatterer of the same energy.
     Low-confidence trials (noise-like peaks) are excluded but counted via the
     n_trials column. Each range runs at its nearest sweep position; a range
-    off the sweep segment raises ScenarioError before any trial runs.
+    off the sweep segment, or fewer than 2 trials (no variance), raises
+    ScenarioError before any work.
     """
+    if trials < 2:
+        raise ScenarioError(
+            f"Monte Carlo needs at least 2 trials to form a variance, got {trials}")
     table = ResultTable()
     for index, xy in enumerate(_mc_positions(ranges)):
         moved = scenario.with_pose(_pose_at(scenario, xy))

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.fft
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from ._pool import map_items, worker_count
 from .contour import (
     PoseField,
     arclength_params,
@@ -138,18 +139,32 @@ def _delayed_chirps(wf: WaveformSpec, delays: np.ndarray, n_total: int) -> np.nd
 
     Uses a frequency-domain phase ramp on the zero-padded pulse; exact for
     the band-limited interpolation of the sampled chirp, and the guard
-    padding keeps the circular shift from wrapping.
+    padding keeps the circular shift from wrapping. Rows are built in one
+    contiguous block per worker, each in place in the output.
     """
     ref = np.zeros(n_total, dtype=complex)
     ref[: wf.samples] = chirp(wf)
     spec = np.fft.fft(ref)
     freq = np.fft.fftfreq(n_total, d=1.0 / wf.sample_rate)
-    # one (K, n_total) buffer carries the ramp, the product and the
-    # transform; spec stays the left operand, which fixes the rounding
-    ramp = np.multiply(-2j * np.pi, np.outer(delays, freq))
-    np.exp(ramp, out=ramp)
-    np.multiply(spec[None, :], ramp, out=ramp)
-    return scipy.fft.ifft(ramp, axis=1, overwrite_x=True)
+    out = np.empty((len(delays), n_total), dtype=complex)
+
+    def fill(rows: slice):
+        # the block carries the ramp, the product and the transform; spec
+        # stays the left operand, which fixes the rounding
+        ramp = out[rows]
+        np.outer(delays[rows], freq, out=ramp.real)
+        ramp.imag = 0.0
+        np.multiply(-2j * np.pi, ramp, out=ramp)
+        np.exp(ramp, out=ramp)
+        np.multiply(spec[None, :], ramp, out=ramp)
+        shifted = scipy.fft.ifft(ramp, axis=1, overwrite_x=True)
+        if not np.shares_memory(shifted, ramp):
+            ramp[...] = shifted
+
+    blocks = min(worker_count(), len(delays))
+    edges = [len(delays) * i // blocks for i in range(blocks + 1)]
+    map_items(fill, [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
+    return out
 
 
 def _workspace(scenario: Scenario, kind: str, amps: np.ndarray, d: np.ndarray,
@@ -158,13 +173,18 @@ def _workspace(scenario: Scenario, kind: str, amps: np.ndarray, d: np.ndarray,
     wf = scenario.waveform
     delays = 2.0 * d / SPEED_OF_LIGHT
     n_total = wf.samples + int(np.ceil(delays.max() * wf.sample_rate)) + FRAME_GUARD
+    steer = steering(scenario.array_n, phi)
+    delayed = _delayed_chirps(wf, delays, n_total)
+    # the trial threads share these tables
+    for table in (steer, amps, delayed, delays):
+        table.flags.writeable = False
     pose = scenario.pose
     return SynthWorkspace(
         scenario=scenario,
         kind=kind,
-        steer=steering(scenario.array_n, phi),
+        steer=steer,
         amps=amps,
-        delayed=_delayed_chirps(wf, delays, n_total),
+        delayed=delayed,
         delays=delays,
         n_total=n_total,
         noise_std=np.sqrt(scenario.energy.n0 * wf.sample_rate / 2.0),

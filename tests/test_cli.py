@@ -7,6 +7,7 @@ import pytest
 
 from conftest import SCENARIO_FILE
 
+import hcrb.experiments
 from hcrb import __version__
 from hcrb.cli import entry
 from hcrb.multiradar import fuse, peb
@@ -100,6 +101,25 @@ def test_mc_range_off_the_sweep_exits_one(tmp_path, capsys, want):
                   "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"range {want} m" in err
+    assert not out.exists()
+
+
+def test_mc_single_trial_exits_one_before_any_work(tmp_path, capsys, monkeypatch):
+    # one trial cannot form a variance; simulate --trials 1 stays valid
+    calls = []
+    original = hcrb.experiments._bound_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hcrb.experiments, "_bound_rows", counted)
+    out = tmp_path / "mc.csv"
+    assert entry(["mc", "--scenario", SCENARIO, "--trials", "1", "--ranges", "15",
+                  "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trials" in err
+    assert calls == []
     assert not out.exists()
 
 

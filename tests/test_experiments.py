@@ -14,19 +14,17 @@ import numpy.testing as npt
 import pytest
 
 import hcrb.contour
+from hcrb._pool import THREADS_ENV, map_items, worker_count
 from hcrb.contour import TargetPose
 from hcrb.errors import ScenarioError
 from hcrb.experiments import (
     MC_RANGES,
-    THREADS_ENV,
     ResultTable,
-    _map_items,
     _mc_positions,
     ray_positions,
     run_diversity,
     run_mc,
     run_range_sweep,
-    worker_count,
 )
 from hcrb.fisher import hcrb_exact
 
@@ -152,7 +150,7 @@ def test_map_items_keeps_order_and_reraises(monkeypatch):
         callers.add(threading.get_ident())
         return x * x
 
-    assert _map_items(square, range(7)) == [x * x for x in range(7)]
+    assert map_items(square, range(7)) == [x * x for x in range(7)]
     assert threading.get_ident() in callers
 
     def fails_on_five(x):
@@ -161,7 +159,7 @@ def test_map_items_keeps_order_and_reraises(monkeypatch):
         return x
 
     with pytest.raises(ValueError, match="five"):
-        _map_items(fails_on_five, range(7))
+        map_items(fails_on_five, range(7))
 
 
 # Minor page faults of a second, warmed-up 30-pose sweep in a fresh process.

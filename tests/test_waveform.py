@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from conftest import small_waveform
 
+from hcrb._pool import THREADS_ENV, openblas_libraries
 from hcrb.contour import (
     ContourParams,
     TargetPose,
@@ -183,9 +184,9 @@ def test_workspace_takes_the_pose_field():
         built.n_total, built.noise_std, built.truth)
 
 
-def test_delayed_chirps_equal_the_plain_phase_ramp():
+def test_delayed_chirps_equal_the_plain_phase_ramp(monkeypatch):
     """The in-place ramp and scipy's overwriting inverse FFT give the bits of
-    the textbook expression."""
+    the textbook expression, in one row block or in one block per worker."""
     wf = small_waveform()
     n_total = wf.samples + 37
     delays = np.array([1.3e-8, 5.07e-8, 2.2e-7])
@@ -195,7 +196,43 @@ def test_delayed_chirps_equal_the_plain_phase_ramp():
     freq = np.fft.fftfreq(n_total, d=1.0 / wf.sample_rate)
     expected = np.fft.ifft(
         spec[None, :] * np.exp(-2j * np.pi * np.outer(delays, freq)), axis=1)
-    assert np.array_equal(_delayed_chirps(wf, delays, n_total), expected)
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv(THREADS_ENV, workers)
+        assert np.array_equal(_delayed_chirps(wf, delays, n_total), expected), workers
+
+
+@pytest.mark.parametrize("kind", ("extended", "point"))
+def test_workspace_tables_are_read_only(kind):
+    """The trial threads share the tables; frames are the same as from
+    writable copies of them."""
+    sc = _extended_scenario(EnergySpec(e_over_n0_db=40.0))
+    ws = synthesis_workspace(sc) if kind == "extended" else point_workspace(sc)
+    names = ("steer", "amps", "delayed", "delays")
+    assert not any(getattr(ws, name).flags.writeable for name in names)
+    with pytest.raises(ValueError):
+        ws.delayed[0, 0] = 0.0
+    writable = replace(ws, **{name: getattr(ws, name).copy() for name in names})
+    assert np.array_equal(synthesize_frame(ws, 5).samples,
+                          synthesize_frame(writable, 5).samples)
+
+
+def test_extended_frame_is_the_same_at_any_blas_thread_count(scenario):
+    # the vehicle's (30, K) x (K, W) GEMM is large enough to be split
+    libraries = openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS found in this process")
+    ws = synthesis_workspace(scenario)
+    original = [get() for get, _ in libraries]
+    frames = []
+    try:
+        for threads in (1, 2):
+            for _, put in libraries:
+                put(threads)
+            frames.append(synthesize_frame(ws, 11).samples)
+    finally:
+        for (_, put), count in zip(libraries, original):
+            put(count)
+    assert np.array_equal(frames[0], frames[1])
 
 
 def test_single_return_delay_lands_on_the_right_sample():
