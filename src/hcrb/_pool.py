@@ -1,7 +1,8 @@
 """The thread pool behind the Monte Carlo trials and the delayed chirps.
 
-map_items runs a function over items on worker_count() threads. While a
-pooled map runs, every OpenBLAS library in the process is held to one
+map_items runs a function over items on worker_count() threads: the
+caller and pool threads kept for the life of the process. While a pooled
+map runs, every OpenBLAS library in the process is held to one
 thread: a GEMM issued from a pool thread otherwise wakes OpenBLAS's own
 worker thread, which spins beside the pool's threads for the core they
 need. The limit changes OpenBLAS's process-wide thread count for the
