@@ -31,18 +31,17 @@ from .estimators import EstimateResult, estimate, estimate_direction, estimate_r
 from .experiments import ResultTable, run_diversity, run_mc, run_range_sweep
 from .fisher import (
     CrbReport,
-    EfimResult,
+    FisherInfo,
     efim_exact,
     gamma_derivatives,
     gamma_labels,
     gamma_vector,
     hcrb_exact,
-    hcrb_from_efim,
     point_target_crb,
     radar_constants,
     scenario_with_gamma,
 )
-from .multiradar import FusedFim, RadarPose, fuse, peb, uniform_constellation
+from .multiradar import RadarPose, fuse, peb, uniform_constellation
 from .scenario import EnergySpec, Scenario, SegmentationConfig, WaveformSpec
 from .scenario_io import ScenarioBundle, build, dumps_normalized, load_file, normalize
 from .starcalc import SampledField, project_perp, star_inner

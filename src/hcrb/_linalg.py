@@ -1,35 +1,30 @@
-"""Small linear-algebra helpers: guarded SPD solves and checked inverses."""
-
-import warnings
+"""Small linear-algebra helpers: SPD solves and checked inverses."""
 
 import numpy as np
 import scipy.linalg
 
 from .errors import IdentifiabilityError
 
-# relative ridge added to a Gram matrix when a Cholesky solve fails
-GRAM_RIDGE = 1e-12
 # relative eigenvalue cutoff below which a direction counts as null
 NULL_RCOND = 1e-12
 
 
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram @ x = rhs for a symmetric PSD gram matrix.
+    """Solve gram @ x = rhs for a symmetric positive definite gram matrix.
 
-    Tries Cholesky first; on failure falls back to a ridge-regularized solve
-    (ridge = 1e-12 * trace) and warns, since a rank-deficient basis usually
-    signals a degenerate projection rather than a programming error.
+    A gram that Cholesky cannot factor comes from a rank-deficient basis: the
+    quantity it projects out is not identifiable, so IdentifiabilityError is
+    raised rather than a regularized answer returned.
     """
     gram = np.atleast_2d(np.asarray(gram, dtype=float))
     try:
-        c, low = scipy.linalg.cho_factor(gram, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        warnings.warn("rank-deficient Gram matrix, using ridge-regularized solve", stacklevel=2)
-        ridge = GRAM_RIDGE * max(np.trace(gram), np.finfo(float).tiny)
-        return scipy.linalg.solve(
-            gram + ridge * np.eye(gram.shape[0]), rhs, assume_a="pos", check_finite=False
-        )
+        factor = scipy.linalg.cho_factor(gram, check_finite=False)
+    except scipy.linalg.LinAlgError as err:
+        raise IdentifiabilityError(
+            f"{gram.shape[0]}x{gram.shape[0]} Gram matrix is singular (Cholesky "
+            "failed): its basis is rank-deficient"
+        ) from err
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def invert_info_matrix(mat: np.ndarray, labels=None) -> np.ndarray:

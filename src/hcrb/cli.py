@@ -1,8 +1,9 @@
 """Command-line front end: bounds, simulate, sweep, mc, diversity.
 
 Scenario files are JSON (angles in degrees); all CSV output is in radians
-and meters. Exit codes: 0 success, 1 configuration/schema error, 2
-singular information matrix or partial sweep results.
+and meters. Exit codes: 0 success; 1 usage, configuration or schema error,
+non-finite scenario numbers included; 2 singular information matrix (an
+unfactorable shape block too) or partial sweep results.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from .asymptotics import hcrb_known_shape, hcrb_unknown_shape, t_blocks
 from .errors import HcrbError, IdentifiabilityError, ScenarioError
 from .estimators import estimate
 from .experiments import (
+    MC_RANGES,
     ResultTable,
     run_diversity,
     run_mc,
@@ -27,6 +29,33 @@ from .scenario_io import SCHEMA_VERSION, ScenarioBundle, dumps_normalized, load_
 from .waveform import dump_frame, point_workspace, synthesis_workspace, synthesize_frame
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ScenarioError (exit 1); argparse would exit 2, the
+    code for a singular matrix. Subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
+def _number(kind, rule: str, least=None):
+    """An argparse type= converter: text to kind, finite and at least least."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or (kind is float and not np.isfinite(value)) or (
+                least is not None and value < least):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return convert
+
+
+_SEED = _number(int, "a non-negative integer", 0)
+_COUNT = _number(int, "an integer of at least 1", 1)
+_FINITE = _number(float, "a finite number")
+
+
 def _add_scenario_arg(parser):
     parser.add_argument("--scenario", required=True, metavar="FILE",
                         help="JSON scenario file")
@@ -36,7 +65,7 @@ def _add_scenario_arg(parser):
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hcrb",
         description="Position/orientation estimation bounds for extended "
                     "radar targets with Fourier contours.",
@@ -66,8 +95,8 @@ def _parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="synthesize frames and run the "
                                             "matched-filter estimator")
     _add_scenario_arg(p_sim)
-    p_sim.add_argument("--seed", default=0)
-    p_sim.add_argument("--trials", default=10)
+    p_sim.add_argument("--seed", type=_SEED, default=0)
+    p_sim.add_argument("--trials", type=_COUNT, default=10)
     p_sim.add_argument("--point", action="store_true",
                        help="point target instead of the extended contour")
     p_sim.add_argument("--dump-frames", metavar="DIR",
@@ -76,26 +105,26 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bounds along the range sweep")
     _add_scenario_arg(p_sweep)
-    p_sweep.add_argument("--points", default=30)
-    p_sweep.add_argument("--seed", default=0)
+    p_sweep.add_argument("--points", type=_COUNT, default=30)
+    p_sweep.add_argument("--seed", type=_SEED, default=0)
     p_sweep.add_argument("--out", metavar="CSV", required=True)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimator variance vs bounds")
     _add_scenario_arg(p_mc)
-    p_mc.add_argument("--trials", default=500)
-    p_mc.add_argument("--seed", default=0)
-    p_mc.add_argument("--ranges", default="6.7,15,35,80",
+    p_mc.add_argument("--trials", type=_COUNT, default=500)
+    p_mc.add_argument("--seed", type=_SEED, default=0)
+    p_mc.add_argument("--ranges", type=_parse_ranges, default=MC_RANGES,
                       help="comma-separated target ranges in meters")
     p_mc.add_argument("--out", metavar="CSV", required=True)
 
     p_div = sub.add_parser("diversity", help="PEB vs constellation size")
     _add_scenario_arg(p_div)
-    p_div.add_argument("--counts", default="1-6",
+    p_div.add_argument("--counts", type=_parse_counts, default=range(1, 7),
                        help="radar counts, e.g. 1-6 or 1,2,4")
-    p_div.add_argument("--radius", default=7.0)
-    p_div.add_argument("--total-db", default=40.0,
+    p_div.add_argument("--radius", type=_FINITE, default=7.0)
+    p_div.add_argument("--total-db", type=_FINITE, default=40.0,
                        help="aggregate E/N0 budget in dB, split evenly")
-    p_div.add_argument("--seed", default=0)
+    p_div.add_argument("--seed", type=_SEED, default=0)
     p_div.add_argument("--out", metavar="CSV", required=True)
     return parser
 
@@ -111,8 +140,8 @@ def _parse_counts(text: str):
     except ValueError:
         counts = []
     if not counts or min(counts) < 1:
-        raise ScenarioError(f"--counts: invalid radar counts {text!r} "
-                            "(e.g. 1-6 or 1,2,4)")
+        raise argparse.ArgumentTypeError(f"invalid radar counts {text!r} "
+                                         "(e.g. 1-6 or 1,2,4)")
     return counts
 
 
@@ -122,38 +151,9 @@ def _parse_ranges(text: str):
     except ValueError:
         ranges = []
     if not ranges:
-        raise ScenarioError(f"--ranges: invalid target ranges {text!r} "
-                            "(e.g. 6.7,15,35)")
+        raise argparse.ArgumentTypeError(f"invalid target ranges {text!r} "
+                                         "(e.g. 6.7,15,35)")
     return ranges
-
-
-# numeric options: attribute -> (what the text must be, type, least value)
-_NUMBERS = {
-    "seed": ("a non-negative integer", int, 0),
-    "trials": ("an integer of at least 1", int, 1),
-    "points": ("an integer of at least 1", int, 1),
-    "radius": ("a finite number", float, None),
-    "total_db": ("a finite number", float, None),
-}
-
-
-def _check_args(args):
-    """Convert the numeric options and apply their value rules, raising
-    schema errors (exit 1); an argparse type= error would exit 2, the code
-    for a singular matrix."""
-    for name, (rule, kind, least) in _NUMBERS.items():
-        text = getattr(args, name, None)
-        if text is None:
-            continue
-        try:
-            value = kind(text)
-        except ValueError:
-            value = None
-        if value is None or (kind is float and not np.isfinite(value)) or (
-                least is not None and value < least):
-            option = "--" + name.replace("_", "-")
-            raise ScenarioError(f"{option} must be {rule}, got {text!r}")
-        setattr(args, name, value)
 
 
 def _maybe_print_normalized(args, bundle: ScenarioBundle) -> bool:
@@ -178,17 +178,17 @@ def _cmd_bounds(args) -> int:
     label = "known" if args.known else "unknown"
 
     if len(bundle.radars) > 1:
-        fused = fuse(scenario, bundle.target_xy, bundle.heading, bundle.radars)
+        info = fuse(scenario, bundle.target_xy, bundle.heading, bundle.radars)
         if args.known:
-            fused = fused.pose_block()
-        cov = fused.covariance()
-        bound = peb(fused)
+            info = info.pose_block()
+        heading = info.crb().c_heading
+        bound = peb(info)
         print(f"{len(bundle.radars)} radars, contour {label}")
         print(f"  position error bound : {bound:.6g} m")
-        print(f"  heading variance     : {cov[2, 2]:.6g} rad^2")
+        print(f"  heading variance     : {heading:.6g} rad^2")
         sweep = f"bounds:{len(bundle.radars)}radars"
         table.add(sweep, f"peb_{label}", "exact", bound, "m")
-        table.add(sweep, f"c_heading_{label}", "exact", cov[2, 2], "rad^2")
+        table.add(sweep, f"c_heading_{label}", "exact", heading, "rad^2")
         _write(table, args.out)
         return 0
 
@@ -275,7 +275,7 @@ def _cmd_mc(args) -> int:
     bundle = load_file(args.scenario)
     if _maybe_print_normalized(args, bundle):
         return 0
-    table = run_mc(bundle.scenario, ranges=_parse_ranges(args.ranges),
+    table = run_mc(bundle.scenario, ranges=args.ranges,
                    trials=args.trials, seed=args.seed,
                    segmentation=bundle.segmentation)
     _write(table, args.out)
@@ -287,7 +287,7 @@ def _cmd_diversity(args) -> int:
     if _maybe_print_normalized(args, bundle):
         return 0
     table = run_diversity(bundle.scenario, bundle.target_xy, bundle.heading,
-                          counts=_parse_counts(args.counts),
+                          counts=args.counts,
                           radius=args.radius,
                           total_e_over_n0_db=args.total_db, seed=args.seed)
     _write(table, args.out)
@@ -304,9 +304,8 @@ _COMMANDS = {
 
 
 def entry(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        _check_args(args)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except IdentifiabilityError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,7 +19,7 @@ from .asymptotics import hcrb_known_shape, hcrb_unknown_shape, t_blocks
 from .contour import TargetPose, pose_field
 from .errors import IdentifiabilityError, ScenarioError
 from .estimators import estimate
-from .fisher import efim_exact, hcrb_from_efim, point_target_crb
+from .fisher import efim_exact, point_target_crb
 from .multiradar import fuse, peb, uniform_constellation
 from .scenario import Scenario, SegmentationConfig
 from .waveform import point_workspace, synthesis_workspace, synthesize_frame
@@ -109,9 +109,9 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
     the whole matrix.
     """
     field = pose_field(scenario)
-    efim = efim_exact(scenario, field)
-    exact = hcrb_from_efim(efim, contour_known=False)
-    exact_known = hcrb_from_efim(efim, contour_known=True)
+    info = efim_exact(scenario, field)
+    exact = info.crb()
+    exact_known = info.pose_block().crb()
     blocks = t_blocks(scenario, field)
     asym_known = hcrb_known_shape(blocks)
     asym_unknown = hcrb_unknown_shape(blocks)
@@ -254,7 +254,7 @@ def run_diversity(template: Scenario, target_xy, heading: float,
 
     Each constellation size is fused once, with the contour unknown; the
     known-contour PEB comes from the pose block of that same fused matrix
-    (FusedFim.pose_block). The PEB need not fall with every added radar:
+    (FisherInfo.pose_block). The PEB need not fall with every added radar:
     each size re-spaces the radars and re-splits the budget, and at some
     radii (5, 8, 10 and 15 m among them) the PEB steps up by a fraction of
     a percent.

@@ -3,8 +3,9 @@
 The state gamma = [d, phi, heading, a_1..a_Q, b_1..b_Q] collects the target
 pose and the Fourier contour coefficients. After eliminating the unknown
 channel gain, the equivalent Fisher information is a weighted sum of Gram
-matrices of three derivative fields (mu, eta, xi) along the lit contour arc;
-inverting it (or its pose block when the shape is known) yields the bound.
+matrices of three derivative fields (mu, eta, xi) along the lit contour arc.
+FisherInfo turns information into an exact bound: crb() inverts the whole
+matrix (shape unknown), pose_block().crb() its pose block (shape known).
 """
 
 from dataclasses import dataclass, replace
@@ -140,18 +141,25 @@ def check_not_endfire(big_z: float) -> None:
 
 
 @dataclass(frozen=True)
-class EfimResult:
-    """Equivalent Fisher information with the channel gain profiled out."""
+class FisherInfo:
+    """Equivalent Fisher information over the labelled parameters, pose first
+    (three pose components, then the contour coefficients)."""
 
     matrix: np.ndarray
     labels: tuple
-    e_over_n0: float
-    w_norm_sq: float
-    constants: tuple  # (L, M, Z)
-    alpha: float
+
+    def pose_block(self) -> "FisherInfo":
+        """The information with the contour known: the 3x3 pose block."""
+        return FisherInfo(matrix=self.matrix[:3, :3], labels=self.labels[:3])
+
+    def crb(self) -> "CrbReport":
+        """The bound, the inverse of the information; IdentifiabilityError
+        when the matrix is singular."""
+        return CrbReport(covariance=invert_info_matrix(self.matrix, self.labels),
+                         labels=self.labels)
 
 
-def efim_exact(scenario: Scenario, field: PoseField | None = None) -> EfimResult:
+def efim_exact(scenario: Scenario, field: PoseField | None = None) -> FisherInfo:
     """Assemble the equivalent Fisher information over the quadrature grid.
 
     J = (2 E/N0 / ||w||^2) [ L <w mu, w mu> + M <w cos(phi) eta, w cos(phi) eta>
@@ -159,7 +167,7 @@ def efim_exact(scenario: Scenario, field: PoseField | None = None) -> EfimResult
     with P_w the star-orthogonal complement of the scalar weight field w.
     field is pose_field(scenario), built here when not given; t_blocks can
     share it. One matrix serves both bounds: the known-contour bound is
-    hcrb_from_efim(result, contour_known=True), the inverse of its pose block.
+    efim_exact(...).pose_block().crb().
     """
     if field is None:
         field = pose_field(scenario)
@@ -170,7 +178,7 @@ def efim_exact(scenario: Scenario, field: PoseField | None = None) -> EfimResult
             "no contour point is lit: sin(phi - beta) <= 0 everywhere"
         )
     e_over_n0 = scenario.e_over_n0(w_norm_sq)
-    big_l, big_m, big_z = radar_constants(scenario)
+    big_l, big_m, _ = radar_constants(scenario)
 
     # the derivative fields are this call's own, so they are weighted in place
     mu, eta, xi = _derivative_fields(scenario.contour, scenario.pose, table)
@@ -188,14 +196,7 @@ def efim_exact(scenario: Scenario, field: PoseField | None = None) -> EfimResult
     )
     j *= 2.0 * e_over_n0 / w_norm_sq
     j = 0.5 * (j + j.T)
-    return EfimResult(
-        matrix=j,
-        labels=tuple(gamma_labels(scenario.contour.q)),
-        e_over_n0=e_over_n0,
-        w_norm_sq=w_norm_sq,
-        constants=(big_l, big_m, big_z),
-        alpha=scenario.alpha,
-    )
+    return FisherInfo(matrix=j, labels=tuple(gamma_labels(scenario.contour.q)))
 
 
 @dataclass(frozen=True)
@@ -218,20 +219,10 @@ class CrbReport:
         return float(self.covariance[2, 2])
 
 
-def hcrb_from_efim(efim: EfimResult, contour_known: bool = False) -> CrbReport:
-    """Invert the information matrix (pose block only if the shape is known)."""
-    if contour_known:
-        sub = efim.matrix[:3, :3]
-        labels = efim.labels[:3]
-    else:
-        sub = efim.matrix
-        labels = efim.labels
-    return CrbReport(covariance=invert_info_matrix(sub, labels), labels=tuple(labels))
-
-
 def hcrb_exact(scenario: Scenario, contour_known: bool = False) -> CrbReport:
     """One-call exact bound for a scenario."""
-    return hcrb_from_efim(efim_exact(scenario), contour_known=contour_known)
+    info = efim_exact(scenario)
+    return (info.pose_block() if contour_known else info).crb()
 
 
 def point_target_crb(scenario: Scenario) -> np.ndarray:

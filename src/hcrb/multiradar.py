@@ -10,10 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import invert_info_matrix
 from .contour import TargetPose, wrap_angle
 from .errors import ScenarioError
-from .fisher import efim_exact
+from .fisher import FisherInfo, efim_exact, gamma_labels
 from .scenario import EnergySpec, Scenario
 
 
@@ -75,36 +74,19 @@ def _chain_matrix(delta: np.ndarray, dist: float, size: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class FusedFim:
-    """Summed information in global coordinates, with the per-radar local
-    scenarios it came from."""
-
-    matrix: np.ndarray
-    labels: tuple
-    scenarios: tuple
-
-    def covariance(self) -> np.ndarray:
-        return invert_info_matrix(self.matrix, self.labels)
-
-    def pose_block(self) -> "FusedFim":
-        """The known-contour information, the [p_x, p_y, heading] block; exact
-        because every chain matrix is the identity outside its 2x2 corner."""
-        return replace(self, matrix=self.matrix[:3, :3], labels=self.labels[:3])
-
-
 def fuse(
     template: Scenario,
     target_xy,
     heading: float,
     radars,
     total_e_over_n0_db: float = None,
-) -> FusedFim:
+) -> FisherInfo:
     """Accumulate per-radar information onto [p_x, p_y, heading, a_q, b_q].
 
     With total_e_over_n0_db set, the budget is split evenly so adding radars
     trades per-radar SNR for geometric diversity. The known-contour
-    information is the pose block of the result (FusedFim.pose_block).
+    information is the pose block of the result (FisherInfo.pose_block),
+    exact because every chain matrix is the identity outside its 2x2 corner.
     """
     radars = list(radars)
     if not radars:
@@ -115,7 +97,6 @@ def fuse(
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
 
     matrix = None
-    locals_ = []
     for radar in radars:
         local = radar_local_scenario(template, target_xy, heading, radar, per_db)
         j_local = efim_exact(local).matrix
@@ -123,19 +104,15 @@ def fuse(
         chain = _chain_matrix(delta, local.pose.d, j_local.shape[0])
         j_global = chain @ j_local @ chain.T
         j_global = 0.5 * (j_global + j_global.T)
-        locals_.append(local)
         matrix = j_global if matrix is None else matrix + j_global
 
-    q = template.contour.q
-    labels = ("px", "py", "heading") + tuple(
-        [f"a{k}" for k in range(1, q + 1)] + [f"b{k}" for k in range(1, q + 1)]
-    )
-    return FusedFim(matrix=matrix, labels=labels, scenarios=tuple(locals_))
+    labels = ("px", "py", "heading") + tuple(gamma_labels(template.contour.q)[3:])
+    return FisherInfo(matrix=matrix, labels=labels)
 
 
-def peb(fused: FusedFim) -> float:
+def peb(info: FisherInfo) -> float:
     """Position error bound sqrt(C_xx + C_yy) from the fused information."""
-    cov = fused.covariance()
+    cov = info.crb().covariance
     return float(np.sqrt(cov[0, 0] + cov[1, 1]))
 
 

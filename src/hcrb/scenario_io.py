@@ -8,6 +8,7 @@ identical scenario bit for bit.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,12 +42,19 @@ def _check_keys(section: str, given: dict, allowed: set, required: set):
         raise ScenarioError(f"{section}: missing required key(s) {sorted(missing)}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number other than NaN and the infinities, which json parses."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _number(section: str, obj: dict, key: str, default=None):
     if key not in obj:
         return default
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{section}.{key}: expected a number, got {value!r}")
+    if not _is_number(value):
+        raise ScenarioError(f"{section}.{key}: expected a finite number, got {value!r}")
     return value
 
 
@@ -76,8 +84,8 @@ def normalize(doc: dict) -> dict:
     if len(m) != len(n) or not m:
         raise ScenarioError("contour.m and contour.n must have equal, nonzero length")
     for name, coeffs in (("m", m), ("n", n)):
-        if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in coeffs):
-            raise ScenarioError(f"contour.{name} must contain numbers only")
+        if not all(_is_number(c) for c in coeffs):
+            raise ScenarioError(f"contour.{name} must contain finite numbers only")
     q = contour.get("Q", len(m))
     if q != len(m):
         raise ScenarioError(f"contour.Q = {q} but {len(m)} coefficients given")

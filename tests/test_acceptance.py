@@ -18,10 +18,23 @@ from hcrb.asymptotics import (
     t_blocks,
     unknown_shape_projection,
 )
-from hcrb.contour import TargetPose, arclength_params, geometry_at, perimeter, reflection_weights
+from hcrb.contour import (
+    TargetPose,
+    arclength_params,
+    geometry_at,
+    perimeter,
+    pose_field,
+    reflection_weights,
+)
 from hcrb.errors import IdentifiabilityError
 from hcrb.experiments import MC_RANGES, run_diversity, run_mc, run_range_sweep
-from hcrb.fisher import efim_exact, gamma_derivatives, hcrb_exact, point_target_crb
+from hcrb.fisher import (
+    efim_exact,
+    gamma_derivatives,
+    hcrb_exact,
+    point_target_crb,
+    radar_constants,
+)
 from hcrb.waveform import synthesis_workspace, synthesize_frame
 
 
@@ -62,10 +75,10 @@ def test_criterion_2_efim_matches_discrete_segment_sum(scenario):
     mu, eta, xi = gamma_derivatives(scenario, u_mid)
 
     ell = perimeter(params) / k
-    g = scenario.gain_g(efim.w_norm_sq)
+    g = scenario.gain_g(pose_field(scenario).w_norm_sq)
     n = scenario.array_n
     n0 = scenario.energy.n0
-    big_l, big_m, _ = efim.constants
+    big_l, big_m, _ = radar_constants(scenario)
     a1 = scenario.alpha + 1.0
 
     s11 = 2.0 * n / n0 * np.sum(ell * w**2)

@@ -1,8 +1,12 @@
 """Long-range block decomposition and its closed-form bounds."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+
+from conftest import SCENARIO_FILE
 
 from hcrb.asymptotics import (
     heading_variance_split,
@@ -12,7 +16,9 @@ from hcrb.asymptotics import (
     unknown_shape_projection,
 )
 from hcrb.contour import TargetPose
+from hcrb.errors import IdentifiabilityError
 from hcrb.fisher import efim_exact, hcrb_exact, point_target_crb
+from hcrb.scenario_io import build
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +71,22 @@ def test_algebraic_equals_projection_route(scenario):
     assert proj["c_range"] == pytest.approx(alg.c_range, rel=1e-6)
     assert proj["c_heading"] == pytest.approx(alg.c_heading, rel=1e-6)
     assert proj["l_prime"] > 0.0 and proj["b_prime"] > 0.0
+
+
+def test_radar_facing_pose_has_no_unknown_shape_bound():
+    """With the bow facing the radar the shape block T22 is singular: both
+    unknown-shape routes raise rather than report a regularized number, and
+    the known-shape bounds stay finite."""
+    doc = json.loads(SCENARIO_FILE.read_text())
+    doc["target"]["heading"] = 206.565
+    facing = build(doc).scenario
+    blocks = t_blocks(facing)
+    for route in (hcrb_unknown_shape, unknown_shape_projection):
+        with pytest.raises(IdentifiabilityError):
+            route(blocks)
+    for report in (hcrb_known_shape(blocks), hcrb_exact(facing, contour_known=True)):
+        variances = [report.c_range, report.c_bearing, report.c_heading]
+        assert np.all(np.isfinite(variances)) and min(variances) > 0.0
 
 
 def test_heading_split(scenario, blocks):

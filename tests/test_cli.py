@@ -94,6 +94,25 @@ def test_argument_errors_exit_one(tmp_path, capsys, argv):
     assert err.startswith("error: ") and option in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--out", "x.csv"],
+    ["bounds", "--scenario", SCENARIO, "--bogus"],
+    [],
+], ids=("no_scenario", "unknown_option", "no_subcommand"))
+def test_usage_errors_exit_one(capsys, argv):
+    # argparse would exit 2, the code for a singular matrix
+    assert entry(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hcrb")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        entry(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--points" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("want", ("nan", "-5", "1000"))
 def test_mc_range_off_the_sweep_exits_one(tmp_path, capsys, want):
     out = tmp_path / "mc.csv"
@@ -136,6 +155,19 @@ def test_singular_geometry_exits_two(tmp_path, capsys):
     named = [name.strip() for name in line.split(":", 1)[1].split(",")]
     assert "d" in named
     assert "phi" not in named and "heading" not in named
+
+
+def test_radar_facing_asymptotic_unknown_shape_exits_two(tmp_path, capsys):
+    """With the bow facing the radar the shape block is singular: the
+    asymptotic unknown-shape bound exits 2, the known-shape bound still 0."""
+    doc = json.loads(SCENARIO_FILE.read_text())
+    doc["target"]["heading"] = 206.565
+    path = tmp_path / "facing.json"
+    path.write_text(json.dumps(doc))
+    assert entry(["bounds", "--scenario", str(path), "--asymptotic"]) == 2
+    captured = capsys.readouterr()
+    assert "singular" in captured.err and "range variance" not in captured.out
+    assert entry(["bounds", "--scenario", str(path), "--asymptotic", "--known"]) == 0
 
 
 def test_multi_radar_bounds(tmp_path, capsys):

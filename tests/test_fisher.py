@@ -13,7 +13,7 @@ from hcrb.asymptotics import (
     t_blocks,
     unknown_shape_projection,
 )
-from hcrb.contour import ContourParams, TargetPose
+from hcrb.contour import ContourParams, TargetPose, pose_field
 from hcrb.errors import IdentifiabilityError
 from hcrb.fisher import (
     efim_exact,
@@ -21,7 +21,6 @@ from hcrb.fisher import (
     gamma_labels,
     gamma_vector,
     hcrb_exact,
-    hcrb_from_efim,
     point_target_crb,
     radar_constants,
     scenario_with_gamma,
@@ -73,7 +72,7 @@ def test_efim_shape_symmetry_psd(scenario):
     npt.assert_allclose(res.matrix, res.matrix.T, rtol=1e-10)
     eig = np.linalg.eigvalsh(res.matrix)
     assert eig.min() >= -1e-8 * eig.max()
-    assert res.e_over_n0 == pytest.approx(1e4)
+    assert scenario.e_over_n0(pose_field(scenario).w_norm_sq) == pytest.approx(1e4)
 
 
 def test_radar_constants_frozen_and_formulas(scenario):
@@ -129,12 +128,12 @@ def test_exact_bounds_frozen(scenario):
 def test_reports_match_full_inverse(scenario):
     res = efim_exact(scenario)
     inv = np.linalg.inv(res.matrix)
-    unknown = hcrb_from_efim(res, contour_known=False)
+    unknown = res.crb()
     assert unknown.c_range == pytest.approx(inv[0, 0], rel=1e-9)
     assert unknown.c_bearing == pytest.approx(inv[1, 1], rel=1e-9)
     assert unknown.c_heading == pytest.approx(inv[2, 2], rel=1e-9)
     inv3 = np.linalg.inv(res.matrix[:3, :3])
-    known = hcrb_from_efim(res, contour_known=True)
+    known = res.pose_block().crb()
     assert known.c_range == pytest.approx(inv3[0, 0], rel=1e-10)
     assert known.c_bearing == pytest.approx(inv3[1, 1], rel=1e-10)
     assert known.c_heading == pytest.approx(inv3[2, 2], rel=1e-10)
@@ -166,11 +165,11 @@ def test_received_energy_modes(scenario):
     # fixed mode pins E/N0, so E = 1e4 * N0 with N0 = 1
     assert scenario.received_energy(1.0) == pytest.approx(1e4, rel=1e-12)
     phys = _physical_scenario(scenario, 1e-3)
-    res = efim_exact(phys)
+    w_norm_sq = pose_field(phys).w_norm_sq
     g = np.sqrt(2.5) / phys.pose.d**2
-    expected = g**2 * phys.array_n * res.w_norm_sq
-    assert phys.received_energy(res.w_norm_sq) == pytest.approx(expected, rel=1e-12)
-    assert phys.e_over_n0(res.w_norm_sq) == pytest.approx(expected / 1e-3, rel=1e-12)
+    expected = g**2 * phys.array_n * w_norm_sq
+    assert phys.received_energy(w_norm_sq) == pytest.approx(expected, rel=1e-12)
+    assert phys.e_over_n0(w_norm_sq) == pytest.approx(expected / 1e-3, rel=1e-12)
 
 
 def test_efim_scales_linearly_with_snr(scenario):

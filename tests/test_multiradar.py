@@ -62,7 +62,9 @@ def test_fused_information_is_sum_of_psd_contributions(scenario):
     radars = uniform_constellation(TARGET, 3, 7.0, start_angle=0.9)
     fused = fuse(scenario, TARGET, HEADING, radars, total_e_over_n0_db=40.0)
     total = np.zeros_like(fused.matrix)
-    for radar, local in zip(radars, fused.scenarios):
+    per = 40.0 - 10.0 * np.log10(3.0)
+    for radar in radars:
+        local = radar_local_scenario(scenario, TARGET, HEADING, radar, per)
         j_local = efim_exact(local).matrix
         chain = _chain_matrix(TARGET - radar.position, local.pose.d, j_local.shape[0])
         contrib = chain @ j_local @ chain.T
@@ -82,7 +84,9 @@ def test_known_contour_fusion_is_the_pose_block(scenario):
     unknown = fuse(scenario, TARGET, HEADING, radars, total_e_over_n0_db=40.0)
     known = unknown.pose_block()
     pose_only = np.zeros((3, 3))
-    for radar, local in zip(radars, unknown.scenarios):
+    per = 40.0 - 10.0 * np.log10(3.0)
+    for radar in radars:
+        local = radar_local_scenario(scenario, TARGET, HEADING, radar, per)
         chain = _chain_matrix(TARGET - radar.position, local.pose.d, 3)
         pose_only += chain @ efim_exact(local).matrix[:3, :3] @ chain.T
     npt.assert_allclose(known.matrix, unknown.matrix[:3, :3], rtol=1e-12, atol=0)
@@ -95,8 +99,8 @@ def test_energy_budget_split(scenario):
     radars = uniform_constellation(TARGET, 4, 7.0, start_angle=0.9)
     fused = fuse(scenario, TARGET, HEADING, radars, total_e_over_n0_db=40.0)
     per = 40.0 - 10.0 * np.log10(4.0)
-    for local in fused.scenarios:
-        assert local.energy.e_over_n0_db == pytest.approx(per)
+    each_at_per = fuse(scenario.with_e_over_n0_db(per), TARGET, HEADING, radars)
+    npt.assert_allclose(fused.matrix, each_at_per.matrix, rtol=1e-12, atol=0)
 
 
 def test_uniform_constellation_geometry():
@@ -150,7 +154,7 @@ def test_bow_on_single_radar_is_singular(scenario):
     radars = [RadarPose(position=np.zeros(2), kappa=np.pi / 2.0, array_n=None)]
     fused = fuse(scenario, target, np.pi / 2.0, radars, total_e_over_n0_db=40.0)
     with pytest.raises(IdentifiabilityError) as err:
-        fused.covariance()
+        fused.crb()
     assert err.value.null_space is not None
 
 

@@ -98,6 +98,18 @@ def test_validation_errors():
         build(normalize(_doc(contour={"m": [-2.0], "n": [1.0]})))
     with pytest.raises(ScenarioError):
         normalize(_doc(contour={"m": [2.0, 0.1], "n": [1.0]}))
+    # json parses NaN and Infinity; no number in a scenario may be either
+    nan, inf = float("nan"), float("inf")
+    for key, doc in (
+        ("channel.E_over_N0_dB", _doc(channel={"alpha": 5, "E_over_N0_dB": nan})),
+        ("channel.alpha", _doc(channel={"alpha": nan, "E_over_N0_dB": 40})),
+        ("target.heading", _doc(target={"x": 6, "y": 3, "heading": nan})),
+        ("segmentation.lR", _doc(segmentation={"lR": nan})),
+        ("waveform.B", _doc(waveform={"B": inf, "T": 1e-5})),
+        ("contour.m", _doc(contour={"m": [2.0, -inf], "n": [1.0, 0.0]})),
+    ):
+        with pytest.raises(ScenarioError, match=key.replace(".", r"\.")):
+            normalize(doc)
     # schema-1 documents carry split_at_shadow: false; it loads and is dropped
     legacy = build(_doc(quadrature={"nodes": 512, "split_at_shadow": False}))
     assert legacy.document["quadrature"] == {"nodes": 512}

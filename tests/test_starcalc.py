@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hcrb.errors import ScenarioError
+from hcrb._linalg import solve_spd
+from hcrb.errors import IdentifiabilityError, ScenarioError
 from hcrb.starcalc import (
     SampledField,
     doubled_grid,
@@ -89,6 +91,16 @@ def test_stacked_basis_gram():
     f = SampledField(3.0 * np.cos(u) + 0.5 * np.sin(u) + 2.0 * np.cos(2 * u), arc, du)
     perp = project_perp(f, basis)
     npt.assert_allclose(perp.values, 2.0 * np.cos(2 * u), atol=1e-10)
+
+
+def test_singular_gram_raises_without_a_warning():
+    # a rank-deficient basis raises; it is never regularized into an answer
+    gram = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IdentifiabilityError, match="singular"):
+            solve_spd(gram, np.ones(2))
+    npt.assert_allclose(solve_spd(np.diag([2.0, 4.0]), np.ones(2)), [0.5, 0.25])
 
 
 @pytest.mark.parametrize("du_kind", ["scalar", "per_node"])
