@@ -1,11 +1,16 @@
-"""Small linear-algebra helpers: SPD solves and checked inverses."""
+"""Small linear-algebra helpers: SPD solves, and covariances from the QR of
+a square-root factor F of the information J = F F^T (never from J, whose
+condition number is that of F squared)."""
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dtrtri
 
+from ._pool import _ONE_BLAS_THREAD
 from .errors import IdentifiabilityError
 
-# relative eigenvalue cutoff below which a direction counts as null
+# relative cutoff on sigma^2 of R (the eigenvalues of J = R^T R) below which
+# a direction counts as null
 NULL_RCOND = 1e-12
 
 
@@ -27,25 +32,52 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
-def invert_info_matrix(mat: np.ndarray, labels=None) -> np.ndarray:
-    """Invert an information matrix, raising IdentifiabilityError when singular.
+def triangular_factor(rows: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with R^T R = rows @ rows.T, from a Householder QR
+    of rows.T. rows is a C-ordered (P, N) array and is overwritten; with
+    N < P the trailing rows of R are zero.
 
-    A direction is null when its eigenvalue is at most NULL_RCOND times the
-    largest. The error carries the orthonormal null-space basis and the labels
-    of the parameters it involves: those whose basis row has norm above
-    sqrt(NULL_RCOND).
+    OpenBLAS is held to one thread for the factorization: on a tall
+    (N, 23) matrix its second thread costs more than it brings.
     """
-    mat = np.atleast_2d(mat)
-    w, v = np.linalg.eigh(mat)
-    cutoff = NULL_RCOND * max(abs(w).max(), np.finfo(float).tiny)
-    ns = v[:, np.abs(w) <= cutoff]
-    if ns.shape[1] > 0:
-        if labels is not None:
-            involved = np.linalg.norm(ns, axis=1) > np.sqrt(NULL_RCOND)
-            labels = [label for label, keep in zip(labels, involved) if keep]
-        raise IdentifiabilityError(
-            f"information matrix is singular ({ns.shape[1]} null direction(s))",
-            null_space=ns,
-            labels=labels,
-        )
-    return np.linalg.inv(mat)
+    size = rows.shape[0]
+    with _ONE_BLAS_THREAD:
+        qr = dgeqrf(rows.T, overwrite_a=True)[0]
+    r = np.zeros((size, size))
+    r[:min(qr.shape)] = np.triu(qr[:size])
+    return r
+
+
+def check_rank(r: np.ndarray, labels=None) -> None:
+    """Raise IdentifiabilityError when J = R^T R is singular.
+
+    A direction is null when its sigma^2 of R is at most NULL_RCOND times
+    the largest. The error carries the orthonormal null-space basis and the
+    labels (in R's column order) of the parameters it involves: those whose
+    basis row has norm above sqrt(NULL_RCOND).
+    """
+    sigma_sq = np.linalg.svd(r, compute_uv=False) ** 2
+    cutoff = NULL_RCOND * max(sigma_sq.max(), np.finfo(float).tiny)
+    null = np.count_nonzero(sigma_sq <= cutoff)
+    if null == 0:
+        return
+    # singular values come in descending order: the null rows of V^T are last
+    ns = np.linalg.svd(r)[2][-null:].T
+    if labels is not None:
+        involved = np.linalg.norm(ns, axis=1) > np.sqrt(NULL_RCOND)
+        labels = [label for label, keep in zip(labels, involved) if keep]
+    raise IdentifiabilityError(
+        f"information matrix is singular ({ns.shape[1]} null direction(s))",
+        null_space=ns,
+        labels=labels,
+    )
+
+
+def invert_info_matrix(factor: np.ndarray, labels=None) -> np.ndarray:
+    """Covariance J^-1 = R^-1 R^-T of the information J = factor @ factor.T,
+    with R from the QR of factor.T; IdentifiabilityError (check_rank) when J
+    is singular."""
+    r = triangular_factor(np.array(factor, order="C"))
+    check_rank(r, labels)
+    r_inv = dtrtri(r)[0]
+    return r_inv @ r_inv.T

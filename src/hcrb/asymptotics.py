@@ -1,28 +1,24 @@
 """Long-range limit of the bound: T-blocks, closed-form inverses, projections.
 
 As the range grows, the information matrix approaches 2(E/N0) T where T
-depends on range only through the energy. Its pose block and pose/shape
-coupling admit closed-form inverses; the same variances can be reproduced
-by star-orthogonal projections against the shape basis, which serves as an
-independent cross-check of the Schur algebra.
+depends on range only through the energy. T is the Gram of the far-field
+stack (fisher.field_stack), the limit of the exact rows. Its pose block and
+the pose block left after eliminating the shape, read off the stack's QR,
+admit closed-form inverses; the same variances can be reproduced by
+star-orthogonal projections of the stack's rows against its shape rows,
+which serves as an independent cross-check of the QR route.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from ._linalg import solve_spd
-from .contour import PERP, PoseField, pose_field, rotation
-from .errors import IdentifiabilityError, NoIlluminationError
-from .fisher import CrbReport, check_not_endfire, gamma_labels, radar_constants
+from ._linalg import check_rank, triangular_factor
+from .contour import PoseField, pose_field
+from .errors import IdentifiabilityError
+from .fisher import CrbReport, check_not_endfire, field_stack, gamma_labels, radar_constants
 from .scenario import Scenario
-from .starcalc import (
-    SampledField,
-    doubled_grid,
-    project_perp,
-    star_inner,
-    star_norm_sq,
-)
+from .starcalc import project_perp, star_inner, star_norm_sq, unit_weights
 
 
 @dataclass(frozen=True)
@@ -30,8 +26,9 @@ class TBlocks:
     """Range-free factor T of the asymptotic information 2(E/N0) T.
 
     t11 is the pose block [[L, A, -A], [A, Z+B, -B], [-A, -B, B]], t21 the
-    shape/pose coupling [c q -q], t22 the shape block. The fields kept below
-    are what the projection route builds its pairs from.
+    shape/pose coupling [c q -q], t22 the shape block. T = rows @ rows.T
+    with rows the far-field stack (shape rows first, then d, phi, heading;
+    see fisher.field_stack), and r the triangular factor of its QR.
     """
 
     t11: np.ndarray
@@ -41,18 +38,10 @@ class TBlocks:
     big_z: float
     a_coef: float
     b_coef: float
-    c_vec: np.ndarray
-    q_vec: np.ndarray
     e_over_n0: float
-    w_norm_sq: float
-    alpha: float
     labels: tuple
-    # w on the grid, cross-range offsets x, shape rows s, P_w v and P_w(v delta)
-    w_field: SampledField = dataclass_field(repr=False, compare=False)
-    x_vals: np.ndarray = dataclass_field(repr=False, compare=False)
-    s_rows: np.ndarray = dataclass_field(repr=False, compare=False)
-    pv: SampledField = dataclass_field(repr=False, compare=False)
-    t_rows: SampledField = dataclass_field(repr=False, compare=False)
+    rows: np.ndarray = dataclass_field(repr=False, compare=False)
+    r: np.ndarray = dataclass_field(repr=False, compare=False)
 
     @property
     def t_full(self) -> np.ndarray:
@@ -61,87 +50,32 @@ class TBlocks:
 
 
 def t_blocks(scenario: Scenario, field: PoseField | None = None) -> TBlocks:
-    """Evaluate the asymptotic blocks on the scenario's quadrature grid.
+    """T from the QR of the far-field stack of the scenario's pose.
 
     field is pose_field(scenario), built here when not given; efim_exact can
     share it.
     """
     if field is None:
         field = pose_field(scenario)
-    table, weights, grid = field.table, field.weights, field.grid
-    w_norm_sq = field.w_norm_sq
-    if not np.any(weights.w > 0.0):
-        raise NoIlluminationError(
-            "no contour point is lit: sin(phi - beta) <= 0 everywhere"
-        )
-    wbar = grid.with_values(weights.w / np.sqrt(w_norm_sq))
+    rows = field_stack(scenario, field, far_field=True)
+    r = triangular_factor(rows.copy())
     big_l, _, big_z = radar_constants(scenario)
-    alpha = scenario.alpha
     q = scenario.contour.q
-
-    pose = scenario.pose
-    rot = rotation(pose.heading)
-    p_bar = pose.p / pose.d
-    # cross-range offset of each contour point, in units of range
-    x_vals = (PERP @ p_bar) @ (rot @ table.rho)
-    rt_pbar = rot.T @ p_bar
-    sigma, varsigma, sigma_dot, varsigma_dot = table.basis
-    s_rows = np.empty((2 * q, table.u.size))
-    np.multiply(rt_pbar[0], sigma, out=s_rows[:q])
-    np.multiply(rt_pbar[1], varsigma, out=s_rows[q:])
-    # v delta, built in one (2Q, K) array: product, quotient, then the weight
-    vdelta = np.empty_like(s_rows)
-    np.multiply(table.rho_dot[1], sigma_dot, out=vdelta[:q])
-    np.multiply(-table.rho_dot[0], varsigma_dot, out=vdelta[q:])
-    vdelta /= table.arc * table.arc
-    vdelta *= weights.v
-
-    wbx = grid.with_values(wbar.values * x_vals)
-    pv = project_perp(grid.with_values(weights.v), grid)
-    t_rows = project_perp(grid.with_values(vdelta), grid)
-    wbs = grid.with_values(wbar.values * s_rows)
-
-    ap1_sq = (alpha + 1.0) ** 2
-    a_coef = big_l * star_inner(wbar, wbx)
-    b_coef = big_l * star_norm_sq(wbx) + ap1_sq * star_norm_sq(pv) / w_norm_sq
-    t11 = np.array(
-        [
-            [big_l, a_coef, -a_coef],
-            [a_coef, big_z + b_coef, -b_coef],
-            [-a_coef, -b_coef, b_coef],
-        ]
-    )
-    c_vec = big_l * star_inner(wbs, wbar)
-    q_vec = (
-        big_l * star_inner(wbs, wbx)
-        + ap1_sq * star_inner(t_rows, pv) / w_norm_sq
-    )
-    t21 = np.column_stack([c_vec, q_vec, -q_vec])
-    t22 = (
-        big_l * star_inner(wbs, wbs)
-        + ap1_sq * star_inner(t_rows, t_rows) / w_norm_sq
-    )
-    t22 = 0.5 * (t22 + t22.T)
-
+    # T in the state order: R's columns run shape first
+    t_full = np.roll(r.T @ r, 3, axis=(0, 1))
+    t11 = t_full[:3, :3]
     return TBlocks(
         t11=t11,
-        t21=t21,
-        t22=t22,
+        t21=t_full[3:, :3],
+        t22=t_full[3:, 3:],
         big_l=big_l,
         big_z=big_z,
-        a_coef=a_coef,
-        b_coef=b_coef,
-        c_vec=c_vec,
-        q_vec=q_vec,
-        e_over_n0=scenario.e_over_n0(w_norm_sq),
-        w_norm_sq=w_norm_sq,
-        alpha=alpha,
+        a_coef=float(t11[0, 1]),
+        b_coef=float(t11[2, 2]),
+        e_over_n0=scenario.e_over_n0(field.w_norm_sq),
         labels=tuple(gamma_labels(q)),
-        w_field=grid,
-        x_vals=x_vals,
-        s_rows=s_rows,
-        pv=pv,
-        t_rows=t_rows,
+        rows=rows,
+        r=r,
     )
 
 
@@ -186,56 +120,43 @@ def heading_variance_split(blocks: TBlocks):
     }
 
 
-def _schur_primes(blocks: TBlocks):
-    """L' = L - H, A' = A - J, B' = B - I after eliminating the shape block."""
-    rhs = np.column_stack([blocks.c_vec, blocks.q_vec])
-    sol = solve_spd(blocks.t22, rhs)
-    h = float(blocks.c_vec @ sol[:, 0])
-    j = float(blocks.c_vec @ sol[:, 1])
-    i = float(blocks.q_vec @ sol[:, 1])
-    return blocks.big_l - h, blocks.a_coef - j, blocks.b_coef - i
-
-
 def hcrb_unknown_shape(blocks: TBlocks) -> CrbReport:
     """Asymptotic pose bound with the contour coefficients jointly unknown.
 
     Eliminating the shape block leaves a pose block with the same algebraic
-    structure, only with L, A, B replaced by their Schur complements; Z is
-    untouched because the bearing row decouples at long range.
+    structure, only with L, A, B replaced by their Schur complements L', A',
+    B'; Z is untouched because the bearing row decouples at long range. The
+    complement is R_pp^T R_pp with R_pp the trailing 3x3 block of R.
     """
-    lp, ap, bp = _schur_primes(blocks)
-    cov = _pose_inverse(lp, ap, bp, blocks.big_z)
+    check_not_endfire(blocks.big_z)
+    check_rank(blocks.r, blocks.labels[3:] + blocks.labels[:3])
+    r_pp = blocks.r[-3:, -3:]
+    schur = r_pp.T @ r_pp
+    cov = _pose_inverse(schur[0, 0], schur[0, 1], schur[2, 2], blocks.big_z)
     cov = cov / (2.0 * blocks.e_over_n0)
     return CrbReport(covariance=cov, labels=blocks.labels[:3])
 
 
 def unknown_shape_projection(blocks: TBlocks) -> dict:
-    """Unknown-shape variances via orthogonal projections in the pair space F x F.
+    """Unknown-shape variances via orthogonal projections of the far-field rows.
 
-    The shape basis zeta_q = (sqrt(L) w s_q, (1+alpha) t_q) spans what the
-    contour coefficients can absorb; projecting the range probe
-    f = (sqrt(L) w, 0) and the width probe b = (sqrt(L) w x, (1+alpha) P_w v)
-    onto its complement reproduces the Schur-complement quantities without
-    ever forming T22.
+    The shape rows zeta_q span what the contour coefficients can absorb;
+    projecting the range row f and the width probe b (minus the heading row)
+    onto their complement, by normal equations on the shape rows' Gram,
+    reproduces the Schur-complement quantities without the QR of the stack.
     """
     check_not_endfire(blocks.big_z)
-    wn_sq = blocks.w_norm_sq
-    # a pair is one field on the doubled grid: first slot, then second
-    grid = doubled_grid(blocks.w_field)
-    w = blocks.w_field.values
-    root_l, ap1 = np.sqrt(blocks.big_l), blocks.alpha + 1.0
-
-    def pair(first, second):
-        return grid.with_values(np.concatenate([first, second], axis=-1))
-
-    probe_f = pair(root_l * w, np.zeros_like(w))
-    probe_b = pair(root_l * w * blocks.x_vals, ap1 * blocks.pv.values)
-    basis = pair(root_l * w * blocks.s_rows, ap1 * blocks.t_rows.values)
+    rows = blocks.rows
+    shape = rows.shape[0] - 3
+    grid = unit_weights(rows[0])
+    probe_f = grid.with_values(rows[shape])
+    probe_b = grid.with_values(-rows[shape + 2])
+    basis = grid.with_values(rows[:shape])
     res_f = project_perp(probe_f, basis)
     res_b = project_perp(probe_b, basis)
-    l_prime = star_norm_sq(res_f) / wn_sq
-    b_prime = star_norm_sq(res_b) / wn_sq
-    a_prime = star_inner(res_f, res_b) / wn_sq
+    l_prime = star_norm_sq(res_f)
+    b_prime = star_norm_sq(res_b)
+    a_prime = star_inner(res_f, res_b)
 
     basis_with_b = basis.with_values(np.vstack([basis.values, probe_b.values]))
     basis_with_f = basis.with_values(np.vstack([basis.values, probe_f.values]))
@@ -248,6 +169,6 @@ def unknown_shape_projection(blocks: TBlocks) -> dict:
         "l_prime": l_prime,
         "a_prime": a_prime,
         "b_prime": b_prime,
-        "c_range": scale * wn_sq / denom_f,
-        "c_heading": scale * (1.0 / blocks.big_z + wn_sq / denom_b),
+        "c_range": scale / denom_f,
+        "c_heading": scale * (1.0 / blocks.big_z + 1.0 / denom_b),
     }

@@ -113,6 +113,13 @@ class GeometryTable:
     arc: np.ndarray        # (K,) ||r_dot||
     basis: tuple           # fourier_basis at u: four (Q, K) arrays
 
+    def at(self, index) -> "GeometryTable":
+        """The table at the nodes that index (an index array) picks; du must
+        be per node, as on a quadrature grid."""
+        nodes = {name: value[..., index] for name, value in vars(self).items()
+                 if name != "basis"}
+        return GeometryTable(**nodes, basis=tuple(part[:, index] for part in self.basis))
+
 
 @dataclass(frozen=True)
 class ReflectionWeights:
@@ -193,12 +200,11 @@ def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
 @dataclass(frozen=True)
 class PoseField:
     """One pose's geometry table and illumination, evaluated once and read by
-    efim_exact, t_blocks and the synthesis energy norm. grid is the scalar
-    field w on the quadrature grid, w_norm_sq its squared star norm."""
+    efim_exact, t_blocks and the synthesis energy norm; w_norm_sq is the
+    squared star norm of w."""
 
     table: GeometryTable
     weights: ReflectionWeights
-    grid: SampledField
     w_norm_sq: float
 
 
@@ -206,8 +212,8 @@ def pose_field(scenario) -> PoseField:
     """Geometry table and reflection weights of a Scenario's target pose."""
     table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
     weights = reflection_weights(table, scenario.alpha)
-    grid = SampledField(weights.w, table.arc, table.du)
-    return PoseField(table=table, weights=weights, grid=grid, w_norm_sq=star_norm_sq(grid))
+    w_norm_sq = star_norm_sq(SampledField(weights.w, table.arc, table.du))
+    return PoseField(table=table, weights=weights, w_norm_sq=w_norm_sq)
 
 
 def uniform_grid(nodes: int):

@@ -104,9 +104,10 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
 
     The pose's geometry and weights are evaluated once (pose_field) and
     shared by efim_exact and t_blocks; the field is returned so synthesis can
-    share it too. Both exact reports come from that one information matrix:
-    the known-contour bound inverts its pose block, the unknown-contour bound
-    the whole matrix.
+    share it too. Both exact reports come from the QR factor of one field
+    stack: the known-contour bound from its pose rows, the unknown-contour
+    bound from all of them. Both asymptotic reports come from the QR of the
+    stack's far-field limit.
     """
     field = pose_field(scenario)
     info = efim_exact(scenario, field)

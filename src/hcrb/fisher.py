@@ -2,10 +2,12 @@
 
 The state gamma = [d, phi, heading, a_1..a_Q, b_1..b_Q] collects the target
 pose and the Fourier contour coefficients. After eliminating the unknown
-channel gain, the equivalent Fisher information is a weighted sum of Gram
-matrices of three derivative fields (mu, eta, xi) along the lit contour arc.
-FisherInfo turns information into an exact bound: crb() inverts the whole
-matrix (shape unknown), pose_block().crb() its pose block (shape known).
+channel gain, the equivalent Fisher information is the Gram matrix of one
+stack of weighted derivative-field rows (mu, eta, xi) over the lit contour
+arc; the long-range information is the Gram of the same stack's far-field
+limit. FisherInfo keeps a square-root factor of the information and turns
+it into an exact bound by QR: crb() for the whole state (shape unknown),
+pose_block().crb() for the pose rows (shape known).
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from ._linalg import invert_info_matrix
+from ._linalg import invert_info_matrix, triangular_factor
 from .contour import (
     PERP,
     ContourParams,
@@ -26,7 +28,7 @@ from .contour import (
 )
 from .errors import IdentifiabilityError, NoIlluminationError
 from .scenario import Scenario
-from .starcalc import project_perp, star_inner
+from .starcalc import star_inner, unit_weights
 from .waveform import effective_bandwidth
 
 ENDFIRE_TOL = 1e-8
@@ -60,10 +62,17 @@ def scenario_with_gamma(scenario: Scenario, gamma: np.ndarray) -> Scenario:
     return replace(scenario, pose=pose, contour=contour)
 
 
-def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTable):
+def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTable,
+                       far_field: bool = False):
     """Rows of d(d)/dgamma (mu), d(phi)/dgamma (eta) and eta - d(beta)/dgamma
     (xi) along the sampled contour, each scaled so mu is dimensionless and
-    eta, xi carry 1/m."""
+    eta, xi carry 1/m.
+
+    With far_field, their limit as the range d0 grows: mu = [1, x, -x, s_q]
+    with x the cross-range offset and s_q the shape rows along p / d0,
+    xi = [0, 1, -1, delta_q] with delta_q = -d(beta)/d(shape), and eta =
+    [0, 1, 0, 0] the same at every node, returned as None.
+    """
     q = params.q
     rot_t = rotation(pose.heading).T
     rtp = rot_t @ pose.p
@@ -71,18 +80,31 @@ def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTab
     rho = geo.rho
     proj_p = rho[0] * rtp[0] + rho[1] * rtp[1]
     proj_p_perp = rho[0] * rtp_perp[0] + rho[1] * rtp_perp[1]
-    rt_r = rot_t @ geo.r
-    proj_r = rho[0] * rt_r[0] + rho[1] * rt_r[1]
     sigma, varsigma, sigma_dot, varsigma_dot = geo.basis
 
-    d = geo.d
     d0 = pose.d
     size = 2 * q + 3
-
-    # The (Q, K) shape rows are written straight into their slices, each
-    # product then quotient in the order the formulas read.
     a_rows, b_rows = slice(3, 3 + q), slice(3 + q, size)
-    mu = np.empty((size, d.size))
+    # d(beta)/dgamma on the shape rows, written into xi's slices
+    xi = np.empty((size, geo.u.size))
+    np.multiply(-geo.rho_dot[1], sigma_dot, out=xi[a_rows])
+    np.multiply(geo.rho_dot[0], varsigma_dot, out=xi[b_rows])
+    xi[3:] /= geo.arc * geo.arc
+    mu = np.empty_like(xi)
+
+    if far_field:
+        mu[0] = 1.0
+        mu[1] = proj_p_perp / d0
+        mu[2] = -mu[1]
+        np.multiply(rtp[0] / d0, sigma, out=mu[a_rows])
+        np.multiply(rtp[1] / d0, varsigma, out=mu[b_rows])
+        xi[:3] = [[0.0], [1.0], [-1.0]]
+        np.negative(xi[3:], out=xi[3:])
+        return mu, None, xi
+
+    rt_r = rot_t @ geo.r
+    proj_r = rho[0] * rt_r[0] + rho[1] * rt_r[1]
+    d = geo.d
     mu[0] = (d0 + proj_p / d0) / d
     mu[1] = proj_p_perp / d
     mu[2] = -proj_p_perp / d
@@ -100,16 +122,59 @@ def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTab
     eta[3:] /= d_sq
 
     # xi = eta - d(beta)/dgamma; d(beta)/dgamma is 0, 0, 1 on the pose rows
-    speed_sq = geo.arc * geo.arc
-    xi = np.empty_like(mu)
     xi[:2] = eta[:2]
     xi[2] = eta[2] - 1.0
-    np.multiply(-geo.rho_dot[1], sigma_dot, out=xi[a_rows])
-    np.multiply(geo.rho_dot[0], varsigma_dot, out=xi[b_rows])
-    xi[3:] /= speed_sq
     np.subtract(eta[3:], xi[3:], out=xi[3:])
-
     return mu, eta, xi
+
+
+def _put(block: np.ndarray, rows: np.ndarray, weight: np.ndarray) -> None:
+    """block = rows * weight with the shape rows first, then the pose rows."""
+    np.multiply(rows[3:], weight, out=block[:-3])
+    np.multiply(rows[:3], weight, out=block[-3:])
+
+
+def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
+    """Rows X, one per parameter, whose Gram X X^T is the information.
+
+    The shape rows come first, then d, phi, heading, so the trailing 3x3
+    block of the QR's R is the pose information with the shape eliminated.
+    The columns are the lit nodes only, in three blocks, each node scaled by
+    the square root of its quadrature weight:
+    X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
+        sqrt(M) w cos(phi) eta]
+    with P_w the star-orthogonal complement of w. With far_field, X is the
+    square root of the range-free T of the asymptotic information
+    2(E/N0) T: X = [sqrt(L) w mu | (alpha+1) P_w(v xi) | sqrt(Z) ||w|| e_phi]
+    / ||w|| on the limit rows of _derivative_fields, the bearing block
+    collapsed to one column.
+    """
+    weights, w_norm_sq = field.weights, field.w_norm_sq
+    lit = np.flatnonzero(weights.w > 0.0)
+    if lit.size == 0:
+        raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
+    geo = field.table.at(lit)
+    mu, eta, xi = _derivative_fields(scenario.contour, scenario.pose, geo, far_field)
+    big_l, big_m, big_z = radar_constants(scenario)
+    energy = 1.0 if far_field else 2.0 * scenario.e_over_n0(w_norm_sq)
+    scale = np.sqrt(energy / w_norm_sq)
+
+    n = lit.size
+    stack = np.empty((mu.shape[0], 2 * n + (n if eta is not None else 1)))
+    root_q = np.sqrt(geo.arc * geo.du)
+    w_hat = weights.w[lit] * root_q
+    _put(stack[:, :n], mu, scale * np.sqrt(big_l) * w_hat)
+    xi_block = stack[:, n:2 * n]
+    _put(xi_block, xi, scale * (scenario.alpha + 1.0) * weights.v[lit] * root_q)
+    # P_w: one rank-1 update against w, whose squared norm the pose field holds
+    w_col = unit_weights(w_hat)
+    xi_block -= np.outer(star_inner(w_col, w_col.with_values(xi_block)) / w_norm_sq, w_hat)
+    if eta is None:
+        stack[:, 2 * n] = 0.0
+        stack[-2, 2 * n] = np.sqrt(big_z)
+    else:
+        _put(stack[:, 2 * n:], eta, scale * np.sqrt(big_m) * w_hat * np.cos(geo.phi))
+    return stack
 
 
 def gamma_derivatives(scenario: Scenario, u):
@@ -142,61 +207,45 @@ def check_not_endfire(big_z: float) -> None:
 
 @dataclass(frozen=True)
 class FisherInfo:
-    """Equivalent Fisher information over the labelled parameters, pose first
-    (three pose components, then the contour coefficients)."""
+    """Equivalent Fisher information J = factor @ factor.T over the labelled
+    parameters, pose first (three pose components, then the contour
+    coefficients). Bounds come from the factor's QR, never from J."""
 
-    matrix: np.ndarray
+    factor: np.ndarray
     labels: tuple
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """J itself, for inspection; no bound is computed from it."""
+        return self.factor @ self.factor.T
+
     def pose_block(self) -> "FisherInfo":
-        """The information with the contour known: the 3x3 pose block."""
-        return FisherInfo(matrix=self.matrix[:3, :3], labels=self.labels[:3])
+        """The information with the contour known: the pose rows."""
+        return FisherInfo(factor=self.factor[:3], labels=self.labels[:3])
 
     def crb(self) -> "CrbReport":
         """The bound, the inverse of the information; IdentifiabilityError
-        when the matrix is singular."""
-        return CrbReport(covariance=invert_info_matrix(self.matrix, self.labels),
+        when it is singular."""
+        return CrbReport(covariance=invert_info_matrix(self.factor, self.labels),
                          labels=self.labels)
 
 
 def efim_exact(scenario: Scenario, field: PoseField | None = None) -> FisherInfo:
-    """Assemble the equivalent Fisher information over the quadrature grid.
+    """The exact equivalent Fisher information at the scenario's pose.
 
     J = (2 E/N0 / ||w||^2) [ L <w mu, w mu> + M <w cos(phi) eta, w cos(phi) eta>
         + (alpha+1)^2 <P_w(v xi), P_w(v xi)> ]
-    with P_w the star-orthogonal complement of the scalar weight field w.
+    is the Gram of field_stack's rows; the factor kept is R^T from their QR.
     field is pose_field(scenario), built here when not given; t_blocks can
-    share it. One matrix serves both bounds: the known-contour bound is
+    share it. One factor serves both bounds: the known-contour bound is
     efim_exact(...).pose_block().crb().
     """
     if field is None:
         field = pose_field(scenario)
-    table, weights, w_field = field.table, field.weights, field.grid
-    w_norm_sq = field.w_norm_sq
-    if not np.any(weights.w > 0.0):
-        raise NoIlluminationError(
-            "no contour point is lit: sin(phi - beta) <= 0 everywhere"
-        )
-    e_over_n0 = scenario.e_over_n0(w_norm_sq)
-    big_l, big_m, _ = radar_constants(scenario)
-
-    # the derivative fields are this call's own, so they are weighted in place
-    mu, eta, xi = _derivative_fields(scenario.contour, scenario.pose, table)
-    mu *= weights.w
-    eta *= weights.w * np.cos(table.phi)
-    xi *= weights.v
-    wmu = w_field.with_values(mu)
-    weta = w_field.with_values(eta)
-    vxi_perp = project_perp(w_field.with_values(xi), w_field)
-
-    j = (
-        big_l * star_inner(wmu, wmu)
-        + big_m * star_inner(weta, weta)
-        + (scenario.alpha + 1.0) ** 2 * star_inner(vxi_perp, vxi_perp)
-    )
-    j *= 2.0 * e_over_n0 / w_norm_sq
-    j = 0.5 * (j + j.T)
-    return FisherInfo(matrix=j, labels=tuple(gamma_labels(scenario.contour.q)))
+    r = triangular_factor(field_stack(scenario, field))
+    # R's columns run shape first; the factor's rows run pose first
+    return FisherInfo(factor=np.roll(r.T, 3, axis=0),
+                      labels=tuple(gamma_labels(scenario.contour.q)))
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,9 @@ def fuse(
     """Accumulate per-radar information onto [p_x, p_y, heading, a_q, b_q].
 
     With total_e_over_n0_db set, the budget is split evenly so adding radars
-    trades per-radar SNR for geometric diversity. The known-contour
+    trades per-radar SNR for geometric diversity. The fused factor sets the
+    per-radar factors side by side, each mapped by its chain matrix, so J is
+    the sum of chain J_r chain^T over the radars. The known-contour
     information is the pose block of the result (FisherInfo.pose_block),
     exact because every chain matrix is the identity outside its 2x2 corner.
     """
@@ -96,18 +98,15 @@ def fuse(
         per_db = total_e_over_n0_db - 10.0 * np.log10(len(radars))
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
 
-    matrix = None
+    factors = []
     for radar in radars:
         local = radar_local_scenario(template, target_xy, heading, radar, per_db)
-        j_local = efim_exact(local).matrix
-        delta = target_xy - radar.position
-        chain = _chain_matrix(delta, local.pose.d, j_local.shape[0])
-        j_global = chain @ j_local @ chain.T
-        j_global = 0.5 * (j_global + j_global.T)
-        matrix = j_global if matrix is None else matrix + j_global
+        f_local = efim_exact(local).factor
+        chain = _chain_matrix(target_xy - radar.position, local.pose.d, f_local.shape[0])
+        factors.append(chain @ f_local)
 
     labels = ("px", "py", "heading") + tuple(gamma_labels(template.contour.q)[3:])
-    return FisherInfo(matrix=matrix, labels=labels)
+    return FisherInfo(factor=np.hstack(factors), labels=labels)
 
 
 def peb(info: FisherInfo) -> float:

@@ -3,13 +3,10 @@
 The star product <f, g> = integral of f g ||r_dot|| du over [0, 2pi) is the
 inner product under which all bound formulas are assembled. Fields are
 tabulated on a shared quadrature grid; vector-valued fields are stacks of
-rows, for which the overloaded product returns the Gram matrix. A pair
-(f1, f2) in F x F, whose inner product adds the two slot products, is one
-field on the grid taken twice (see doubled_grid).
+rows, for which the overloaded product returns the Gram matrix.
 """
 
 import copy
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +60,13 @@ class SampledField:
         return field
 
 
+def unit_weights(values) -> SampledField:
+    """values on a grid of unit weights, so star products are plain sums:
+    for fields whose values already carry their quadrature weights."""
+    values = np.asarray(values, dtype=float)
+    return SampledField(values, np.ones(values.shape[-1]), 1.0)
+
+
 def _require_same_grid(f: SampledField, g: SampledField):
     if f.arc_weights is g.arc_weights and f.du is g.du:
         return
@@ -70,21 +74,6 @@ def _require_same_grid(f: SampledField, g: SampledField):
         np.array_equal(f.arc_weights, g.arc_weights) and np.array_equal(f.du, g.du)
     ):
         raise ScenarioError("fields live on different quadrature grids")
-
-
-# Per-thread scratch for the weighted left operand of star_inner. A fresh
-# (P, K) temporary per call, freed next to the caller's other (P, K) fields,
-# lets glibc trim the heap and fault the same pages back in on the next pose.
-_scratch = threading.local()
-
-
-def _weighted_buffer(shape) -> np.ndarray:
-    """A C-ordered (P, K) view of this thread's reusable scratch array."""
-    size = shape[0] * shape[1]
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _scratch.buf = np.empty(size)
-    return buf[:size].reshape(shape)
 
 
 def star_inner(f: SampledField, g: SampledField):
@@ -96,8 +85,7 @@ def star_inner(f: SampledField, g: SampledField):
     _require_same_grid(f, g)
     a = np.atleast_2d(f.values)
     b = np.atleast_2d(g.values)
-    weighted = np.multiply(a, f.quad_weights, out=_weighted_buffer(a.shape))
-    gram = weighted @ b.T
+    gram = (a * f.quad_weights) @ b.T
     if f.values.ndim == 1 and g.values.ndim == 1:
         return float(gram[0, 0])
     if f.values.ndim == 1:
@@ -130,18 +118,3 @@ def project_perp(f: SampledField, basis: SampledField) -> SampledField:
     # the projection's values are a fresh array: the residual overwrites it
     residual = project(f, basis).values
     return f.with_values(np.subtract(f.values, residual, out=residual))
-
-
-def doubled_grid(field: SampledField) -> SampledField:
-    """field's grid taken twice, carrying field's values in both halves.
-
-    A pair (f1, f2) is the field on this grid whose values are f1 and f2
-    concatenated along the node axis; star_inner, star_norm_sq and
-    project_perp on it are then the F x F operations.
-    """
-    du = np.broadcast_to(field.du, field.arc_weights.shape)
-    return SampledField(
-        np.concatenate([field.values, field.values], axis=-1),
-        np.concatenate([field.arc_weights, field.arc_weights]),
-        np.concatenate([du, du]),
-    )

@@ -84,3 +84,42 @@ def finite_difference_gradients(sc: Scenario, u: np.ndarray):
         dbeta = np.angle(np.exp(1j * (gp.beta - gm.beta))) / (2.0 * h)
         xi[i] = eta[i] - dbeta
     return mu, eta, xi
+
+
+def exact_gram(x: np.ndarray):
+    """x @ x.T of a float64 (P, N) array, exactly: Python integers g and a
+    power of two e with x @ x.T = g * 2**e."""
+    mant, expo = np.frexp(x)
+    mant = np.ldexp(mant, 53).astype(np.int64)
+    expo = expo.astype(np.int64) - 53
+    base = int(expo[mant != 0].min())
+    shift = np.where(mant != 0, expo - base, 0)
+    ints = np.frompyfunc(lambda m, s: int(m) << int(s), 2, 1)(mant, shift)
+    return ints @ ints.T, 2 * base
+
+
+def mp_inverse_gram(stacks, chains=None, dps: int = 40):
+    """mpmath inverse, at dps digits, of sum_r C_r X_r X_r^T C_r^T.
+
+    Each Gram X_r X_r^T of a float64 stack is formed exactly and each chain
+    matrix C_r (the identity when chains is None) enters exactly, so the
+    result is the inverse of the information the float64 rows define, free
+    of the rounding of any route that computes it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        total = None
+        for index, x in enumerate(stacks):
+            ints, expo = exact_gram(x)
+            gram = mpmath.matrix([[mpmath.ldexp(mpmath.mpf(int(v)), expo) for v in row]
+                                  for row in ints])
+            if chains is not None:
+                chain = mpmath.matrix(chains[index].tolist())
+                gram = chain * gram * chain.T
+            total = gram if total is None else total + gram
+        return mpmath.inverse(total)
+
+
+def state_order(stack: np.ndarray) -> np.ndarray:
+    """fisher.field_stack's rows (shape first) in the state order, pose first."""
+    return np.roll(stack, 3, axis=0)

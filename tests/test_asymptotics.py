@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import SCENARIO_FILE
+from conftest import SCENARIO_FILE, mp_inverse_gram, state_order
 
 from hcrb.asymptotics import (
     heading_variance_split,
@@ -15,9 +15,9 @@ from hcrb.asymptotics import (
     t_blocks,
     unknown_shape_projection,
 )
-from hcrb.contour import TargetPose
+from hcrb.contour import TargetPose, pose_field
 from hcrb.errors import IdentifiabilityError
-from hcrb.fisher import efim_exact, hcrb_exact, point_target_crb
+from hcrb.fisher import efim_exact, field_stack, hcrb_exact, point_target_crb
 from hcrb.scenario_io import build
 
 
@@ -52,24 +52,41 @@ def test_known_shape_frozen(blocks):
 
 
 def test_unknown_shape_frozen(blocks):
+    # the 40-digit reference of test_unknown_shape_matches_reference
     rep = hcrb_unknown_shape(blocks)
-    assert rep.c_range == pytest.approx(1.4274007042878474, rel=1e-9)
+    assert rep.c_range == pytest.approx(1.4274007123017596, rel=1e-11)
     assert rep.c_bearing == pytest.approx(8.45282399685799e-08, rel=1e-9)
-    assert rep.c_heading == pytest.approx(0.6424213633298126, rel=1e-9)
+    assert rep.c_heading == pytest.approx(0.64242136687302265, rel=1e-11)
+
+
+@pytest.mark.parametrize("pose", [None, TargetPose(20.0, 0.4, 1.2)],
+                         ids=["vehicle", "other"])
+def test_unknown_shape_matches_reference(scenario, pose):
+    """The closed forms on the QR's Schur block against a 40-digit inverse
+    of the T that the float64 far-field stack defines."""
+    if pose is not None:
+        scenario = scenario.with_pose(pose)
+    field = pose_field(scenario)
+    stack = state_order(field_stack(scenario, field, far_field=True))
+    reference = mp_inverse_gram([stack])
+    rep = hcrb_unknown_shape(t_blocks(scenario, field))
+    scale = 2.0 * scenario.e_over_n0(field.w_norm_sq)
+    for i, value in enumerate((rep.c_range, rep.c_bearing, rep.c_heading)):
+        assert value == pytest.approx(float(reference[i, i]) / scale, rel=1e-12)
 
 
 def test_algebraic_equals_projection_route(scenario):
     blocks = t_blocks(scenario)
-    # the projection route builds its doubled-grid fields itself; t_blocks
+    # the projection route builds its fields from the stack's rows; t_blocks
     # keeps no field of length 2K
-    k = blocks.w_field.arc_weights.size
+    k = pose_field(scenario).table.u.size
     kept = [np.shape(getattr(value, "values", value))
             for value in vars(blocks).values()]
     assert not any(shape and shape[-1] == 2 * k for shape in kept)
     alg = hcrb_unknown_shape(blocks)
     proj = unknown_shape_projection(blocks)
-    assert proj["c_range"] == pytest.approx(alg.c_range, rel=1e-6)
-    assert proj["c_heading"] == pytest.approx(alg.c_heading, rel=1e-6)
+    assert proj["c_range"] == pytest.approx(alg.c_range, rel=1e-11)
+    assert proj["c_heading"] == pytest.approx(alg.c_heading, rel=1e-11)
     assert proj["l_prime"] > 0.0 and proj["b_prime"] > 0.0
 
 

@@ -5,7 +5,12 @@ import numpy.testing as npt
 import pytest
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from conftest import finite_difference_gradients, random_scenario
+from conftest import (
+    finite_difference_gradients,
+    mp_inverse_gram,
+    random_scenario,
+    state_order,
+)
 
 from hcrb.asymptotics import (
     hcrb_known_shape,
@@ -17,6 +22,7 @@ from hcrb.contour import ContourParams, TargetPose, pose_field
 from hcrb.errors import IdentifiabilityError
 from hcrb.fisher import (
     efim_exact,
+    field_stack,
     gamma_derivatives,
     gamma_labels,
     gamma_vector,
@@ -115,28 +121,34 @@ def test_exact_bounds_frozen(scenario):
     assert known.c_range == pytest.approx(4.5656969381453924e-07, rel=1e-9)
     assert known.c_bearing == pytest.approx(9.731766113444534e-08, rel=1e-9)
     assert known.c_heading == pytest.approx(6.49744839995577e-07, rel=1e-9)
+    # the 40-digit reference of test_reports_match_full_inverse
     unknown = hcrb_exact(scenario, contour_known=False)
-    assert unknown.c_range == pytest.approx(0.855418282462377, rel=1e-9)
-    assert unknown.c_bearing == pytest.approx(0.020160372543742432, rel=1e-9)
-    assert unknown.c_heading == pytest.approx(0.4028118627669404, rel=1e-9)
+    assert unknown.c_range == pytest.approx(0.85541828006937455, rel=1e-11)
+    assert unknown.c_bearing == pytest.approx(0.020160372486978041, rel=1e-11)
+    assert unknown.c_heading == pytest.approx(0.40281186163657686, rel=1e-11)
     # ignorance never helps
     assert unknown.c_range > known.c_range
     assert unknown.c_bearing > known.c_bearing
     assert unknown.c_heading > known.c_heading
 
 
-def test_reports_match_full_inverse(scenario):
+def _assert_matches_reference(scenario):
+    """Both exact bounds against a 40-digit inverse of the information that
+    the float64 field stack defines."""
+    stack = state_order(field_stack(scenario, pose_field(scenario)))
     res = efim_exact(scenario)
-    inv = np.linalg.inv(res.matrix)
-    unknown = res.crb()
-    assert unknown.c_range == pytest.approx(inv[0, 0], rel=1e-9)
-    assert unknown.c_bearing == pytest.approx(inv[1, 1], rel=1e-9)
-    assert unknown.c_heading == pytest.approx(inv[2, 2], rel=1e-9)
-    inv3 = np.linalg.inv(res.matrix[:3, :3])
-    known = res.pose_block().crb()
-    assert known.c_range == pytest.approx(inv3[0, 0], rel=1e-10)
-    assert known.c_bearing == pytest.approx(inv3[1, 1], rel=1e-10)
-    assert known.c_heading == pytest.approx(inv3[2, 2], rel=1e-10)
+    for report, rows in ((res.crb(), stack), (res.pose_block().crb(), stack[:3])):
+        reference = mp_inverse_gram([rows])
+        for i, value in enumerate((report.c_range, report.c_bearing, report.c_heading)):
+            assert value == pytest.approx(float(reference[i, i]), rel=1e-12)
+
+
+def test_reports_match_full_inverse(scenario):
+    _assert_matches_reference(scenario)
+
+
+def test_reports_match_full_inverse_at_another_pose(scenario):
+    _assert_matches_reference(scenario.with_pose(TargetPose(20.0, 0.4, 1.2)))
 
 
 def _physical_scenario(scenario, n0):

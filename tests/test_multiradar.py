@@ -4,9 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hcrb.contour import wrap_angle
+from conftest import mp_inverse_gram, state_order
+
+from hcrb.contour import pose_field, wrap_angle
 from hcrb.errors import IdentifiabilityError, ScenarioError
-from hcrb.fisher import efim_exact
+from hcrb.experiments import BOW_OFFSET
+from hcrb.fisher import efim_exact, field_stack
 from hcrb.multiradar import (
     RadarPose,
     _chain_matrix,
@@ -93,6 +96,28 @@ def test_known_contour_fusion_is_the_pose_block(scenario):
     npt.assert_allclose(known.matrix, pose_only, rtol=1e-12, atol=0)
     assert known.labels == unknown.labels[:3] == ("px", "py", "heading")
     assert peb(known) <= peb(unknown)
+
+
+@pytest.mark.parametrize("count", [3, 1], ids=["three_radars", "diversity_1"])
+def test_fused_peb_matches_reference(bundle, count):
+    """Both PEBs of a fused constellation against a 40-digit inverse of the
+    summed information that the float64 per-radar field stacks define. One
+    radar is run_diversity's first, at its default radius and budget."""
+    scenario, target, heading = bundle.scenario, bundle.target_xy, bundle.heading
+    radars = uniform_constellation(target, count, 7.0, start_angle=heading - BOW_OFFSET)
+    fused = fuse(scenario, target, heading, radars, total_e_over_n0_db=40.0)
+    per = 40.0 - 10.0 * np.log10(count)
+    stacks, chains = [], []
+    for radar in radars:
+        local = radar_local_scenario(scenario, target, heading, radar, per)
+        stacks.append(state_order(field_stack(local, pose_field(local))))
+        chains.append(_chain_matrix(target - radar.position, local.pose.d,
+                                    stacks[-1].shape[0]))
+    for info, rows, size in ((fused, stacks, None), (fused.pose_block(),
+                                                     [x[:3] for x in stacks], 3)):
+        reference = mp_inverse_gram(rows, [c[:size, :size] for c in chains])
+        expected = float((reference[0, 0] + reference[1, 1]) ** 0.5)
+        assert peb(info) == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_budget_split(scenario):

@@ -11,11 +11,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hcrb._linalg import solve_spd
+from hcrb._linalg import invert_info_matrix, solve_spd
 from hcrb.errors import IdentifiabilityError, ScenarioError
 from hcrb.starcalc import (
     SampledField,
-    doubled_grid,
     project,
     project_perp,
     star_inner,
@@ -103,33 +102,17 @@ def test_singular_gram_raises_without_a_warning():
     npt.assert_allclose(solve_spd(np.diag([2.0, 4.0]), np.ones(2)), [0.5, 0.25])
 
 
-@pytest.mark.parametrize("du_kind", ["scalar", "per_node"])
-def test_doubled_grid_is_the_pair_space(du_kind):
-    k = 32
-    rng = np.random.default_rng(5)
-    arc = rng.uniform(0.5, 2.0, k)
-    du = 0.17 if du_kind == "scalar" else rng.uniform(0.05, 0.3, k)
-    grid = SampledField(np.ones(k), arc, du)
-    doubled = doubled_grid(grid)
-    assert doubled.arc_weights.shape == doubled.du.shape == (2 * k,)
-    mk = lambda: grid.with_values(rng.normal(size=k))
-
-    def pair(first, second):
-        return doubled.with_values(
-            np.concatenate([first.values, second.values], axis=-1))
-
-    a1, a2, b1, b2 = mk(), mk(), mk(), mk()
-    a, b = pair(a1, a2), pair(b1, b2)
-    assert star_inner(a, b) == pytest.approx(
-        star_inner(a1, b1) + star_inner(a2, b2), rel=1e-12)
-    assert star_norm_sq(a) == pytest.approx(
-        star_norm_sq(a1) + star_norm_sq(a2), rel=1e-12)
-    stacked = doubled.with_values(np.vstack([a.values, b.values]))
-    assert stacked.values.shape == (2, 2 * k)
-    f = pair(mk(), mk())
-    for basis in (b, stacked):
-        perp = project_perp(f, basis)
-        npt.assert_allclose(star_inner(basis, perp), 0.0, atol=1e-9)
+def test_covariance_from_a_factor():
+    rng = np.random.default_rng(8)
+    factor = rng.normal(size=(5, 40))
+    expected = np.linalg.inv(factor @ factor.T)
+    npt.assert_allclose(invert_info_matrix(factor), expected,
+                        rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    # three columns for five parameters: J = F F^T has two null directions
+    with pytest.raises(IdentifiabilityError, match="singular") as err:
+        invert_info_matrix(factor[:, :3], labels=list("abcde"))
+    assert err.value.null_space.shape == (5, 2)
+    assert err.value.labels == list("abcde")
 
 
 def test_grid_mismatch_rejected():
@@ -151,8 +134,8 @@ def test_with_values_keeps_the_grid_and_checks_length():
 
 
 def test_star_inner_agrees_across_threads():
-    # each thread weights its operand in its own scratch buffer; a shared one
-    # would let a thread overwrite another's operand between multiply and GEMM
+    # star_inner keeps no state between calls: threads calling it at once
+    # each get their own Gram
     rng = np.random.default_rng(11)
     k = 512
     arc = rng.uniform(0.5, 2.0, k)
