@@ -4,7 +4,7 @@ condition number is that of F squared)."""
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dtrtri
+from scipy.linalg.lapack import dgeqrt, dtrtri
 
 from ._pool import _ONE_BLAS_THREAD
 from .errors import IdentifiabilityError
@@ -12,6 +12,8 @@ from .errors import IdentifiabilityError
 # relative cutoff on sigma^2 of R (the eigenvalues of J = R^T R) below which
 # a direction counts as null
 NULL_RCOND = 1e-12
+# reflectors per panel of the blocked QR in triangular_factor
+QR_BLOCK = 8
 
 
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -37,12 +39,16 @@ def triangular_factor(rows: np.ndarray) -> np.ndarray:
     of rows.T. rows is a C-ordered (P, N) array and is overwritten; with
     N < P the trailing rows of R are zero.
 
-    OpenBLAS is held to one thread for the factorization: on a tall
-    (N, 23) matrix its second thread costs more than it brings.
+    The QR is LAPACK's blocked dgeqrt, which applies each panel of
+    QR_BLOCK reflectors as one matrix product, where dgeqrf's unblocked
+    path (taken for so few columns) applies them one at a time; LAPACK
+    wants the block no larger than min(N, P). OpenBLAS is held to one
+    thread for the factorization: on a tall (N, 23) matrix its second
+    thread costs more than it brings.
     """
     size = rows.shape[0]
     with _ONE_BLAS_THREAD:
-        qr = dgeqrf(rows.T, overwrite_a=True)[0]
+        qr = dgeqrt(min(QR_BLOCK, *rows.shape), rows.T, overwrite_a=True)[0]
     r = np.zeros((size, size))
     r[:min(qr.shape)] = np.triu(qr[:size])
     return r

@@ -24,7 +24,7 @@ from .experiments import (
     run_range_sweep,
 )
 from .fisher import hcrb_exact, point_target_crb
-from .multiradar import fuse, peb
+from .multiradar import fuse, report_peb
 from .scenario_io import SCHEMA_VERSION, ScenarioBundle, dumps_normalized, load_file
 from .waveform import dump_frame, point_workspace, synthesis_workspace, synthesize_frame
 
@@ -178,11 +178,16 @@ def _cmd_bounds(args) -> int:
     label = "known" if args.known else "unknown"
 
     if len(bundle.radars) > 1:
+        if not args.exact:
+            raise ScenarioError("bounds: --asymptotic takes a single-radar "
+                                f"scenario; this one has {len(bundle.radars)} "
+                                "radars (their fused bound is exact only)")
         info = fuse(scenario, bundle.target_xy, bundle.heading, bundle.radars)
         if args.known:
             info = info.pose_block()
-        heading = info.crb().c_heading
-        bound = peb(info)
+        report = info.crb()
+        heading = report.c_heading
+        bound = report_peb(report)
         print(f"{len(bundle.radars)} radars, contour {label}")
         print(f"  position error bound : {bound:.6g} m")
         print(f"  heading variance     : {heading:.6g} rad^2")

@@ -199,9 +199,13 @@ def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
 
 @dataclass(frozen=True)
 class PoseField:
-    """One pose's geometry table and illumination, evaluated once and read by
-    efim_exact, t_blocks and the synthesis energy norm; w_norm_sq is the
-    squared star norm of w."""
+    """One pose's lit arc, gathered once and read by efim_exact, t_blocks
+    and the synthesis energy norm.
+
+    table and weights hold the lit quadrature nodes only (w > 0, in grid
+    order; none for a fully shadowed pose): the shadow adds nothing to any
+    bound. w_norm_sq is the squared star norm of w over the whole contour.
+    """
 
     table: GeometryTable
     weights: ReflectionWeights
@@ -209,11 +213,15 @@ class PoseField:
 
 
 def pose_field(scenario) -> PoseField:
-    """Geometry table and reflection weights of a Scenario's target pose."""
+    """The lit arc of a Scenario's target pose: its geometry table and
+    reflection weights at the lit quadrature nodes, and ||w||^2."""
     table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
     weights = reflection_weights(table, scenario.alpha)
     w_norm_sq = star_norm_sq(SampledField(weights.w, table.arc, table.du))
-    return PoseField(table=table, weights=weights, w_norm_sq=w_norm_sq)
+    lit = np.flatnonzero(weights.w > 0.0)
+    return PoseField(table=table.at(lit),
+                     weights=ReflectionWeights(w=weights.w[lit], v=weights.v[lit]),
+                     w_norm_sq=w_norm_sq)
 
 
 def uniform_grid(nodes: int):

@@ -10,6 +10,7 @@ the sweep column carrying name:abscissa (e.g. "range:6.7082").
 import csv
 import io
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .contour import TargetPose, pose_field
 from .errors import IdentifiabilityError, ScenarioError
 from .estimators import estimate
 from .fisher import efim_exact, point_target_crb
-from .multiradar import fuse, peb, uniform_constellation
+from .multiradar import fuse, peb, radar_factor, uniform_constellation
 from .scenario import Scenario, SegmentationConfig
 from .waveform import point_workspace, synthesis_workspace, synthesize_frame
 
@@ -253,22 +254,36 @@ def run_diversity(template: Scenario, target_xy, heading: float,
     astern) sees a shape-degenerate slice of the contour and single-radar
     fusion turns singular there.
 
-    Each constellation size is fused once, with the contour unknown; the
-    known-contour PEB comes from the pose block of that same fused matrix
-    (FisherInfo.pose_block). The PEB need not fall with every added radar:
-    each size re-spaces the radars and re-splits the budget, and at some
-    radii (5, 8, 10 and 15 m among them) the PEB steps up by a fraction of
-    a percent.
+    The rings share radars: the k-th radar of a ring of count sits at
+    start + 2 pi k/count, so a radar is keyed by the reduced fraction
+    k/count (12 distinct radars among the 21 of counts 1-6). Each distinct
+    radar's chained factor is built once, at unit E/N0 (multiradar.fuse),
+    and every size fuses its ring once from those factors, with the contour
+    unknown; the known-contour PEB comes from the pose block of that same
+    fused matrix (FisherInfo.pose_block). The PEB need not fall with every
+    added radar: each size re-spaces the radars and re-splits the budget,
+    and at some radii (5, 8, 10 and 15 m among them) the PEB steps up by a
+    fraction of a percent.
     """
     table = ResultTable()
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
     start_angle = float(heading) - BOW_OFFSET
+    # Fraction(k, count) -> the radar's chained factor at the energy fuse
+    # builds it at: 0 dB under a budget, the template's without one
+    factors = {}
+    factor_db = None if total_e_over_n0_db is None else 0.0
     for count in counts:
         radars = uniform_constellation(target_xy, count, radius,
                                        start_angle=start_angle)
+        keys = [Fraction(k, count) for k in range(count)]
+        for key, radar in zip(keys, radars):
+            if key not in factors:
+                factors[key] = radar_factor(template, target_xy, heading, radar,
+                                            factor_db)
         sweep = f"diversity:{count}"
         fused = fuse(template, target_xy, heading, radars,
-                     total_e_over_n0_db=total_e_over_n0_db)
+                     total_e_over_n0_db=total_e_over_n0_db,
+                     factors=[factors[key] for key in keys])
         for name, info in (("known", fused.pose_block()), ("unknown", fused)):
             table.add(sweep, f"peb_{name}", "exact", peb(info), "m", 0, seed)
     return table

@@ -139,8 +139,8 @@ def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
 
     The shape rows come first, then d, phi, heading, so the trailing 3x3
     block of the QR's R is the pose information with the shape eliminated.
-    The columns are the lit nodes only, in three blocks, each node scaled by
-    the square root of its quadrature weight:
+    The columns are the lit nodes that field holds, in three blocks, each
+    node scaled by the square root of its quadrature weight:
     X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
         sqrt(M) w cos(phi) eta]
     with P_w the star-orthogonal complement of w. With far_field, X is the
@@ -149,23 +149,21 @@ def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
     / ||w|| on the limit rows of _derivative_fields, the bearing block
     collapsed to one column.
     """
-    weights, w_norm_sq = field.weights, field.w_norm_sq
-    lit = np.flatnonzero(weights.w > 0.0)
-    if lit.size == 0:
+    weights, w_norm_sq, geo = field.weights, field.w_norm_sq, field.table
+    n = geo.u.size
+    if n == 0:
         raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
-    geo = field.table.at(lit)
     mu, eta, xi = _derivative_fields(scenario.contour, scenario.pose, geo, far_field)
     big_l, big_m, big_z = radar_constants(scenario)
     energy = 1.0 if far_field else 2.0 * scenario.e_over_n0(w_norm_sq)
     scale = np.sqrt(energy / w_norm_sq)
 
-    n = lit.size
     stack = np.empty((mu.shape[0], 2 * n + (n if eta is not None else 1)))
     root_q = np.sqrt(geo.arc * geo.du)
-    w_hat = weights.w[lit] * root_q
+    w_hat = weights.w * root_q
     _put(stack[:, :n], mu, scale * np.sqrt(big_l) * w_hat)
     xi_block = stack[:, n:2 * n]
-    _put(xi_block, xi, scale * (scenario.alpha + 1.0) * weights.v[lit] * root_q)
+    _put(xi_block, xi, scale * (scenario.alpha + 1.0) * weights.v * root_q)
     # P_w: one rank-1 update against w, whose squared norm the pose field holds
     w_col = unit_weights(w_hat)
     xi_block -= np.outer(star_inner(w_col, w_col.with_values(xi_block)) / w_norm_sq, w_hat)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .contour import TargetPose, wrap_angle
 from .errors import ScenarioError
-from .fisher import FisherInfo, efim_exact, gamma_labels
+from .fisher import CrbReport, FisherInfo, efim_exact, gamma_labels
 from .scenario import EnergySpec, Scenario
 
 
@@ -74,44 +74,66 @@ def _chain_matrix(delta: np.ndarray, dist: float, size: int) -> np.ndarray:
     return m
 
 
+def radar_factor(template: Scenario, target_xy, heading: float, radar: RadarPose,
+                 e_over_n0_db: float = None) -> np.ndarray:
+    """One radar's information factor mapped onto [p_x, p_y, heading, a_q,
+    b_q] by its chain matrix; e_over_n0_db as in radar_local_scenario."""
+    target_xy = np.asarray(target_xy, dtype=float).reshape(2)
+    local = radar_local_scenario(template, target_xy, heading, radar, e_over_n0_db)
+    f_local = efim_exact(local).factor
+    return _chain_matrix(target_xy - radar.position, local.pose.d, f_local.shape[0]) @ f_local
+
+
 def fuse(
     template: Scenario,
     target_xy,
     heading: float,
     radars,
     total_e_over_n0_db: float = None,
+    factors=None,
 ) -> FisherInfo:
     """Accumulate per-radar information onto [p_x, p_y, heading, a_q, b_q].
 
     With total_e_over_n0_db set, the budget is split evenly so adding radars
-    trades per-radar SNR for geometric diversity. The fused factor sets the
-    per-radar factors side by side, each mapped by its chain matrix, so J is
-    the sum of chain J_r chain^T over the radars. The known-contour
-    information is the pose block of the result (FisherInfo.pose_block),
-    exact because every chain matrix is the identity outside its 2x2 corner.
+    trades per-radar SNR for geometric diversity: each radar's factor is
+    built at unit E/N0 (0 dB) and the fused factor scaled by
+    sqrt(10^(per_db/10)). Without it each radar keeps the template's energy.
+    The fused factor sets the per-radar factors side by side, each mapped
+    by its chain matrix (radar_factor), so J is the sum of chain J_r
+    chain^T over the radars. factors, when given, holds each radar's
+    radar_factor at that energy, in radar order: run_diversity builds each
+    radar its rings share once and passes it to every ring that holds it.
+    The known-contour information is the pose block of the result
+    (FisherInfo.pose_block), exact because every chain matrix is the
+    identity outside its 2x2 corner.
     """
     radars = list(radars)
     if not radars:
         raise ScenarioError("need at least one radar")
-    per_db = None
+    unit_db, scale = None, 1.0
     if total_e_over_n0_db is not None:
         per_db = total_e_over_n0_db - 10.0 * np.log10(len(radars))
-    target_xy = np.asarray(target_xy, dtype=float).reshape(2)
-
-    factors = []
-    for radar in radars:
-        local = radar_local_scenario(template, target_xy, heading, radar, per_db)
-        f_local = efim_exact(local).factor
-        chain = _chain_matrix(target_xy - radar.position, local.pose.d, f_local.shape[0])
-        factors.append(chain @ f_local)
+        unit_db, scale = 0.0, np.sqrt(10.0 ** (per_db / 10.0))
+    if factors is None:
+        factors = [radar_factor(template, target_xy, heading, radar, unit_db)
+                   for radar in radars]
+    elif len(factors) != len(radars):
+        raise ScenarioError(f"{len(factors)} factors for {len(radars)} radars")
 
     labels = ("px", "py", "heading") + tuple(gamma_labels(template.contour.q)[3:])
-    return FisherInfo(factor=np.hstack(factors), labels=labels)
+    fused = np.hstack(factors)
+    fused *= scale
+    return FisherInfo(factor=fused, labels=labels)
 
 
 def peb(info: FisherInfo) -> float:
     """Position error bound sqrt(C_xx + C_yy) from the fused information."""
-    cov = info.crb().covariance
+    return report_peb(info.crb())
+
+
+def report_peb(report: CrbReport) -> float:
+    """Position error bound sqrt(C_xx + C_yy) of a fused bound."""
+    cov = report.covariance
     return float(np.sqrt(cov[0, 0] + cov[1, 1]))
 
 

@@ -78,8 +78,8 @@ def test_unknown_shape_matches_reference(scenario, pose):
 def test_algebraic_equals_projection_route(scenario):
     blocks = t_blocks(scenario)
     # the projection route builds its fields from the stack's rows; t_blocks
-    # keeps no field of length 2K
-    k = pose_field(scenario).table.u.size
+    # keeps no field of length 2K, K the quadrature node count
+    k = scenario.quadrature.nodes
     kept = [np.shape(getattr(value, "values", value))
             for value in vars(blocks).values()]
     assert not any(shape and shape[-1] == 2 * k for shape in kept)

@@ -157,6 +157,20 @@ def test_singular_geometry_exits_two(tmp_path, capsys):
     assert "phi" not in named and "heading" not in named
 
 
+def test_fully_shadowed_pose_exit_codes(tmp_path, capsys):
+    """With the radar inside the contour no node is lit: the bounds are
+    singular (exit 2), and synthesis has no energy to place (exit 1)."""
+    doc = json.loads(SCENARIO_FILE.read_text())
+    doc["target"] = {"x": 0.1, "y": 0.05, "heading": 30.0}
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps(doc))
+    for method in ("--exact", "--asymptotic"):
+        assert entry(["bounds", "--scenario", str(path), method]) == 2
+        assert "no contour point is lit" in capsys.readouterr().err
+    assert entry(["simulate", "--scenario", str(path), "--trials", "1"]) == 1
+    assert "fully shadowed" in capsys.readouterr().err
+
+
 def test_radar_facing_asymptotic_unknown_shape_exits_two(tmp_path, capsys):
     """With the bow facing the radar the shape block is singular: the
     asymptotic unknown-shape bound exits 2, the known-shape bound still 0."""
@@ -190,6 +204,24 @@ def test_multi_radar_bounds(tmp_path, capsys):
     bundle = load_file(path)
     fused = fuse(bundle.scenario, bundle.target_xy, bundle.heading, bundle.radars)
     assert pebs["known"] == peb(fused.pose_block())
+
+
+@pytest.mark.parametrize("shape", ["--known", "--unknown"])
+def test_multi_radar_asymptotic_is_a_usage_error(tmp_path, capsys, shape):
+    """The fused bound is exact only: --asymptotic on two radars exits 1,
+    names the flag and writes nothing."""
+    doc = json.loads(SCENARIO_FILE.read_text())
+    doc["radar"] = [{"x": 0.0, "y": 0.0, "kappa": 0.0, "N": 30},
+                    {"x": 12.0, "y": 0.0, "kappa": 180.0, "N": 30}]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "bounds.csv"
+    assert entry(["bounds", "--scenario", str(path), "--asymptotic", shape,
+                  "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--asymptotic" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_row_count(tmp_path, capsys):

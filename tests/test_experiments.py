@@ -14,10 +14,12 @@ import numpy.testing as npt
 import pytest
 
 import hcrb.contour
+import hcrb.multiradar
 from hcrb._pool import THREADS_ENV, map_items, worker_count
 from hcrb.contour import TargetPose
 from hcrb.errors import ScenarioError
 from hcrb.experiments import (
+    BOW_OFFSET,
     MC_RANGES,
     ResultTable,
     _mc_positions,
@@ -27,6 +29,7 @@ from hcrb.experiments import (
     run_range_sweep,
 )
 from hcrb.fisher import hcrb_exact
+from hcrb.multiradar import fuse, peb, uniform_constellation
 
 HEADER = ["sweep", "quantity", "method", "value", "units", "n_trials", "seed"]
 
@@ -233,6 +236,21 @@ def test_mc_evaluates_each_pose_geometry_once(scenario, monkeypatch):
     assert calls[0] != calls[1]
 
 
+def test_sweep_gathers_each_lit_arc_once(scenario, monkeypatch):
+    # the exact and the far-field stack read one lit table per pose
+    gathers = []
+    original = hcrb.contour.GeometryTable.at
+
+    def counted(self, index):
+        gathers.append(len(index))
+        return original(self, index)
+
+    monkeypatch.setattr(hcrb.contour.GeometryTable, "at", counted)
+    table = run_range_sweep(scenario, n_points=3)
+    assert len(gathers) == 3
+    assert len(table.rows) == 3 * 14
+
+
 def test_diversity_frozen_defaults(scenario, bundle):
     table = run_diversity(scenario, bundle.target_xy, bundle.heading)
     known = [r.value for r in table.rows if r.quantity == "peb_known"]
@@ -267,6 +285,33 @@ def test_diversity_reports_every_size_at_a_wider_radius(scenario, bundle):
     unknown = [r.value for r in table.rows if r.quantity == "peb_unknown"]
     assert len(known) == len(unknown) == 6
     assert all(u >= k for k, u in zip(known, unknown))
+
+
+@pytest.mark.parametrize("radius", [7.0, 10.0])
+def test_diversity_builds_each_shared_radar_once(scenario, bundle, monkeypatch,
+                                                 radius):
+    # the rings of counts 1-6 place 21 radars at 12 distinct fractions of a
+    # turn; reusing their factors changes no PEB
+    calls = []
+    original = hcrb.multiradar.efim_exact
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].pose)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hcrb.multiradar, "efim_exact", counted)
+    target, heading = bundle.target_xy, bundle.heading
+    table = run_diversity(scenario, target, heading, radius=radius)
+    assert len(calls) == 12
+    monkeypatch.undo()
+    for count in range(1, 7):
+        radars = uniform_constellation(target, count, radius,
+                                       start_angle=heading - BOW_OFFSET)
+        alone = fuse(scenario, target, heading, radars, total_e_over_n0_db=40.0)
+        got = {r.quantity: r.value for r in table.rows
+               if r.sweep == f"diversity:{count}"}
+        assert got["peb_known"] == pytest.approx(peb(alone.pose_block()), rel=1e-12)
+        assert got["peb_unknown"] == pytest.approx(peb(alone), rel=1e-12)
 
 
 def test_result_table_serialization(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hcrb._linalg import invert_info_matrix, solve_spd
+from hcrb._linalg import invert_info_matrix, solve_spd, triangular_factor
 from hcrb.errors import IdentifiabilityError, ScenarioError
 from hcrb.starcalc import (
     SampledField,
@@ -113,6 +113,24 @@ def test_covariance_from_a_factor():
         invert_info_matrix(factor[:, :3], labels=list("abcde"))
     assert err.value.null_space.shape == (5, 2)
     assert err.value.labels == list("abcde")
+
+
+@pytest.mark.parametrize("p", [3, 23])
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 23, 6141])
+def test_triangular_factor_over_shapes(p, n):
+    # the blocked QR's block is clamped to min(P, N): every shape factors
+    rows = np.random.default_rng(p * 10_000 + n).normal(size=(p, n))
+    gram = rows @ rows.T
+    r = triangular_factor(rows.copy())
+    assert r.shape == (p, p)
+    npt.assert_allclose(r.T @ r, gram, rtol=1e-13, atol=1e-13 * np.abs(gram).max())
+    # R agrees with numpy's QR up to the sign of each row
+    ref = np.linalg.qr(rows.T, mode="r")
+    k = min(p, n)
+    signs = np.sign(np.diag(r)[:k]) * np.sign(np.diag(ref))
+    npt.assert_allclose(r[:k], signs[:, None] * ref, rtol=0,
+                        atol=1e-12 * np.abs(ref).max())
+    assert not r[k:].any()
 
 
 def test_grid_mismatch_rejected():
