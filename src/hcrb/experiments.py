@@ -17,11 +17,12 @@ import numpy as np
 
 from ._pool import map_items
 from .asymptotics import hcrb_known_shape, hcrb_unknown_shape, t_blocks
-from .contour import TargetPose, pose_field
+from .contour import pose_field
 from .errors import IdentifiabilityError, ScenarioError
 from .estimators import estimate
 from .fisher import efim_exact, point_target_crb
-from .multiradar import fuse, peb, radar_factor, uniform_constellation
+from .multiradar import (RadarPose, fuse, peb, radar_factor, uniform_constellation,
+                         unit_energy)
 from .scenario import Scenario, SegmentationConfig
 from .waveform import point_workspace, synthesis_workspace, synthesize_frame
 
@@ -30,6 +31,8 @@ from .waveform import point_workspace, synthesis_workspace, synthesize_frame
 SWEEP_START = (6.0, 3.0)
 SWEEP_STOP = (89.0, 45.0)
 MC_RANGES = (6.7082039325, 15.0, 35.0, 80.0)
+# the single radar of the range sweep and Monte Carlo
+SWEEP_RADAR = RadarPose(position=np.zeros(2))
 
 # Constellation orientation relative to the target bow. Dead-ahead or astern
 # views are shape-degenerate (the lit arc collapses onto the symmetry axis),
@@ -92,14 +95,6 @@ def ray_positions(n_points: int) -> np.ndarray:
     return start[None, :] + t_sel[:, None] * (stop - start)[None, :]
 
 
-def _pose_at(scenario: Scenario, xy: np.ndarray) -> TargetPose:
-    return TargetPose(
-        d=float(np.hypot(xy[0], xy[1])),
-        phi=float(np.arctan2(xy[1], xy[0])),
-        heading=scenario.pose.heading,
-    )
-
-
 def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
     """Exact, asymptotic and point-target bound rows for one pose.
 
@@ -140,7 +135,7 @@ def run_range_sweep(scenario: Scenario, n_points: int = 30, seed: int = 0,
     """
     table = ResultTable()
     for xy in ray_positions(n_points):
-        moved = scenario.with_pose(_pose_at(scenario, xy))
+        moved = scenario.with_pose(SWEEP_RADAR.local_pose(xy, scenario.pose.heading))
         sweep = f"range:{moved.pose.d:.6g}"
         try:
             _bound_rows(table, sweep, moved, seed)
@@ -225,7 +220,7 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
             f"Monte Carlo needs at least 2 trials to form a variance, got {trials}")
     table = ResultTable()
     for index, xy in enumerate(_mc_positions(ranges)):
-        moved = scenario.with_pose(_pose_at(scenario, xy))
+        moved = scenario.with_pose(SWEEP_RADAR.local_pose(xy, scenario.pose.heading))
         sweep = f"mc:{moved.pose.d:.6g}"
         field = _bound_rows(table, sweep, moved, seed)
 
@@ -257,8 +252,9 @@ def run_diversity(template: Scenario, target_xy, heading: float,
     The rings share radars: the k-th radar of a ring of count sits at
     start + 2 pi k/count, so a radar is keyed by the reduced fraction
     k/count (12 distinct radars among the 21 of counts 1-6). Each distinct
-    radar's chained factor is built once, at unit E/N0 (multiradar.fuse),
-    and every size fuses its ring once from those factors, with the contour
+    radar's chained factor is built once, at multiradar.unit_energy, and
+    every size fuses its ring once from those factors under the budget
+    total_e_over_n0_db (dB, split by multiradar.fuse), with the contour
     unknown; the known-contour PEB comes from the pose block of that same
     fused matrix (FisherInfo.pose_block). The PEB need not fall with every
     added radar: each size re-spaces the radars and re-splits the budget,
@@ -268,18 +264,15 @@ def run_diversity(template: Scenario, target_xy, heading: float,
     table = ResultTable()
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
     start_angle = float(heading) - BOW_OFFSET
-    # Fraction(k, count) -> the radar's chained factor at the energy fuse
-    # builds it at: 0 dB under a budget, the template's without one
-    factors = {}
-    factor_db = None if total_e_over_n0_db is None else 0.0
+    unit = unit_energy(template)
+    factors = {}  # Fraction(k, count) -> the radar's chained factor at unit E/N0
     for count in counts:
         radars = uniform_constellation(target_xy, count, radius,
                                        start_angle=start_angle)
         keys = [Fraction(k, count) for k in range(count)]
         for key, radar in zip(keys, radars):
             if key not in factors:
-                factors[key] = radar_factor(template, target_xy, heading, radar,
-                                            factor_db)
+                factors[key] = radar_factor(unit, target_xy, heading, radar)
         sweep = f"diversity:{count}"
         fused = fuse(template, target_xy, heading, radars,
                      total_e_over_n0_db=total_e_over_n0_db,

@@ -13,7 +13,7 @@ import numpy as np
 from .contour import TargetPose, wrap_angle
 from .errors import ScenarioError
 from .fisher import CrbReport, FisherInfo, efim_exact, gamma_labels
-from .scenario import EnergySpec, Scenario
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -29,39 +29,34 @@ class RadarPose:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "kappa", float(wrap_angle(self.kappa)))
 
+    def local_pose(self, target_xy, heading: float) -> TargetPose:
+        """The target's pose in this radar's polar frame.
 
-def radar_local_scenario(
-    template: Scenario,
-    target_xy,
-    heading: float,
-    radar: RadarPose,
-    e_over_n0_db: float = None,
-) -> Scenario:
-    """Re-center the template scenario on one radar.
+        Range and bearing come from the offset target - position; bearing and
+        heading are measured from the boresight kappa (TargetPose wraps both).
+        """
+        delta = np.asarray(target_xy, dtype=float).reshape(2) - self.position
+        dist = float(np.hypot(*delta))
+        if dist <= 0.0:
+            raise ScenarioError("target coincides with a radar position")
+        return TargetPose(d=dist,
+                          phi=float(np.arctan2(delta[1], delta[0])) - self.kappa,
+                          heading=heading - self.kappa)
 
-    Range and bearing come from the offset target - radar; bearing and
-    heading are measured from the radar's boresight. An explicit per-radar
-    e_over_n0_db overrides the template energy (used to split a total
-    budget across a constellation).
-    """
-    delta = np.asarray(target_xy, dtype=float).reshape(2) - radar.position
-    dist = float(np.hypot(*delta))
-    if dist <= 0.0:
-        raise ScenarioError("target coincides with a radar position")
-    bearing = float(np.arctan2(delta[1], delta[0]))
-    pose = TargetPose(
-        d=dist,
-        phi=wrap_angle(bearing - radar.kappa),
-        heading=wrap_angle(heading - radar.kappa),
-    )
-    changes = {"pose": pose}
+
+def radar_local_scenario(template: Scenario, target_xy, heading: float,
+                         radar: RadarPose) -> Scenario:
+    """The template re-centered on one radar, at the template's energy."""
+    changes = {"pose": radar.local_pose(target_xy, heading)}
     if radar.array_n is not None:
         changes["array_n"] = radar.array_n
-    if e_over_n0_db is not None:
-        changes["energy"] = EnergySpec(
-            e_over_n0_db=e_over_n0_db, n0=template.energy.n0
-        )
     return replace(template, **changes)
+
+
+def unit_energy(template: Scenario) -> Scenario:
+    """The template at unit E/N0 (0 dB), the energy at which fuse builds each
+    radar's factor under a budget before scaling by the radar's share."""
+    return template.with_e_over_n0_db(0.0)
 
 
 def _chain_matrix(delta: np.ndarray, dist: float, size: int) -> np.ndarray:
@@ -74,12 +69,12 @@ def _chain_matrix(delta: np.ndarray, dist: float, size: int) -> np.ndarray:
     return m
 
 
-def radar_factor(template: Scenario, target_xy, heading: float, radar: RadarPose,
-                 e_over_n0_db: float = None) -> np.ndarray:
-    """One radar's information factor mapped onto [p_x, p_y, heading, a_q,
-    b_q] by its chain matrix; e_over_n0_db as in radar_local_scenario."""
+def radar_factor(template: Scenario, target_xy, heading: float,
+                 radar: RadarPose) -> np.ndarray:
+    """One radar's information factor, at the template's energy, mapped onto
+    [p_x, p_y, heading, a_q, b_q] by its chain matrix."""
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
-    local = radar_local_scenario(template, target_xy, heading, radar, e_over_n0_db)
+    local = radar_local_scenario(template, target_xy, heading, radar)
     f_local = efim_exact(local).factor
     return _chain_matrix(target_xy - radar.position, local.pose.d, f_local.shape[0]) @ f_local
 
@@ -94,28 +89,29 @@ def fuse(
 ) -> FisherInfo:
     """Accumulate per-radar information onto [p_x, p_y, heading, a_q, b_q].
 
-    With total_e_over_n0_db set, the budget is split evenly so adding radars
-    trades per-radar SNR for geometric diversity: each radar's factor is
-    built at unit E/N0 (0 dB) and the fused factor scaled by
-    sqrt(10^(per_db/10)). Without it each radar keeps the template's energy.
-    The fused factor sets the per-radar factors side by side, each mapped
-    by its chain matrix (radar_factor), so J is the sum of chain J_r
-    chain^T over the radars. factors, when given, holds each radar's
-    radar_factor at that energy, in radar order: run_diversity builds each
-    radar its rings share once and passes it to every ring that holds it.
-    The known-contour information is the pose block of the result
-    (FisherInfo.pose_block), exact because every chain matrix is the
-    identity outside its 2x2 corner.
+    The fused factor sets the per-radar factors (radar_factor) side by side,
+    so J is the sum of chain J_r chain^T over the radars. Without a budget
+    each radar keeps the template's energy. With total_e_over_n0_db the
+    budget is split evenly, so adding radars trades per-radar SNR for
+    geometric diversity: each factor is built at unit_energy(template) and
+    the fused factor is scaled by the square root of the linear share.
+    factors, when given, holds those per-radar factors in radar order:
+    run_diversity builds each radar its rings share once and passes it to
+    every ring that holds it. The known-contour information is the pose
+    block of the result (FisherInfo.pose_block), exact because every chain
+    matrix is the identity outside its 2x2 corner.
     """
     radars = list(radars)
     if not radars:
         raise ScenarioError("need at least one radar")
-    unit_db, scale = None, 1.0
+    scale = 1.0
     if total_e_over_n0_db is not None:
         per_db = total_e_over_n0_db - 10.0 * np.log10(len(radars))
-        unit_db, scale = 0.0, np.sqrt(10.0 ** (per_db / 10.0))
+        # fixed mode: the linear E/N0 of the share, whatever the norm
+        scale = np.sqrt(template.with_e_over_n0_db(per_db).e_over_n0(1.0))
+        template = unit_energy(template)
     if factors is None:
-        factors = [radar_factor(template, target_xy, heading, radar, unit_db)
+        factors = [radar_factor(template, target_xy, heading, radar)
                    for radar in radars]
     elif len(factors) != len(radars):
         raise ScenarioError(f"{len(factors)} factors for {len(radars)} radars")

@@ -128,4 +128,5 @@ class Scenario:
         return replace(self, pose=pose)
 
     def with_e_over_n0_db(self, db: float) -> "Scenario":
-        return replace(self, energy=replace(self.energy, e_over_n0_db=db))
+        """This scenario in fixed mode at E/N0 = db, keeping its N0."""
+        return replace(self, energy=EnergySpec(e_over_n0_db=db, n0=self.energy.n0))

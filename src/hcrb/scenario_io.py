@@ -210,15 +210,7 @@ def build(doc: dict) -> ScenarioBundle:
     else:
         target_xy = np.array([target["x"], target["y"]], dtype=float)
         heading_global = wrap_angle(np.radians(target["heading"]))
-        delta = target_xy - first.position
-        dist = float(np.hypot(*delta))
-        if dist <= 0.0:
-            raise ScenarioError("target coincides with radar[0]")
-        pose = TargetPose(
-            d=dist,
-            phi=wrap_angle(np.arctan2(delta[1], delta[0]) - first.kappa),
-            heading=wrap_angle(heading_global - first.kappa),
-        )
+        pose = first.local_pose(target_xy, heading_global)
 
     channel = doc["channel"]
     energy = EnergySpec(e_over_n0_db=channel.get("E_over_N0_dB"),

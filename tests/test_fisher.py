@@ -1,5 +1,7 @@
 """Exact information matrix, parameter bounds, radar constants."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -182,6 +184,18 @@ def test_received_energy_modes(scenario):
     expected = g**2 * phys.array_n * w_norm_sq
     assert phys.received_energy(w_norm_sq) == pytest.approx(expected, rel=1e-12)
     assert phys.e_over_n0(w_norm_sq) == pytest.approx(expected / 1e-3, rel=1e-12)
+
+
+def test_e_over_n0_override_in_either_mode(scenario):
+    """with_e_over_n0_db puts either energy mode into fixed mode at the given
+    dB and keeps the noise PSD."""
+    fixed = replace(scenario, energy=EnergySpec(e_over_n0_db=40.0, n0=1e-3))
+    for template in (fixed, _physical_scenario(scenario, 1e-3)):
+        quieter = template.with_e_over_n0_db(30.0)
+        assert quieter.energy.mode == "fixed_E_over_N0"
+        assert quieter.energy.n0 == 1e-3
+        for w_norm_sq in (0.0, 0.37, 2.0):
+            assert quieter.e_over_n0(w_norm_sq) == 10 ** (30.0 / 10)
 
 
 def test_efim_scales_linearly_with_snr(scenario):

@@ -1,14 +1,17 @@
 """Multi-radar fusion: local re-centering, chain rule, constellation bounds."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import mp_inverse_gram, state_order
+from conftest import SCENARIO_FILE, mp_inverse_gram, state_order
 
 from hcrb.contour import pose_field, wrap_angle
 from hcrb.errors import IdentifiabilityError, ScenarioError
-from hcrb.experiments import BOW_OFFSET
+from hcrb.experiments import BOW_OFFSET, run_diversity
 from hcrb.fisher import efim_exact, field_stack
 from hcrb.multiradar import (
     RadarPose,
@@ -18,6 +21,8 @@ from hcrb.multiradar import (
     radar_local_scenario,
     uniform_constellation,
 )
+from hcrb.scenario import EnergySpec
+from hcrb.scenario_io import build
 
 TARGET = np.array([6.0, 3.0])
 HEADING = np.pi / 2.0
@@ -29,12 +34,28 @@ def test_origin_radar_reproduces_global_pose(scenario):
     assert local.pose.d == pytest.approx(scenario.pose.d, rel=1e-15)
     assert local.pose.phi == pytest.approx(scenario.pose.phi, rel=1e-15)
     assert local.pose.heading == pytest.approx(scenario.pose.heading, rel=1e-15)
+    # Re-centering a file's scenario on its own first radar changes no bit
+    # of the pose, whatever the offset, boresight, heading or bearing sign:
+    # the multi-radar bounds path fuses from the file's scenario.
+    cases = (
+        ({"x": 3.5, "y": -2.0, "kappa": 250.0}, {"x": -4.0, "y": -9.0, "heading": -300.0}),
+        ({"x": -7.0, "y": 5.0, "kappa": -200.0}, {"x": 8.0, "y": -6.5, "heading": 365.0}),
+        ({"x": 12.0, "y": 0.0, "kappa": 180.0}, {"x": 6.0, "y": 3.0, "heading": -190.0}),
+        ({"x": 1.0, "y": 2.0, "kappa": -359.0}, {"x": -6.0, "y": -0.5, "heading": 719.0}),
+    )
+    doc = json.loads(SCENARIO_FILE.read_text())
+    for first, target in cases:
+        doc["radar"] = [dict(first, N=30), {"x": 30.0, "y": 30.0, "kappa": 45.0, "N": 16}]
+        doc["target"] = target
+        b = build(doc)
+        local = radar_local_scenario(b.scenario, b.target_xy, b.heading, b.radars[0])
+        assert local.pose == b.scenario.pose, (first, target)
 
 
 def test_local_scenario_energy_override(scenario):
     radar = RadarPose(position=np.array([1.0, -2.0]), kappa=0.3, array_n=16)
-    local = radar_local_scenario(scenario, TARGET, HEADING, radar,
-                                 e_over_n0_db=33.0)
+    local = radar_local_scenario(scenario.with_e_over_n0_db(33.0), TARGET, HEADING,
+                                 radar)
     assert local.array_n == 16
     assert local.energy.e_over_n0_db == pytest.approx(33.0)
     with pytest.raises(ScenarioError):
@@ -67,7 +88,8 @@ def test_fused_information_is_sum_of_psd_contributions(scenario):
     total = np.zeros_like(fused.matrix)
     per = 40.0 - 10.0 * np.log10(3.0)
     for radar in radars:
-        local = radar_local_scenario(scenario, TARGET, HEADING, radar, per)
+        local = radar_local_scenario(scenario.with_e_over_n0_db(per), TARGET, HEADING,
+                                     radar)
         j_local = efim_exact(local).matrix
         chain = _chain_matrix(TARGET - radar.position, local.pose.d, j_local.shape[0])
         contrib = chain @ j_local @ chain.T
@@ -89,7 +111,8 @@ def test_known_contour_fusion_is_the_pose_block(scenario):
     pose_only = np.zeros((3, 3))
     per = 40.0 - 10.0 * np.log10(3.0)
     for radar in radars:
-        local = radar_local_scenario(scenario, TARGET, HEADING, radar, per)
+        local = radar_local_scenario(scenario.with_e_over_n0_db(per), TARGET, HEADING,
+                                     radar)
         chain = _chain_matrix(TARGET - radar.position, local.pose.d, 3)
         pose_only += chain @ efim_exact(local).matrix[:3, :3] @ chain.T
     npt.assert_allclose(known.matrix, unknown.matrix[:3, :3], rtol=1e-12, atol=0)
@@ -109,7 +132,8 @@ def test_fused_peb_matches_reference(bundle, count):
     per = 40.0 - 10.0 * np.log10(count)
     stacks, chains = [], []
     for radar in radars:
-        local = radar_local_scenario(scenario, target, heading, radar, per)
+        local = radar_local_scenario(scenario.with_e_over_n0_db(per), target, heading,
+                                     radar)
         stacks.append(state_order(field_stack(local, pose_field(local))))
         chains.append(_chain_matrix(target - radar.position, local.pose.d,
                                     stacks[-1].shape[0]))
@@ -126,6 +150,20 @@ def test_energy_budget_split(scenario):
     per = 40.0 - 10.0 * np.log10(4.0)
     each_at_per = fuse(scenario.with_e_over_n0_db(per), TARGET, HEADING, radars)
     npt.assert_allclose(fused.matrix, each_at_per.matrix, rtol=1e-12, atol=0)
+
+
+def test_budget_ignores_the_template_energy_mode(scenario, bundle):
+    """A budget overrides the template's energy, so a physical-gain template
+    fuses to the same bits as a fixed-mode one with the same noise PSD."""
+    physical = replace(scenario, energy=EnergySpec(gain=2.5, n0=1e-3))
+    fixed = replace(scenario, energy=EnergySpec(e_over_n0_db=17.0, n0=1e-3))
+    radars = uniform_constellation(TARGET, 3, 7.0, start_angle=0.9)
+    got, want = (fuse(template, TARGET, HEADING, radars, total_e_over_n0_db=40.0)
+                 for template in (physical, fixed))
+    npt.assert_array_equal(got.matrix, want.matrix)
+    got, want = (run_diversity(template, bundle.target_xy, bundle.heading).rows
+                 for template in (physical, fixed))
+    assert got == want
 
 
 def test_uniform_constellation_geometry():
