@@ -1,6 +1,6 @@
-"""Small linear-algebra helpers: SPD solves, and covariances from the QR of
-a square-root factor F of the information J = F F^T (never from J, whose
-condition number is that of F squared)."""
+"""Small linear-algebra helpers: SPD solves, the triangular factor R of
+an information J = R^T R from the QR of its rows, and covariances from R
+(never from J, whose condition number is that of R squared)."""
 
 import numpy as np
 import scipy.linalg
@@ -79,11 +79,9 @@ def check_rank(r: np.ndarray, labels=None) -> None:
     )
 
 
-def invert_info_matrix(factor: np.ndarray, labels=None) -> np.ndarray:
-    """Covariance J^-1 = R^-1 R^-T of the information J = factor @ factor.T,
-    with R from the QR of factor.T; IdentifiabilityError (check_rank) when J
-    is singular."""
-    r = triangular_factor(np.array(factor, order="C"))
+def invert_info_matrix(r: np.ndarray, labels=None) -> np.ndarray:
+    """Covariance J^-1 = R^-1 R^-T of the information J = R^T R, R upper
+    triangular; IdentifiabilityError (check_rank) when J is singular."""
     check_rank(r, labels)
     r_inv = dtrtri(r)[0]
     return r_inv @ r_inv.T

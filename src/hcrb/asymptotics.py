@@ -27,8 +27,10 @@ class TBlocks:
 
     t11 is the pose block [[L, A, -A], [A, Z+B, -B], [-A, -B, B]], t21 the
     shape/pose coupling [c q -q], t22 the shape block. T = rows @ rows.T
-    with rows the far-field stack (shape rows first, then d, phi, heading;
-    see fisher.field_stack), and r the triangular factor of its QR.
+    with rows the far-field stack in the state order (d, phi, heading, then
+    the shape; see fisher.field_stack). r is the triangular factor of the
+    QR of those rows with the shape rows first, so that its trailing 3x3
+    block is the pose block left after eliminating the shape.
     """
 
     t11: np.ndarray
@@ -58,7 +60,7 @@ def t_blocks(scenario: Scenario, field: PoseField | None = None) -> TBlocks:
     if field is None:
         field = pose_field(scenario)
     rows = field_stack(scenario, field, far_field=True)
-    r = triangular_factor(rows.copy())
+    r = triangular_factor(np.roll(rows, -3, axis=0))
     big_l, _, big_z = radar_constants(scenario)
     q = scenario.contour.q
     # T in the state order: R's columns run shape first
@@ -107,19 +109,6 @@ def hcrb_known_shape(blocks: TBlocks) -> CrbReport:
     return CrbReport(covariance=cov, labels=blocks.labels[:3])
 
 
-def heading_variance_split(blocks: TBlocks):
-    """Known-shape heading variance split into the point-bearing floor 1/Z
-    and the contour-induced excess; the excess term B^-1 is a tight upper
-    proxy whenever A^2 << L B."""
-    scale = 1.0 / (2.0 * blocks.e_over_n0)
-    det = blocks.big_l * blocks.b_coef - blocks.a_coef**2
-    return {
-        "bearing_floor": scale / blocks.big_z,
-        "excess_exact": scale * blocks.big_l / det,
-        "excess_proxy": scale / blocks.b_coef,
-    }
-
-
 def hcrb_unknown_shape(blocks: TBlocks) -> CrbReport:
     """Asymptotic pose bound with the contour coefficients jointly unknown.
 
@@ -147,11 +136,9 @@ def unknown_shape_projection(blocks: TBlocks) -> dict:
     """
     check_not_endfire(blocks.big_z)
     rows = blocks.rows
-    shape = rows.shape[0] - 3
-    grid = unit_weights(rows[0])
-    probe_f = grid.with_values(rows[shape])
-    probe_b = grid.with_values(-rows[shape + 2])
-    basis = grid.with_values(rows[:shape])
+    probe_f = unit_weights(rows[0])
+    probe_b = probe_f.with_values(-rows[2])
+    basis = probe_f.with_values(rows[3:])
     res_f = project_perp(probe_f, basis)
     res_b = project_perp(probe_b, basis)
     l_prime = star_norm_sq(res_f)

@@ -24,7 +24,7 @@ from .experiments import (
     run_range_sweep,
 )
 from .fisher import hcrb_exact, point_target_crb
-from .multiradar import fuse, report_peb
+from .multiradar import fuse, peb
 from .scenario_io import SCHEMA_VERSION, ScenarioBundle, dumps_normalized, load_file
 from .waveform import dump_frame, point_workspace, synthesis_workspace, synthesize_frame
 
@@ -187,7 +187,7 @@ def _cmd_bounds(args) -> int:
             info = info.pose_block()
         report = info.crb()
         heading = report.c_heading
-        bound = report_peb(report)
+        bound = peb(report)
         print(f"{len(bundle.radars)} radars, contour {label}")
         print(f"  position error bound : {bound:.6g} m")
         print(f"  heading variance     : {heading:.6g} rad^2")
@@ -213,11 +213,8 @@ def _cmd_bounds(args) -> int:
     print(f"  heading variance : {report.c_heading:.6g} rad^2")
     print(f"  point-target     : {point[0, 0]:.6g} m^2, {point[1, 1]:.6g} rad^2")
     sweep = f"bounds:{pose.d:.6g}"
-    table.add(sweep, f"c_range_{label}", method, report.c_range, "m^2")
-    table.add(sweep, f"c_bearing_{label}", method, report.c_bearing, "rad^2")
-    table.add(sweep, f"c_heading_{label}", method, report.c_heading, "rad^2")
-    table.add(sweep, "c_range_point", "point_target", point[0, 0], "m^2")
-    table.add(sweep, "c_bearing_point", "point_target", point[1, 1], "rad^2")
+    table.add_report(sweep, label, method, report)
+    table.add_point(sweep, point)
     _write(table, args.out)
     return 0
 

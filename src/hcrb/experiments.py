@@ -62,6 +62,18 @@ class ResultTable:
                       int(n_trials), int(seed))
         )
 
+    def add_report(self, sweep, name, method, report, seed=0):
+        """The c_range_, c_bearing_ and c_heading_ rows of one bound report;
+        name is the shape case (known or unknown)."""
+        self.add(sweep, f"c_range_{name}", method, report.c_range, "m^2", 0, seed)
+        self.add(sweep, f"c_bearing_{name}", method, report.c_bearing, "rad^2", 0, seed)
+        self.add(sweep, f"c_heading_{name}", method, report.c_heading, "rad^2", 0, seed)
+
+    def add_point(self, sweep, point, seed=0):
+        """The two rows of a point-target bound (fisher.point_target_crb)."""
+        self.add(sweep, "c_range_point", "point_target", point[0, 0], "m^2", 0, seed)
+        self.add(sweep, "c_bearing_point", "point_target", point[1, 1], "rad^2", 0, seed)
+
     def to_csv(self, target) -> None:
         """Write to a path or file object; float formatting is fixed so
         identical tables serialize identically."""
@@ -100,10 +112,11 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
 
     The pose's geometry and weights are evaluated once (pose_field) and
     shared by efim_exact and t_blocks; the field is returned so synthesis can
-    share it too. Both exact reports come from the QR factor of one field
-    stack: the known-contour bound from its pose rows, the unknown-contour
-    bound from all of them. Both asymptotic reports come from the QR of the
-    stack's far-field limit.
+    share it too. Both exact reports come from the R of one field stack's
+    QR: the known-contour bound from its leading 3x3 block, the
+    unknown-contour bound from all of it. Both asymptotic reports come from
+    the QR of the stack's far-field limit. Every report is computed before
+    any row is written, so a singular pose leaves no partial rows.
     """
     field = pose_field(scenario)
     info = efim_exact(scenario, field)
@@ -114,15 +127,11 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
     asym_unknown = hcrb_unknown_shape(blocks)
     point = point_target_crb(scenario)
 
-    units = {"range": "m^2", "bearing": "rad^2", "heading": "rad^2"}
     for method, known, unknown in (("exact", exact_known, exact),
                                    ("asymptotic", asym_known, asym_unknown)):
-        for name, report in (("known", known), ("unknown", unknown)):
-            for axis in ("range", "bearing", "heading"):
-                table.add(sweep, f"c_{axis}_{name}", method,
-                          getattr(report, f"c_{axis}"), units[axis], 0, seed)
-    table.add(sweep, "c_range_point", "point_target", point[0, 0], "m^2", 0, seed)
-    table.add(sweep, "c_bearing_point", "point_target", point[1, 1], "rad^2", 0, seed)
+        table.add_report(sweep, "known", method, known, seed)
+        table.add_report(sweep, "unknown", method, unknown, seed)
+    table.add_point(sweep, point, seed)
     return field
 
 
@@ -278,5 +287,5 @@ def run_diversity(template: Scenario, target_xy, heading: float,
                      total_e_over_n0_db=total_e_over_n0_db,
                      factors=[factors[key] for key in keys])
         for name, info in (("known", fused.pose_block()), ("unknown", fused)):
-            table.add(sweep, f"peb_{name}", "exact", peb(info), "m", 0, seed)
+            table.add(sweep, f"peb_{name}", "exact", peb(info.crb()), "m", 0, seed)
     return table

@@ -5,9 +5,9 @@ pose and the Fourier contour coefficients. After eliminating the unknown
 channel gain, the equivalent Fisher information is the Gram matrix of one
 stack of weighted derivative-field rows (mu, eta, xi) over the lit contour
 arc; the long-range information is the Gram of the same stack's far-field
-limit. FisherInfo keeps a square-root factor of the information and turns
-it into an exact bound by QR: crb() for the whole state (shape unknown),
-pose_block().crb() for the pose rows (shape known).
+limit. FisherInfo keeps R from the QR of that stack and turns it into an
+exact bound: crb() for the whole state (shape unknown), pose_block().crb()
+for the pose rows (shape known).
 """
 
 from dataclasses import dataclass, replace
@@ -128,17 +128,11 @@ def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTab
     return mu, eta, xi
 
 
-def _put(block: np.ndarray, rows: np.ndarray, weight: np.ndarray) -> None:
-    """block = rows * weight with the shape rows first, then the pose rows."""
-    np.multiply(rows[3:], weight, out=block[:-3])
-    np.multiply(rows[:3], weight, out=block[-3:])
-
-
 def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
     """Rows X, one per parameter, whose Gram X X^T is the information.
 
-    The shape rows come first, then d, phi, heading, so the trailing 3x3
-    block of the QR's R is the pose information with the shape eliminated.
+    The rows run in the state order, d, phi, heading, then the shape, so
+    R's leading 3x3 block is the pose information with the shape known.
     The columns are the lit nodes that field holds, in three blocks, each
     node scaled by the square root of its quadrature weight:
     X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
@@ -161,17 +155,18 @@ def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
     stack = np.empty((mu.shape[0], 2 * n + (n if eta is not None else 1)))
     root_q = np.sqrt(geo.arc * geo.du)
     w_hat = weights.w * root_q
-    _put(stack[:, :n], mu, scale * np.sqrt(big_l) * w_hat)
+    np.multiply(mu, scale * np.sqrt(big_l) * w_hat, out=stack[:, :n])
     xi_block = stack[:, n:2 * n]
-    _put(xi_block, xi, scale * (scenario.alpha + 1.0) * weights.v * root_q)
+    np.multiply(xi, scale * (scenario.alpha + 1.0) * weights.v * root_q, out=xi_block)
     # P_w: one rank-1 update against w, whose squared norm the pose field holds
     w_col = unit_weights(w_hat)
     xi_block -= np.outer(star_inner(w_col, w_col.with_values(xi_block)) / w_norm_sq, w_hat)
     if eta is None:
         stack[:, 2 * n] = 0.0
-        stack[-2, 2 * n] = np.sqrt(big_z)
+        stack[1, 2 * n] = np.sqrt(big_z)
     else:
-        _put(stack[:, 2 * n:], eta, scale * np.sqrt(big_m) * w_hat * np.cos(geo.phi))
+        np.multiply(eta, scale * np.sqrt(big_m) * w_hat * np.cos(geo.phi),
+                    out=stack[:, 2 * n:])
     return stack
 
 
@@ -205,26 +200,28 @@ def check_not_endfire(big_z: float) -> None:
 
 @dataclass(frozen=True)
 class FisherInfo:
-    """Equivalent Fisher information J = factor @ factor.T over the labelled
+    """Equivalent Fisher information J = r.T @ r over the labelled
     parameters, pose first (three pose components, then the contour
-    coefficients). Bounds come from the factor's QR, never from J."""
+    coefficients). r is upper triangular, its columns in label order; bounds
+    come from r, never from J."""
 
-    factor: np.ndarray
+    r: np.ndarray
     labels: tuple
 
     @property
     def matrix(self) -> np.ndarray:
         """J itself, for inspection; no bound is computed from it."""
-        return self.factor @ self.factor.T
+        return self.r.T @ self.r
 
     def pose_block(self) -> "FisherInfo":
-        """The information with the contour known: the pose rows."""
-        return FisherInfo(factor=self.factor[:3], labels=self.labels[:3])
+        """The information with the contour known: r's leading 3x3 block,
+        exact because r[3:, :3] = 0 gives J_pp = r[:3, :3]^T r[:3, :3]."""
+        return FisherInfo(r=self.r[:3, :3], labels=self.labels[:3])
 
     def crb(self) -> "CrbReport":
         """The bound, the inverse of the information; IdentifiabilityError
         when it is singular."""
-        return CrbReport(covariance=invert_info_matrix(self.factor, self.labels),
+        return CrbReport(covariance=invert_info_matrix(self.r, self.labels),
                          labels=self.labels)
 
 
@@ -233,16 +230,14 @@ def efim_exact(scenario: Scenario, field: PoseField | None = None) -> FisherInfo
 
     J = (2 E/N0 / ||w||^2) [ L <w mu, w mu> + M <w cos(phi) eta, w cos(phi) eta>
         + (alpha+1)^2 <P_w(v xi), P_w(v xi)> ]
-    is the Gram of field_stack's rows; the factor kept is R^T from their QR.
+    is the Gram of field_stack's rows; r is R from their QR.
     field is pose_field(scenario), built here when not given; t_blocks can
     share it. One factor serves both bounds: the known-contour bound is
     efim_exact(...).pose_block().crb().
     """
     if field is None:
         field = pose_field(scenario)
-    r = triangular_factor(field_stack(scenario, field))
-    # R's columns run shape first; the factor's rows run pose first
-    return FisherInfo(factor=np.roll(r.T, 3, axis=0),
+    return FisherInfo(r=triangular_factor(field_stack(scenario, field)),
                       labels=tuple(gamma_labels(scenario.contour.q)))
 
 

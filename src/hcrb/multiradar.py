@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._linalg import triangular_factor
 from .contour import TargetPose, wrap_angle
 from .errors import ScenarioError
 from .fisher import CrbReport, FisherInfo, efim_exact, gamma_labels
@@ -71,12 +72,13 @@ def _chain_matrix(delta: np.ndarray, dist: float, size: int) -> np.ndarray:
 
 def radar_factor(template: Scenario, target_xy, heading: float,
                  radar: RadarPose) -> np.ndarray:
-    """One radar's information factor, at the template's energy, mapped onto
-    [p_x, p_y, heading, a_q, b_q] by its chain matrix."""
+    """One radar's information rows F = chain R^T, at the template's energy:
+    its J = R^T R mapped onto [p_x, p_y, heading, a_q, b_q] by its chain
+    matrix is F F^T."""
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
     local = radar_local_scenario(template, target_xy, heading, radar)
-    f_local = efim_exact(local).factor
-    return _chain_matrix(target_xy - radar.position, local.pose.d, f_local.shape[0]) @ f_local
+    r = efim_exact(local).r
+    return _chain_matrix(target_xy - radar.position, local.pose.d, r.shape[0]) @ r.T
 
 
 def fuse(
@@ -89,17 +91,17 @@ def fuse(
 ) -> FisherInfo:
     """Accumulate per-radar information onto [p_x, p_y, heading, a_q, b_q].
 
-    The fused factor sets the per-radar factors (radar_factor) side by side,
-    so J is the sum of chain J_r chain^T over the radars. Without a budget
-    each radar keeps the template's energy. With total_e_over_n0_db the
+    The per-radar rows (radar_factor) are set side by side and factored by
+    one QR, so J is the sum of chain J_r chain^T over the radars. Without a
+    budget each radar keeps the template's energy. With total_e_over_n0_db the
     budget is split evenly, so adding radars trades per-radar SNR for
-    geometric diversity: each factor is built at unit_energy(template) and
-    the fused factor is scaled by the square root of the linear share.
-    factors, when given, holds those per-radar factors in radar order:
+    geometric diversity: each radar's rows are built at unit_energy(template)
+    and scaled by the square root of the linear share before the QR.
+    factors, when given, holds those per-radar rows in radar order:
     run_diversity builds each radar its rings share once and passes it to
     every ring that holds it. The known-contour information is the pose
-    block of the result (FisherInfo.pose_block), exact because every chain
-    matrix is the identity outside its 2x2 corner.
+    block of the result (FisherInfo.pose_block): every chain matrix is the
+    identity outside its 2x2 corner, so it fuses the radars' pose blocks.
     """
     radars = list(radars)
     if not radars:
@@ -119,15 +121,10 @@ def fuse(
     labels = ("px", "py", "heading") + tuple(gamma_labels(template.contour.q)[3:])
     fused = np.hstack(factors)
     fused *= scale
-    return FisherInfo(factor=fused, labels=labels)
+    return FisherInfo(r=triangular_factor(fused), labels=labels)
 
 
-def peb(info: FisherInfo) -> float:
-    """Position error bound sqrt(C_xx + C_yy) from the fused information."""
-    return report_peb(info.crb())
-
-
-def report_peb(report: CrbReport) -> float:
+def peb(report: CrbReport) -> float:
     """Position error bound sqrt(C_xx + C_yy) of a fused bound."""
     cov = report.covariance
     return float(np.sqrt(cov[0, 0] + cov[1, 1]))

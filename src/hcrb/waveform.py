@@ -111,10 +111,6 @@ class SignalFrame:
     truth: dict
 
     @property
-    def n_antennas(self) -> int:
-        return self.samples.shape[0]
-
-    @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
 

@@ -119,7 +119,3 @@ def mp_inverse_gram(stacks, chains=None, dps: int = 40):
             total = gram if total is None else total + gram
         return mpmath.inverse(total)
 
-
-def state_order(stack: np.ndarray) -> np.ndarray:
-    """fisher.field_stack's rows (shape first) in the state order, pose first."""
-    return np.roll(stack, 3, axis=0)

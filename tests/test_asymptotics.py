@@ -6,10 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import SCENARIO_FILE, mp_inverse_gram, state_order
+from conftest import SCENARIO_FILE, mp_inverse_gram
 
 from hcrb.asymptotics import (
-    heading_variance_split,
     hcrb_known_shape,
     hcrb_unknown_shape,
     t_blocks,
@@ -67,7 +66,7 @@ def test_unknown_shape_matches_reference(scenario, pose):
     if pose is not None:
         scenario = scenario.with_pose(pose)
     field = pose_field(scenario)
-    stack = state_order(field_stack(scenario, field, far_field=True))
+    stack = field_stack(scenario, field, far_field=True)
     reference = mp_inverse_gram([stack])
     rep = hcrb_unknown_shape(t_blocks(scenario, field))
     scale = 2.0 * scenario.e_over_n0(field.w_norm_sq)
@@ -107,16 +106,20 @@ def test_radar_facing_pose_has_no_unknown_shape_bound():
 
 
 def test_heading_split(scenario, blocks):
-    split = heading_variance_split(blocks)
+    # the known-shape heading variance is the point-bearing floor 1/Z plus
+    # the contour-induced excess L / (L B - A^2); B^-1 is its upper proxy
+    scale = 1.0 / (2.0 * blocks.e_over_n0)
+    bearing_floor = scale / blocks.big_z
+    excess_exact = scale * blocks.big_l / (blocks.big_l * blocks.b_coef
+                                           - blocks.a_coef**2)
+    excess_proxy = scale / blocks.b_coef
     rep = hcrb_known_shape(blocks)
-    assert split["bearing_floor"] + split["excess_exact"] == pytest.approx(
-        rep.c_heading, rel=1e-12
-    )
+    assert bearing_floor + excess_exact == pytest.approx(rep.c_heading, rel=1e-12)
     # the floor is exactly the point-target direction bound
     crb = point_target_crb(scenario)
-    assert split["bearing_floor"] == pytest.approx(crb[1, 1], rel=1e-12)
-    assert split["excess_exact"] > 0.0
-    assert split["excess_proxy"] > 0.0
+    assert bearing_floor == pytest.approx(crb[1, 1], rel=1e-12)
+    assert excess_exact > 0.0
+    assert excess_proxy > 0.0
 
 
 def test_orientation_bound_dominates_direction(scenario, blocks):

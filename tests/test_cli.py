@@ -10,6 +10,7 @@ from conftest import SCENARIO_FILE
 import hcrb.experiments
 from hcrb import __version__
 from hcrb.cli import entry
+from hcrb.experiments import ResultTable, _bound_rows
 from hcrb.multiradar import fuse, peb
 from hcrb.scenario_io import SCHEMA_VERSION, dumps_normalized, load_file, normalize
 
@@ -24,19 +25,30 @@ def test_version_exits_zero(capsys):
     assert out == f"hcrb {__version__} (scenario schema {SCHEMA_VERSION})\n"
 
 
-def test_bounds_report_and_csv(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["exact", "asymptotic"])
+@pytest.mark.parametrize("label", ["known", "unknown"])
+def test_bounds_report_and_csv(tmp_path, capsys, bundle, method, label):
     out = tmp_path / "bounds.csv"
-    assert entry(["bounds", "--scenario", SCENARIO, "--out", str(out)]) == 0
+    assert entry(["bounds", "--scenario", SCENARIO, f"--{method}", f"--{label}",
+                  "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert "contour unknown, exact" in stdout
+    assert f"contour {label}, {method}" in stdout
     lines = out.read_text().splitlines()
     assert lines[0] == "sweep,quantity,method,value,units,n_trials,seed"
     quantities = [line.split(",")[1] for line in lines[1:]]
-    assert quantities == ["c_range_unknown", "c_bearing_unknown",
-                          "c_heading_unknown", "c_range_point",
+    assert quantities == [f"c_range_{label}", f"c_bearing_{label}",
+                          f"c_heading_{label}", "c_range_point",
                           "c_bearing_point"]
     values = [float(line.split(",")[3]) for line in lines[1:]]
     assert all(np.isfinite(values)) and all(v > 0 for v in values)
+    # the same rows, bit for bit, as the sweep writes for this pose
+    sweep = ResultTable()
+    _bound_rows(sweep, "pose", bundle.scenario, 0)
+    expected = [[r.quantity, r.method, f"{r.value:.17g}", r.units, "0", "0"]
+                for r in sweep.rows
+                if (r.method, r.quantity.rsplit("_", 1)[1]) in
+                ((method, label), ("point_target", "point"))]
+    assert [line.split(",")[1:] for line in lines[1:]] == expected
 
 
 def test_bounds_known_asymptotic(capsys):
@@ -203,7 +215,7 @@ def test_multi_radar_bounds(tmp_path, capsys):
     assert pebs["known"] <= pebs["unknown"]
     bundle = load_file(path)
     fused = fuse(bundle.scenario, bundle.target_xy, bundle.heading, bundle.radars)
-    assert pebs["known"] == peb(fused.pose_block())
+    assert pebs["known"] == peb(fused.pose_block().crb())
 
 
 @pytest.mark.parametrize("shape", ["--known", "--unknown"])

@@ -13,6 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hcrb._linalg
 import hcrb.contour
 import hcrb.multiradar
 from hcrb._pool import THREADS_ENV, map_items, worker_count
@@ -236,8 +237,22 @@ def test_mc_evaluates_each_pose_geometry_once(scenario, monkeypatch):
     assert calls[0] != calls[1]
 
 
+def _count_qrs(monkeypatch) -> list:
+    """Record every Householder QR: each goes through _linalg's dgeqrt."""
+    qrs = []
+    original = hcrb._linalg.dgeqrt
+
+    def counted(*args, **kwargs):
+        qrs.append(args[1].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hcrb._linalg, "dgeqrt", counted)
+    return qrs
+
+
 def test_sweep_gathers_each_lit_arc_once(scenario, monkeypatch):
-    # the exact and the far-field stack read one lit table per pose
+    # the exact and the far-field stack read one lit table per pose, and
+    # each stack is factored once: all four bounds read those two QRs
     gathers = []
     original = hcrb.contour.GeometryTable.at
 
@@ -246,8 +261,10 @@ def test_sweep_gathers_each_lit_arc_once(scenario, monkeypatch):
         return original(self, index)
 
     monkeypatch.setattr(hcrb.contour.GeometryTable, "at", counted)
+    qrs = _count_qrs(monkeypatch)
     table = run_range_sweep(scenario, n_points=3)
     assert len(gathers) == 3
+    assert len(qrs) == 3 * 2
     assert len(table.rows) == 3 * 14
 
 
@@ -300,9 +317,12 @@ def test_diversity_builds_each_shared_radar_once(scenario, bundle, monkeypatch,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(hcrb.multiradar, "efim_exact", counted)
+    qrs = _count_qrs(monkeypatch)
     target, heading = bundle.target_xy, bundle.heading
     table = run_diversity(scenario, target, heading, radius=radius)
     assert len(calls) == 12
+    # one QR per distinct radar, one per fused ring: both PEBs read its R
+    assert len(qrs) == 12 + 6
     monkeypatch.undo()
     for count in range(1, 7):
         radars = uniform_constellation(target, count, radius,
@@ -310,8 +330,9 @@ def test_diversity_builds_each_shared_radar_once(scenario, bundle, monkeypatch,
         alone = fuse(scenario, target, heading, radars, total_e_over_n0_db=40.0)
         got = {r.quantity: r.value for r in table.rows
                if r.sweep == f"diversity:{count}"}
-        assert got["peb_known"] == pytest.approx(peb(alone.pose_block()), rel=1e-12)
-        assert got["peb_unknown"] == pytest.approx(peb(alone), rel=1e-12)
+        assert got["peb_known"] == pytest.approx(peb(alone.pose_block().crb()),
+                                                 rel=1e-12)
+        assert got["peb_unknown"] == pytest.approx(peb(alone.crb()), rel=1e-12)
 
 
 def test_result_table_serialization(tmp_path):

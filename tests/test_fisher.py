@@ -7,12 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from conftest import (
-    finite_difference_gradients,
-    mp_inverse_gram,
-    random_scenario,
-    state_order,
-)
+from conftest import finite_difference_gradients, mp_inverse_gram, random_scenario
 
 from hcrb.asymptotics import (
     hcrb_known_shape,
@@ -137,7 +132,7 @@ def test_exact_bounds_frozen(scenario):
 def _assert_matches_reference(scenario):
     """Both exact bounds against a 40-digit inverse of the information that
     the float64 field stack defines."""
-    stack = state_order(field_stack(scenario, pose_field(scenario)))
+    stack = field_stack(scenario, pose_field(scenario))
     res = efim_exact(scenario)
     for report, rows in ((res.crb(), stack), (res.pose_block().crb(), stack[:3])):
         reference = mp_inverse_gram([rows])

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import SCENARIO_FILE, mp_inverse_gram, state_order
+from conftest import SCENARIO_FILE, mp_inverse_gram
 
 from hcrb.contour import pose_field, wrap_angle
 from hcrb.errors import IdentifiabilityError, ScenarioError
@@ -118,7 +118,7 @@ def test_known_contour_fusion_is_the_pose_block(scenario):
     npt.assert_allclose(known.matrix, unknown.matrix[:3, :3], rtol=1e-12, atol=0)
     npt.assert_allclose(known.matrix, pose_only, rtol=1e-12, atol=0)
     assert known.labels == unknown.labels[:3] == ("px", "py", "heading")
-    assert peb(known) <= peb(unknown)
+    assert peb(known.crb()) <= peb(unknown.crb())
 
 
 @pytest.mark.parametrize("count", [3, 1], ids=["three_radars", "diversity_1"])
@@ -134,14 +134,14 @@ def test_fused_peb_matches_reference(bundle, count):
     for radar in radars:
         local = radar_local_scenario(scenario.with_e_over_n0_db(per), target, heading,
                                      radar)
-        stacks.append(state_order(field_stack(local, pose_field(local))))
+        stacks.append(field_stack(local, pose_field(local)))
         chains.append(_chain_matrix(target - radar.position, local.pose.d,
                                     stacks[-1].shape[0]))
     for info, rows, size in ((fused, stacks, None), (fused.pose_block(),
                                                      [x[:3] for x in stacks], 3)):
         reference = mp_inverse_gram(rows, [c[:size, :size] for c in chains])
         expected = float((reference[0, 0] + reference[1, 1]) ** 0.5)
-        assert peb(info) == pytest.approx(expected, rel=1e-12)
+        assert peb(info.crb()) == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_budget_split(scenario):
@@ -185,12 +185,12 @@ def test_uniform_constellation_geometry():
 def test_peb_invariant_under_rigid_motion(scenario):
     radars = uniform_constellation(TARGET, 3, 7.0, start_angle=0.4)
     base = peb(fuse(scenario, TARGET, HEADING, radars,
-                    total_e_over_n0_db=40.0))
+                    total_e_over_n0_db=40.0).crb())
 
     shift = np.array([-12.0, 4.5])
     moved = [RadarPose(r.position + shift, r.kappa, r.array_n) for r in radars]
     shifted = peb(fuse(scenario, TARGET + shift, HEADING, moved,
-                       total_e_over_n0_db=40.0))
+                       total_e_over_n0_db=40.0).crb())
     assert shifted == pytest.approx(base, rel=1e-9)
 
     delta = 0.61
@@ -199,15 +199,15 @@ def test_peb_invariant_under_rigid_motion(scenario):
     spun = [RadarPose(rot @ r.position, wrap_angle(r.kappa + delta), r.array_n)
             for r in radars]
     rotated = peb(fuse(scenario, rot @ TARGET, wrap_angle(HEADING + delta), spun,
-                       total_e_over_n0_db=40.0))
+                       total_e_over_n0_db=40.0).crb())
     assert rotated == pytest.approx(base, rel=1e-9)
 
 
 def test_second_radar_never_hurts(scenario):
     one = uniform_constellation(TARGET, 1, 7.0, start_angle=0.9)
     two = uniform_constellation(TARGET, 2, 7.0, start_angle=0.9)
-    peb1 = peb(fuse(scenario, TARGET, HEADING, one, total_e_over_n0_db=40.0))
-    peb2 = peb(fuse(scenario, TARGET, HEADING, two, total_e_over_n0_db=40.0))
+    peb1 = peb(fuse(scenario, TARGET, HEADING, one, total_e_over_n0_db=40.0).crb())
+    peb2 = peb(fuse(scenario, TARGET, HEADING, two, total_e_over_n0_db=40.0).crb())
     assert peb2 <= peb1
 
 

@@ -125,7 +125,7 @@ def test_synthesis_is_seed_deterministic():
     assert np.array_equal(a.samples, b.samples)
     c = synthesize_frame(ws, 8)
     assert not np.array_equal(a.samples, c.samples)
-    assert a.n_antennas == 30
+    assert a.samples.shape[0] == 30
     assert a.sample_rate == sc.waveform.sample_rate
     assert a.time_offset == pytest.approx(-sc.waveform.duration / 2.0)
 
@@ -268,7 +268,7 @@ def test_dump_frame_roundtrip(tmp_path):
     assert sidecar_path == tmp_path / "frame.c64.json"
     sidecar = json.loads(sidecar_path.read_text())
     assert sidecar["dtype"] == "complex64-interleaved-le"
-    assert sidecar["shape"] == [frame.n_antennas, frame.n_samples]
+    assert sidecar["shape"] == [frame.samples.shape[0], frame.n_samples]
     assert sidecar["seed"] == 11
     assert sidecar["truth"]["kind"] == "extended"
     raw = np.fromfile(raw_path, dtype="<f4").reshape(-1, 2)
