@@ -156,23 +156,7 @@ def _parse_ranges(text: str):
     return ranges
 
 
-def _maybe_print_normalized(args, bundle: ScenarioBundle) -> bool:
-    if getattr(args, "print_normalized", False):
-        sys.stdout.write(dumps_normalized(bundle.document))
-        return True
-    return False
-
-
-def _write(table: ResultTable, out):
-    if out:
-        table.to_csv(out)
-        print(f"wrote {len(table.rows)} rows to {out}")
-
-
-def _cmd_bounds(args) -> int:
-    bundle = load_file(args.scenario)
-    if _maybe_print_normalized(args, bundle):
-        return 0
+def _cmd_bounds(args, bundle: ScenarioBundle) -> ResultTable:
     scenario = bundle.scenario
     table = ResultTable()
     label = "known" if args.known else "unknown"
@@ -194,8 +178,7 @@ def _cmd_bounds(args) -> int:
         sweep = f"bounds:{len(bundle.radars)}radars"
         table.add(sweep, f"peb_{label}", "exact", bound, "m")
         table.add(sweep, f"c_heading_{label}", "exact", heading, "rad^2")
-        _write(table, args.out)
-        return 0
+        return table
 
     method = "exact" if args.exact else "asymptotic"
     if args.exact:
@@ -215,14 +198,10 @@ def _cmd_bounds(args) -> int:
     sweep = f"bounds:{pose.d:.6g}"
     table.add_report(sweep, label, method, report)
     table.add_point(sweep, point)
-    _write(table, args.out)
-    return 0
+    return table
 
 
-def _cmd_simulate(args) -> int:
-    bundle = load_file(args.scenario)
-    if _maybe_print_normalized(args, bundle):
-        return 0
+def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
     scenario = bundle.scenario
     if args.point:
         workspace = point_workspace(scenario)
@@ -255,45 +234,23 @@ def _cmd_simulate(args) -> int:
     print(f"{kind} target truth: d = {pose.d:.4f} m, phi = {pose.phi:.6f} rad")
     print(f"mean estimate   : d = {np.mean(d_hats):.4f} m, "
           f"phi = {np.mean(phi_hats):.6f} rad over {args.trials} trials")
-    _write(table, args.out)
-    return 0
+    return table
 
 
-def _cmd_sweep(args) -> int:
-    bundle = load_file(args.scenario)
-    if _maybe_print_normalized(args, bundle):
-        return 0
-    table = run_range_sweep(bundle.scenario, n_points=args.points,
-                            seed=args.seed, skip_singular=True)
-    _write(table, args.out)
-    if table.failures:
-        for line in table.failures:
-            print(f"skipped {line}", file=sys.stderr)
-        return 2
-    return 0
+def _cmd_sweep(args, bundle: ScenarioBundle) -> ResultTable:
+    return run_range_sweep(bundle.scenario, n_points=args.points,
+                           seed=args.seed, skip_singular=True)
 
 
-def _cmd_mc(args) -> int:
-    bundle = load_file(args.scenario)
-    if _maybe_print_normalized(args, bundle):
-        return 0
-    table = run_mc(bundle.scenario, ranges=args.ranges,
-                   trials=args.trials, seed=args.seed,
-                   segmentation=bundle.segmentation)
-    _write(table, args.out)
-    return 0
+def _cmd_mc(args, bundle: ScenarioBundle) -> ResultTable:
+    return run_mc(bundle.scenario, ranges=args.ranges, trials=args.trials,
+                  seed=args.seed, segmentation=bundle.segmentation)
 
 
-def _cmd_diversity(args) -> int:
-    bundle = load_file(args.scenario)
-    if _maybe_print_normalized(args, bundle):
-        return 0
-    table = run_diversity(bundle.scenario, bundle.target_xy, bundle.heading,
-                          counts=args.counts,
-                          radius=args.radius,
-                          total_e_over_n0_db=args.total_db, seed=args.seed)
-    _write(table, args.out)
-    return 0
+def _cmd_diversity(args, bundle: ScenarioBundle) -> ResultTable:
+    return run_diversity(bundle.scenario, bundle.target_xy, bundle.heading,
+                         counts=args.counts, radius=args.radius,
+                         total_e_over_n0_db=args.total_db, seed=args.seed)
 
 
 _COMMANDS = {
@@ -306,9 +263,21 @@ _COMMANDS = {
 
 
 def entry(argv=None) -> int:
+    """Run one command: load its scenario, echo it or compute the command's
+    table, write --out, and report skipped sweep points (exit 2)."""
     try:
         args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        bundle = load_file(args.scenario)
+        if args.print_normalized:
+            sys.stdout.write(dumps_normalized(bundle.document))
+            return 0
+        table = _COMMANDS[args.command](args, bundle)
+        if args.out:
+            table.to_csv(args.out)
+            print(f"wrote {len(table.rows)} rows to {args.out}")
+        for line in table.failures:
+            print(f"skipped {line}", file=sys.stderr)
+        return 2 if table.failures else 0
     except IdentifiabilityError as err:
         print(f"error: {err}", file=sys.stderr)
         if getattr(err, "labels", None):

@@ -3,7 +3,7 @@
 The target perimeter is the truncated Fourier curve
 rho(u) = (sum_q a_q cos(qu), sum_q b_q sin(qu)), u in [0, 2pi), placed in the
 global frame as r(u) = p + R(heading) rho(u) with p the target center seen
-from the radar at the origin. All reflection geometry (d, phi, beta, psi) and
+from the radar at the origin. All reflection geometry (d, phi, beta) and
 the roughness-weighted illumination profiles (w, v) derive from r and rdot.
 """
 
@@ -109,7 +109,6 @@ class GeometryTable:
     d: np.ndarray          # (K,)
     phi: np.ndarray        # (K,)
     beta: np.ndarray       # (K,)
-    psi: np.ndarray        # (K,)
     arc: np.ndarray        # (K,) ||r_dot||
     basis: tuple           # fourier_basis at u: four (Q, K) arrays
 
@@ -175,12 +174,11 @@ def geometry_at(params: ContourParams, pose: TargetPose, u: np.ndarray,
     d = np.hypot(r[0], r[1])
     phi = np.arctan2(r[1], r[0])
     beta = np.arctan2(r_dot[1], r_dot[0])
-    psi = np.mod(3.0 * np.pi / 2.0 + phi - beta, TWO_PI)
     arc = np.hypot(r_dot[0], r_dot[1])
     if du is None:
         du = np.array(0.0)
     return GeometryTable(u=u, du=np.asarray(du, dtype=float), rho=rho, rho_dot=rho_dot,
-                         r=r, r_dot=r_dot, d=d, phi=phi, beta=beta, psi=psi, arc=arc,
+                         r=r, r_dot=r_dot, d=d, phi=phi, beta=beta, arc=arc,
                          basis=basis)
 
 

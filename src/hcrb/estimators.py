@@ -48,7 +48,6 @@ class DirectionEstimate:
 @dataclass(frozen=True)
 class RangeEstimate:
     d: float
-    beat_cycles: float  # signed beat frequency in cycles/sample
     peak_to_median: float
     confident: bool
 
@@ -182,8 +181,7 @@ def estimate_range(
     ratio = float(mag[peak] / np.median(mag))
     confident = ratio >= BEAT_MARGIN * np.log2(nfft)
     if peak == 0:
-        return RangeEstimate(d=0.0, beat_cycles=0.0, peak_to_median=ratio,
-                             confident=confident)
+        return RangeEstimate(d=0.0, peak_to_median=ratio, confident=confident)
 
     # quadratic interpolation, then polish the continuous spectrum
     left, right = mag[(peak - 1) % nfft], mag[(peak + 1) % nfft]
@@ -203,7 +201,6 @@ def estimate_range(
     tau = abs(cycles) * frame.sample_rate / sweep_rate
     return RangeEstimate(
         d=float(tau * SPEED_OF_LIGHT / 2.0),
-        beat_cycles=cycles,
         peak_to_median=ratio,
         confident=confident,
     )

@@ -138,7 +138,7 @@ def normalize(doc: dict) -> dict:
         channel_norm["E_over_N0_dB"] = _number("channel", channel, "E_over_N0_dB")
     else:
         channel_norm["gain"] = _number("channel", channel, "gain")
-    channel_norm["N0"] = _number("channel", channel, "N0", 1.0)
+    channel_norm["N0"] = _number("channel", channel, "N0", EnergySpec.n0)
 
     waveform = doc["waveform"]
     _check_keys("waveform", waveform, {"B", "T", "fs", "fc"}, {"B", "T"})
@@ -156,13 +156,14 @@ def normalize(doc: dict) -> dict:
     if quad.get("split_at_shadow", False) is not False:
         raise ScenarioError("quadrature.split_at_shadow was removed in schema 2; "
                             "the uniform periodic trapezoid is the only rule")
-    quad_norm = {"nodes": quad.get("nodes", 4096)}
+    quad_norm = {"nodes": quad.get("nodes", QuadratureSpec.nodes)}
     if not isinstance(quad_norm["nodes"], int):
         raise ScenarioError("quadrature.nodes must be an integer")
 
     seg = doc.get("segmentation", {})
     _check_keys("segmentation", seg, {"lR"}, set())
-    seg_norm = {"lR": _number("segmentation", seg, "lR", 0.2)}
+    seg_norm = {"lR": _number("segmentation", seg, "lR",
+                              SegmentationConfig.segment_length)}
 
     return {
         "contour": {"Q": q, "m": list(m), "n": list(n)},

@@ -53,9 +53,10 @@ def effective_bandwidth(wf: WaveformSpec) -> float:
     """RMS bandwidth of the sampled chirp, in Hz.
 
     Computed from the discrete spectrum on a 4x zero-padded FFT grid.  The
-    spectrum is re-centered on its own center of mass first; a chirp built
-    by :func:`chirp` is already centered, so the shift is ~0, but any
-    asymmetric waveform would otherwise inflate the second moment.
+    spectrum is re-centered on its own center of mass first, or any offset
+    would inflate the second moment.  A chirp built by :func:`chirp` sits on
+    the half-open grid t_n = n/fs - T/2, so its center of mass is -B/(2N)
+    for N samples, not 0.
     """
     s = chirp(wf)
     fs = wf.sample_rate
@@ -65,11 +66,6 @@ def effective_bandwidth(wf: WaveformSpec) -> float:
     psd /= psd.sum()
     freq = np.fft.fftfreq(nfft, d=1.0 / fs)
     mean = float(np.sum(psd * freq))
-    if abs(mean) > 1e-3 * wf.bandwidth:
-        warnings.warn(
-            f"spectrum center of mass at {mean:.3e} Hz, re-centering",
-            stacklevel=2,
-        )
     return float(np.sqrt(np.sum(psd * (freq - mean) ** 2)))
 
 

@@ -57,12 +57,19 @@ def test_bounds_known_asymptotic(capsys):
     assert "contour known, asymptotic" in capsys.readouterr().out
 
 
-def test_print_normalized_round_trips(capsys):
-    assert entry(["bounds", "--scenario", SCENARIO,
-                  "--print-normalized"]) == 0
+@pytest.mark.parametrize("command",
+                         ["bounds", "simulate", "sweep", "mc", "diversity"])
+def test_print_normalized_round_trips(tmp_path, capsys, command):
+    """Every command echoes the scenario and stops: no report, no CSV."""
+    out = tmp_path / "out.csv"
+    required = ["--out", str(out)] if command in ("sweep", "mc", "diversity") \
+        else []
+    assert entry([command, "--scenario", SCENARIO, "--print-normalized",
+                  *required]) == 0
     printed = capsys.readouterr().out
     expected = normalize(json.loads(SCENARIO_FILE.read_text()))
     assert printed == dumps_normalized(expected)
+    assert not out.exists()
 
 
 def test_schema_errors_exit_one(tmp_path, capsys):
@@ -243,6 +250,25 @@ def test_sweep_row_count(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 3 * 14
     assert len({line.split(",")[0] for line in lines[1:]}) == 3
+
+
+def test_sweep_skipping_every_point_exits_two(tmp_path, capsys):
+    """With the bow facing the radar along the whole ray every sweep point is
+    singular: each is named on stderr, the CSV keeps only its header, exit 2."""
+    doc = json.loads(SCENARIO_FILE.read_text())
+    doc["target"]["heading"] = 206.565
+    path = tmp_path / "facing.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    assert entry(["sweep", "--scenario", str(path), "--points", "3",
+                  "--out", str(out)]) == 2
+    assert out.read_text().splitlines() == [
+        "sweep,quantity,method,value,units,n_trials,seed"]
+    captured = capsys.readouterr()
+    assert f"wrote 0 rows to {out}" in captured.out
+    skipped = captured.err.splitlines()
+    assert len(skipped) == 3
+    assert all(line.startswith("skipped range:") for line in skipped)
 
 
 def test_simulate_deterministic_with_frame_dump(tmp_path, capsys):

@@ -56,13 +56,6 @@ def test_circle_hand_values():
     assert g.u[np.argmin(g.d)] == pytest.approx(np.pi)
 
 
-def test_psi_identity_everywhere(scenario):
-    table = geometry_table(scenario.contour, scenario.pose)
-    lhs = np.exp(1j * table.psi)
-    rhs = np.exp(1j * (1.5 * np.pi + table.phi - table.beta))
-    npt.assert_allclose(lhs, rhs, atol=1e-12)
-
-
 def test_global_frame_is_pose_plus_rotated_local(scenario):
     u = np.linspace(0.0, 2.0 * np.pi, 17)
     g = geometry_at(scenario.contour, scenario.pose, u)
@@ -85,7 +78,6 @@ def test_rotation_consistency(scenario):
     )
     g2 = geometry_at(scenario.contour, pose2, u, du)
     npt.assert_allclose(g2.d, g1.d, rtol=1e-12)
-    npt.assert_allclose(np.exp(1j * g2.psi), np.exp(1j * g1.psi), atol=1e-10)
     npt.assert_allclose(g2.r, rotation(delta) @ g1.r, atol=1e-10)
     w1 = reflection_weights(g1, 5.0)
     w2 = reflection_weights(g2, 5.0)
@@ -199,7 +191,7 @@ def test_geometry_table_shares_one_read_only_basis(scenario):
     assert all(a is b for a, b in zip(table.basis, other.basis))
     assert not any(array.flags.writeable for array in table.basis)
     fresh = geometry_at(scenario.contour, scenario.pose, table.u, table.du)
-    for name in ("rho", "rho_dot", "r", "r_dot", "d", "phi", "beta", "psi", "arc"):
+    for name in ("rho", "rho_dot", "r", "r_dot", "d", "phi", "beta", "arc"):
         assert np.array_equal(getattr(table, name), getattr(fresh, name)), name
     for cached, computed in zip(table.basis, fresh.basis):
         assert np.array_equal(cached, computed)
