@@ -3,13 +3,7 @@ targets with Fourier-series contours."""
 
 __version__ = "0.1.0"
 
-from .asymptotics import (
-    TBlocks,
-    hcrb_known_shape,
-    hcrb_unknown_shape,
-    t_blocks,
-    unknown_shape_projection,
-)
+from .asymptotics import t_blocks
 from .contour import (
     ContourParams,
     QuadratureSpec,

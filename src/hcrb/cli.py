@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import hcrb_known_shape, hcrb_unknown_shape, t_blocks
+from .asymptotics import t_blocks
 from .errors import HcrbError, IdentifiabilityError, ScenarioError
 from .estimators import estimate
 from .experiments import (
@@ -23,7 +23,7 @@ from .experiments import (
     run_mc,
     run_range_sweep,
 )
-from .fisher import hcrb_exact, point_target_crb
+from .fisher import efim_exact, point_target_crb
 from .multiradar import fuse, peb
 from .scenario_io import SCHEMA_VERSION, ScenarioBundle, dumps_normalized, load_file
 from .waveform import dump_frame, point_workspace, synthesis_workspace, synthesize_frame
@@ -88,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
     method.add_argument("--exact", dest="exact", action="store_true",
                         help="exact quadrature bound (default)")
     method.add_argument("--asymptotic", dest="exact", action="store_false",
-                        help="long-range closed forms")
+                        help="long-range (far-field) limit")
     p_bounds.set_defaults(exact=True)
     p_bounds.add_argument("--out", metavar="CSV", help="write rows to CSV")
 
@@ -167,9 +167,7 @@ def _cmd_bounds(args, bundle: ScenarioBundle) -> ResultTable:
                                 f"scenario; this one has {len(bundle.radars)} "
                                 "radars (their fused bound is exact only)")
         info = fuse(scenario, bundle.target_xy, bundle.heading, bundle.radars)
-        if args.known:
-            info = info.pose_block()
-        report = info.crb()
+        report = (info.pose_block() if args.known else info).crb()
         heading = report.c_heading
         bound = peb(report)
         print(f"{len(bundle.radars)} radars, contour {label}")
@@ -181,12 +179,8 @@ def _cmd_bounds(args, bundle: ScenarioBundle) -> ResultTable:
         return table
 
     method = "exact" if args.exact else "asymptotic"
-    if args.exact:
-        report = hcrb_exact(scenario, contour_known=args.known)
-    else:
-        blocks = t_blocks(scenario)
-        report = hcrb_known_shape(blocks) if args.known else \
-            hcrb_unknown_shape(blocks)
+    info = efim_exact(scenario) if args.exact else t_blocks(scenario)
+    report = (info.pose_block() if args.known else info).crb()
     point = point_target_crb(scenario)
     pose = scenario.pose
     print(f"target at d = {pose.d:.4g} m, phi = {pose.phi:.6g} rad, "

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._pool import map_items
-from .asymptotics import hcrb_known_shape, hcrb_unknown_shape, t_blocks
+from .asymptotics import t_blocks
 from .contour import pose_field
 from .errors import IdentifiabilityError, ScenarioError
 from .estimators import estimate
@@ -114,17 +114,18 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
     shared by efim_exact and t_blocks; the field is returned so synthesis can
     share it too. Both exact reports come from the R of one field stack's
     QR: the known-contour bound from its leading 3x3 block, the
-    unknown-contour bound from all of it. Both asymptotic reports come from
-    the QR of the stack's far-field limit. Every report is computed before
-    any row is written, so a singular pose leaves no partial rows.
+    unknown-contour bound from all of it. The asymptotic reports are read
+    the same way off the QR of the stack's far-field limit. Every report is
+    computed before any row is written, so a singular pose leaves no
+    partial rows.
     """
     field = pose_field(scenario)
     info = efim_exact(scenario, field)
     exact = info.crb()
     exact_known = info.pose_block().crb()
-    blocks = t_blocks(scenario, field)
-    asym_known = hcrb_known_shape(blocks)
-    asym_unknown = hcrb_unknown_shape(blocks)
+    far = t_blocks(scenario, field)
+    asym_known = far.pose_block().crb()
+    asym_unknown = far.crb()
     point = point_target_crb(scenario)
 
     for method, known, unknown in (("exact", exact_known, exact),

@@ -5,9 +5,9 @@ pose and the Fourier contour coefficients. After eliminating the unknown
 channel gain, the equivalent Fisher information is the Gram matrix of one
 stack of weighted derivative-field rows (mu, eta, xi) over the lit contour
 arc; the long-range information is the Gram of the same stack's far-field
-limit. FisherInfo keeps R from the QR of that stack and turns it into an
-exact bound: crb() for the whole state (shape unknown), pose_block().crb()
-for the pose rows (shape known).
+limit. FisherInfo keeps R from the QR of that stack and turns it into a
+bound, exact or long-range: crb() for the whole state (shape unknown),
+pose_block().crb() for the pose rows (shape known).
 """
 
 from dataclasses import dataclass, replace
@@ -137,11 +137,10 @@ def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
     node scaled by the square root of its quadrature weight:
     X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
         sqrt(M) w cos(phi) eta]
-    with P_w the star-orthogonal complement of w. With far_field, X is the
-    square root of the range-free T of the asymptotic information
-    2(E/N0) T: X = [sqrt(L) w mu | (alpha+1) P_w(v xi) | sqrt(Z) ||w|| e_phi]
-    / ||w|| on the limit rows of _derivative_fields, the bearing block
-    collapsed to one column.
+    with P_w the star-orthogonal complement of w. With far_field, the same
+    on the limit rows of _derivative_fields, the bearing block collapsed to
+    one column sqrt(Z) ||w|| e_phi: X X^T is the long-range information
+    2(E/N0) T, with T free of the range.
     """
     weights, w_norm_sq, geo = field.weights, field.w_norm_sq, field.table
     n = geo.u.size
@@ -149,8 +148,7 @@ def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
         raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
     mu, eta, xi = _derivative_fields(scenario.contour, scenario.pose, geo, far_field)
     big_l, big_m, big_z = radar_constants(scenario)
-    energy = 1.0 if far_field else 2.0 * scenario.e_over_n0(w_norm_sq)
-    scale = np.sqrt(energy / w_norm_sq)
+    scale = np.sqrt(2.0 * scenario.e_over_n0(w_norm_sq) / w_norm_sq)
 
     stack = np.empty((mu.shape[0], 2 * n + (n if eta is not None else 1)))
     root_q = np.sqrt(geo.arc * geo.du)
@@ -163,7 +161,7 @@ def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
     xi_block -= np.outer(star_inner(w_col, w_col.with_values(xi_block)) / w_norm_sq, w_hat)
     if eta is None:
         stack[:, 2 * n] = 0.0
-        stack[1, 2 * n] = np.sqrt(big_z)
+        stack[1, 2 * n] = scale * np.sqrt(big_z * w_norm_sq)
     else:
         np.multiply(eta, scale * np.sqrt(big_m) * w_hat * np.cos(geo.phi),
                     out=stack[:, 2 * n:])

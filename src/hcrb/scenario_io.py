@@ -32,6 +32,8 @@ _SECTIONS = ("contour", "target", "radar", "channel", "waveform",
 
 
 def _check_keys(section: str, given: dict, allowed: set, required: set):
+    if not isinstance(given, dict):
+        raise ScenarioError(f"{section} must be a JSON object")
     unknown = set(given) - allowed
     if unknown:
         raise ScenarioError(
@@ -91,7 +93,7 @@ def normalize(doc: dict) -> dict:
         raise ScenarioError(f"contour.Q = {q} but {len(m)} coefficients given")
 
     target = doc["target"]
-    if "d" in target:
+    if isinstance(target, dict) and "d" in target:
         _check_keys("target", target, {"d", "phi", "heading"},
                     {"d", "phi", "heading"})
         target_norm = {"d": _number("target", target, "d"),

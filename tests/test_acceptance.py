@@ -11,13 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_gradients, random_scenario
+from referees import pose_inverse, schur_pose_block, unknown_shape_projection
 
-from hcrb.asymptotics import (
-    hcrb_known_shape,
-    hcrb_unknown_shape,
-    t_blocks,
-    unknown_shape_projection,
-)
+from hcrb.asymptotics import t_blocks
 from hcrb.contour import (
     TargetPose,
     arclength_params,
@@ -30,6 +26,7 @@ from hcrb.errors import IdentifiabilityError
 from hcrb.experiments import MC_RANGES, run_diversity, run_mc, run_range_sweep
 from hcrb.fisher import (
     efim_exact,
+    field_stack,
     gamma_derivatives,
     hcrb_exact,
     point_target_crb,
@@ -104,8 +101,7 @@ def test_criterion_3_asymptotic_gap_shrinks_with_range(scenario):
         moved = scenario.with_pose(
             TargetPose(d=d, phi=scenario.pose.phi, heading=scenario.pose.heading))
         j = efim_exact(moved).matrix
-        blocks = t_blocks(moved)
-        t_mat = 2.0 * blocks.e_over_n0 * blocks.t_full
+        t_mat = t_blocks(moved).matrix
         gaps.append(float(np.linalg.norm(j - t_mat) / np.linalg.norm(t_mat)))
     assert all(later < earlier for earlier, later in zip(gaps, gaps[1:])), gaps
     assert gaps[-1] < 0.01
@@ -137,7 +133,7 @@ def test_criterion_4_range_sweep_regimes(scenario):
                      / series[("c_bearing_known", "exact")][1])
     assert np.all(np.diff(bearing_ratio) < 0.0)
 
-    # (c) the unknown-shape closed forms track the exact bound at range
+    # (c) the unknown-shape asymptotic bounds track the exact bound at range
     for name in ("range", "heading"):
         exact = series[(f"c_{name}_unknown", "exact")][1]
         asym = series[(f"c_{name}_unknown", "asymptotic")][1]
@@ -147,15 +143,26 @@ def test_criterion_4_range_sweep_regimes(scenario):
 
 def test_criterion_5_closed_forms_cross_check(scenario):
     start = time.monotonic()
-    blocks = t_blocks(scenario)
+    field = pose_field(scenario)
+    far = t_blocks(scenario, field)
+    energy = 2.0 * scenario.e_over_n0(field.w_norm_sq)
+    big_l, _, big_z = radar_constants(scenario)
+    big_l, big_z = energy * big_l, energy * big_z
 
-    known = hcrb_known_shape(blocks)
-    numeric = np.linalg.inv(2.0 * blocks.e_over_n0 * blocks.t11)
-    scale = float(np.abs(numeric).max())
-    assert float(np.abs(known.covariance - numeric).max()) / scale < 1e-10
+    # shape known: the closed form in L, A, B, Z
+    known = far.pose_block().crb()
+    closed = pose_inverse(big_l, far.matrix[0, 1], far.matrix[2, 2], big_z)
+    scale = float(np.abs(closed).max())
+    assert float(np.abs(known.covariance - closed).max()) / scale < 1e-10
 
-    unknown = hcrb_unknown_shape(blocks)
-    projection = unknown_shape_projection(blocks)
+    # shape unknown: the same form in the Schur complements L', A', B', and
+    # the projection route
+    unknown = far.crb()
+    stack = field_stack(scenario, field, far_field=True)
+    schur = pose_inverse(*schur_pose_block(stack), big_z)
+    scale = float(np.abs(schur).max())
+    assert float(np.abs(unknown.covariance[:3, :3] - schur).max()) / scale < 1e-10
+    projection = unknown_shape_projection(stack, big_z)
     assert abs(unknown.c_range / projection["c_range"] - 1.0) < 1e-6
     assert abs(unknown.c_heading / projection["c_heading"] - 1.0) < 1e-6
     assert time.monotonic() - start < 10.0
@@ -231,10 +238,10 @@ def test_criterion_8_structural_properties(scenario, bundle):
 
     endfire = scenario.with_pose(
         TargetPose(d=30.0, phi=np.pi / 2.0, heading=0.0))
-    with pytest.raises(IdentifiabilityError):
+    with pytest.raises(IdentifiabilityError, match="endfire"):
         point_target_crb(endfire)
-    with pytest.raises(IdentifiabilityError):
-        hcrb_known_shape(t_blocks(endfire))
+    with pytest.raises(IdentifiabilityError, match="endfire"):
+        t_blocks(endfire)
 
     workspace = synthesis_workspace(scenario, bundle.segmentation)
     first = synthesize_frame(workspace, 5)

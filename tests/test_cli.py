@@ -192,14 +192,21 @@ def test_fully_shadowed_pose_exit_codes(tmp_path, capsys):
 
 def test_radar_facing_asymptotic_unknown_shape_exits_two(tmp_path, capsys):
     """With the bow facing the radar the shape block is singular: the
-    asymptotic unknown-shape bound exits 2, the known-shape bound still 0."""
+    asymptotic unknown-shape bound exits 2, the known-shape bound still 0.
+    Both limits name the null space's parameters alike, in the state order."""
     doc = json.loads(SCENARIO_FILE.read_text())
     doc["target"]["heading"] = 206.565
     path = tmp_path / "facing.json"
     path.write_text(json.dumps(doc))
-    assert entry(["bounds", "--scenario", str(path), "--asymptotic"]) == 2
-    captured = capsys.readouterr()
-    assert "singular" in captured.err and "range variance" not in captured.out
+    null_lines = {}
+    for method in ("asymptotic", "exact"):
+        assert entry(["bounds", "--scenario", str(path), f"--{method}"]) == 2
+        captured = capsys.readouterr()
+        assert "singular" in captured.err and "range variance" not in captured.out
+        null_lines[method] = [line for line in captured.err.splitlines()
+                              if "null space involves:" in line]
+    assert len(null_lines["exact"]) == 1
+    assert null_lines["asymptotic"] == null_lines["exact"]
     assert entry(["bounds", "--scenario", str(path), "--asymptotic", "--known"]) == 0
 
 

@@ -9,12 +9,7 @@ from scipy.constants import c as SPEED_OF_LIGHT
 
 from conftest import finite_difference_gradients, mp_inverse_gram, random_scenario
 
-from hcrb.asymptotics import (
-    hcrb_known_shape,
-    hcrb_unknown_shape,
-    t_blocks,
-    unknown_shape_projection,
-)
+from hcrb.asymptotics import t_blocks
 from hcrb.contour import ContourParams, TargetPose, pose_field
 from hcrb.errors import IdentifiabilityError
 from hcrb.fisher import (
@@ -102,15 +97,13 @@ def test_point_target_crb_frozen(scenario):
 
 
 def test_endfire_raises(scenario):
-    # one predicate for every route, also a hair off exact endfire
+    # one predicate for every route, also a hair off exact endfire; t_blocks
+    # gates both long-range bounds
     for phi in (np.pi / 2.0, np.arccos(1e-6)):
         endfire = scenario.with_pose(TargetPose(30.0, phi, 0.0))
-        blocks = t_blocks(endfire)
-        for route, arg in ((point_target_crb, endfire), (hcrb_known_shape, blocks),
-                           (hcrb_unknown_shape, blocks),
-                           (unknown_shape_projection, blocks)):
+        for route in (point_target_crb, t_blocks):
             with pytest.raises(IdentifiabilityError, match="endfire"):
-                route(arg)
+                route(endfire)
 
 
 def test_exact_bounds_frozen(scenario):

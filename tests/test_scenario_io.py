@@ -1,6 +1,7 @@
 """Scenario JSON schema: defaults, unit conversion, validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ def test_validation_errors():
         build(normalize(_doc(contour={"m": [-2.0], "n": [1.0]})))
     with pytest.raises(ScenarioError):
         normalize(_doc(contour={"m": [2.0, 0.1], "n": [1.0]}))
+    # a section or radar entry that is not an object is named, not iterated
+    for key, doc in (
+        ("contour", _doc(contour=5)),
+        ("radar[0]", _doc(radar=[5])),
+        ("target", _doc(target=[1, 2])),
+        ("target", _doc(target=5)),
+        ("quadrature", _doc(quadrature=[1])),
+        ("channel", _doc(channel="x")),
+    ):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(key)} must be a JSON object"):
+            normalize(doc)
     # json parses NaN and Infinity; no number in a scenario may be either
     nan, inf = float("nan"), float("inf")
     for key, doc in (
