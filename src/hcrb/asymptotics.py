@@ -7,21 +7,14 @@ pose_block().crb() with it known.
 """
 
 from ._linalg import triangular_factor
-from .contour import PoseField, pose_field
 from .fisher import FisherInfo, check_not_endfire, field_stack, gamma_labels, radar_constants
 from .scenario import Scenario
 
 
-def t_blocks(scenario: Scenario, field: PoseField | None = None) -> FisherInfo:
+def t_blocks(scenario: Scenario) -> FisherInfo:
     """The long-range information 2(E/N0) T, from the QR of the far-field
-    stack in the state order; IdentifiabilityError at endfire.
-
-    field is pose_field(scenario), built here when not given; efim_exact can
-    share it.
-    """
-    if field is None:
-        field = pose_field(scenario)
-    rows = field_stack(scenario, field, far_field=True)
+    stack in the state order; IdentifiabilityError at endfire."""
+    rows = field_stack(scenario, far_field=True)
     check_not_endfire(radar_constants(scenario)[2])
     return FisherInfo(r=triangular_factor(rows),
                       labels=tuple(gamma_labels(scenario.contour.q)))

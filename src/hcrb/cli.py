@@ -2,8 +2,9 @@
 
 Scenario files are JSON (angles in degrees); all CSV output is in radians
 and meters. Exit codes: 0 success; 1 usage, configuration or schema error,
-non-finite scenario numbers included; 2 singular information matrix (an
-unfactorable shape block too) or partial sweep results.
+non-finite scenario numbers included, or an output that cannot be written;
+2 singular information matrix (an unfactorable shape block too) or partial
+sweep results.
 """
 
 import argparse
@@ -258,13 +259,17 @@ _COMMANDS = {
 
 def entry(argv=None) -> int:
     """Run one command: load its scenario, echo it or compute the command's
-    table, write --out, and report skipped sweep points (exit 2)."""
+    table, write --out, and report skipped sweep points (exit 2). A missing
+    --out directory is reported before the command runs; a file that cannot
+    be written is one error line (exit 1)."""
     try:
         args = _parser().parse_args(argv)
         bundle = load_file(args.scenario)
         if args.print_normalized:
             sys.stdout.write(dumps_normalized(bundle.document))
             return 0
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ScenarioError(f"--out: no such directory: {Path(args.out).parent}")
         table = _COMMANDS[args.command](args, bundle)
         if args.out:
             table.to_csv(args.out)
@@ -278,7 +283,7 @@ def entry(argv=None) -> int:
             print(f"  null space involves: {', '.join(err.labels)}",
                   file=sys.stderr)
         return 2
-    except HcrbError as err:
+    except (HcrbError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -51,8 +51,11 @@ class ContourParams:
     n: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.m, dtype=float))
-        n = np.atleast_1d(np.asarray(self.n, dtype=float))
+        # private read-only copies: a scenario's lit arc is built once from them
+        m = np.atleast_1d(np.array(self.m, dtype=float))
+        n = np.atleast_1d(np.array(self.n, dtype=float))
+        for coeffs in (m, n):
+            coeffs.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         if m.ndim != 1 or m.shape != n.shape or m.size < 1:
@@ -197,8 +200,8 @@ def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
 
 @dataclass(frozen=True)
 class PoseField:
-    """One pose's lit arc, gathered once and read by efim_exact, t_blocks
-    and the synthesis energy norm.
+    """One pose's lit arc, gathered once (Scenario.lit_arc) and read by
+    efim_exact, t_blocks and the synthesis energy norm.
 
     table and weights hold the lit quadrature nodes only (w > 0, in grid
     order; none for a fully shadowed pose): the shadow adds nothing to any

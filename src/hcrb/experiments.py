@@ -17,7 +17,6 @@ import numpy as np
 
 from ._pool import map_items
 from .asymptotics import t_blocks
-from .contour import pose_field
 from .errors import IdentifiabilityError, ScenarioError
 from .estimators import estimate
 from .fisher import efim_exact, point_target_crb
@@ -110,20 +109,16 @@ def ray_positions(n_points: int) -> np.ndarray:
 def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
     """Exact, asymptotic and point-target bound rows for one pose.
 
-    The pose's geometry and weights are evaluated once (pose_field) and
-    shared by efim_exact and t_blocks; the field is returned so synthesis can
-    share it too. Both exact reports come from the R of one field stack's
-    QR: the known-contour bound from its leading 3x3 block, the
-    unknown-contour bound from all of it. The asymptotic reports are read
-    the same way off the QR of the stack's far-field limit. Every report is
-    computed before any row is written, so a singular pose leaves no
-    partial rows.
+    Both exact reports come from the R of one field stack's QR: the
+    known-contour bound from its leading 3x3 block, the unknown-contour
+    bound from all of it. The asymptotic reports are read the same way off
+    the QR of the stack's far-field limit. Every report is computed before
+    any row is written, so a singular pose leaves no partial rows.
     """
-    field = pose_field(scenario)
-    info = efim_exact(scenario, field)
+    info = efim_exact(scenario)
     exact = info.crb()
     exact_known = info.pose_block().crb()
-    far = t_blocks(scenario, field)
+    far = t_blocks(scenario)
     asym_known = far.pose_block().crb()
     asym_unknown = far.crb()
     point = point_target_crb(scenario)
@@ -133,7 +128,6 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
         table.add_report(sweep, "known", method, known, seed)
         table.add_report(sweep, "unknown", method, unknown, seed)
     table.add_point(sweep, point, seed)
-    return field
 
 
 def run_range_sweep(scenario: Scenario, n_points: int = 30, seed: int = 0,
@@ -232,9 +226,9 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
     for index, xy in enumerate(_mc_positions(ranges)):
         moved = scenario.with_pose(SWEEP_RADAR.local_pose(xy, scenario.pose.heading))
         sweep = f"mc:{moved.pose.d:.6g}"
-        field = _bound_rows(table, sweep, moved, seed)
+        _bound_rows(table, sweep, moved, seed)
 
-        ws_ext = synthesis_workspace(moved, segmentation, field)
+        ws_ext = synthesis_workspace(moved, segmentation)
         d_hat, phi_hat, used = _mc_point(
             moved, ws_ext, _trial_seeds(seed, index, 0, trials=trials))
         _variance_rows(table, sweep, "extended", d_hat, phi_hat, used,

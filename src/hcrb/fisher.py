@@ -20,10 +20,8 @@ from .contour import (
     PERP,
     ContourParams,
     GeometryTable,
-    PoseField,
     TargetPose,
     geometry_at,
-    pose_field,
     rotation,
 )
 from .errors import IdentifiabilityError, NoIlluminationError
@@ -128,12 +126,12 @@ def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTab
     return mu, eta, xi
 
 
-def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
+def field_stack(scenario: Scenario, far_field: bool = False):
     """Rows X, one per parameter, whose Gram X X^T is the information.
 
     The rows run in the state order, d, phi, heading, then the shape, so
     R's leading 3x3 block is the pose information with the shape known.
-    The columns are the lit nodes that field holds, in three blocks, each
+    The columns are the lit nodes of scenario.lit_arc, in three blocks, each
     node scaled by the square root of its quadrature weight:
     X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
         sqrt(M) w cos(phi) eta]
@@ -142,7 +140,8 @@ def field_stack(scenario: Scenario, field: PoseField, far_field: bool = False):
     one column sqrt(Z) ||w|| e_phi: X X^T is the long-range information
     2(E/N0) T, with T free of the range.
     """
-    weights, w_norm_sq, geo = field.weights, field.w_norm_sq, field.table
+    lit = scenario.lit_arc
+    weights, w_norm_sq, geo = lit.weights, lit.w_norm_sq, lit.table
     n = geo.u.size
     if n == 0:
         raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
@@ -223,19 +222,16 @@ class FisherInfo:
                          labels=self.labels)
 
 
-def efim_exact(scenario: Scenario, field: PoseField | None = None) -> FisherInfo:
+def efim_exact(scenario: Scenario) -> FisherInfo:
     """The exact equivalent Fisher information at the scenario's pose.
 
     J = (2 E/N0 / ||w||^2) [ L <w mu, w mu> + M <w cos(phi) eta, w cos(phi) eta>
         + (alpha+1)^2 <P_w(v xi), P_w(v xi)> ]
-    is the Gram of field_stack's rows; r is R from their QR.
-    field is pose_field(scenario), built here when not given; t_blocks can
-    share it. One factor serves both bounds: the known-contour bound is
+    is the Gram of field_stack's rows; r is R from their QR. One factor
+    serves both bounds: the known-contour bound is
     efim_exact(...).pose_block().crb().
     """
-    if field is None:
-        field = pose_field(scenario)
-    return FisherInfo(r=triangular_factor(field_stack(scenario, field)),
+    return FisherInfo(r=triangular_factor(field_stack(scenario)),
                       labels=tuple(gamma_labels(scenario.contour.q)))
 
 

@@ -2,11 +2,12 @@
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .contour import ContourParams, QuadratureSpec, TargetPose
+from .contour import ContourParams, PoseField, QuadratureSpec, TargetPose, pose_field
 from .errors import ScenarioError
 
 DEFAULT_CARRIER_HZ = 77e9  # used only for the wavelength heuristic in segmentation
@@ -24,6 +25,8 @@ class WaveformSpec:
     def __post_init__(self):
         if self.bandwidth <= 0.0 or self.duration <= 0.0:
             raise ScenarioError("waveform needs positive bandwidth and duration")
+        if self.carrier <= 0.0:
+            raise ScenarioError(f"carrier frequency must be positive, got {self.carrier:g} Hz")
         if self.sample_rate == 0.0:
             object.__setattr__(self, "sample_rate", 2.0 * self.bandwidth)
         if self.sample_rate < 2.0 * self.bandwidth:
@@ -97,6 +100,15 @@ class Scenario:
             raise ScenarioError(f"need at least 2 antennas, got {self.array_n}")
         if self.alpha < 0.0:
             raise ScenarioError(f"surface roughness must be >= 0, got {self.alpha}")
+
+    @cached_property
+    def lit_arc(self) -> PoseField:
+        """The pose's lit contour arc (contour.pose_field), built on first
+        read and kept: the exact bound, the long-range bound and the
+        synthesis energy norm all read this one. A scenario is immutable
+        (its contour arrays are read-only), so the arc cannot go stale;
+        with_pose and the like return a new scenario, which builds its own."""
+        return pose_field(self)
 
     # The energy model E = g^2 N ||w||^2, with ||w||^2 the squared star norm
     # of the illumination profile (1 for a point target). Fixed mode pins

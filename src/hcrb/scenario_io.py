@@ -51,6 +51,11 @@ def _is_number(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer; json parses true and false as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(section: str, obj: dict, key: str, default=None):
     if key not in obj:
         return default
@@ -89,6 +94,8 @@ def normalize(doc: dict) -> dict:
         if not all(_is_number(c) for c in coeffs):
             raise ScenarioError(f"contour.{name} must contain finite numbers only")
     q = contour.get("Q", len(m))
+    if not _is_integer(q):
+        raise ScenarioError(f"contour.Q must be an integer, got {q!r}")
     if q != len(m):
         raise ScenarioError(f"contour.Q = {q} but {len(m)} coefficients given")
 
@@ -114,7 +121,7 @@ def normalize(doc: dict) -> dict:
     for i, entry in enumerate(radars_in):
         _check_keys(f"radar[{i}]", entry, {"x", "y", "kappa", "N"}, {"N"})
         n_elem = entry["N"]
-        if isinstance(n_elem, bool) or not isinstance(n_elem, int) or n_elem < 2:
+        if not _is_integer(n_elem) or n_elem < 2:
             raise ScenarioError(f"radar[{i}].N must be an integer >= 2")
         radars_norm.append({
             "x": _number(f"radar[{i}]", entry, "x", 0.0),
@@ -159,7 +166,7 @@ def normalize(doc: dict) -> dict:
         raise ScenarioError("quadrature.split_at_shadow was removed in schema 2; "
                             "the uniform periodic trapezoid is the only rule")
     quad_norm = {"nodes": quad.get("nodes", QuadratureSpec.nodes)}
-    if not isinstance(quad_norm["nodes"], int):
+    if not _is_integer(quad_norm["nodes"]):
         raise ScenarioError("quadrature.nodes must be an integer")
 
     seg = doc.get("segmentation", {})

@@ -19,14 +19,7 @@ import scipy.fft
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from ._pool import map_items, worker_count
-from .contour import (
-    PoseField,
-    arclength_params,
-    geometry_at,
-    perimeter,
-    pose_field,
-    reflection_weights,
-)
+from .contour import arclength_params, geometry_at, perimeter, reflection_weights
 from .errors import ScenarioError
 from .scenario import Scenario, SegmentationConfig, WaveformSpec
 
@@ -69,13 +62,10 @@ def effective_bandwidth(wf: WaveformSpec) -> float:
     return float(np.sqrt(np.sum(psd * (freq - mean) ** 2)))
 
 
-def steering(n_elem: int, phi, centered: bool = False, derivative: bool = False):
+def steering(n_elem: int, phi):
     """Half-wavelength ULA steering vector(s) for bearing(s) phi.
 
     Phase convention: element n carries exp(-j*pi*n*sin(phi)), n = 0..N-1.
-    With centered=True the reference moves to the array midpoint, which
-    multiplies every element by exp(+j*pi*(N-1)/2*sin(phi)).  The optional
-    derivative is taken with respect to phi about the array centroid.
 
     phi may be a scalar or an array; the element axis comes first, so the
     result has shape (n_elem,) + shape(phi).
@@ -84,15 +74,7 @@ def steering(n_elem: int, phi, centered: bool = False, derivative: bool = False)
     n = np.arange(n_elem, dtype=float).reshape((n_elem,) + (1,) * phi.ndim)
     sin_phi = np.sin(phi)
     a = np.exp(-1j * np.pi * n * sin_phi)
-    if centered:
-        a = a * np.exp(1j * np.pi * (n_elem - 1) / 2.0 * sin_phi)
-    if not derivative:
-        return a if phi.ndim else a.reshape(n_elem)
-    # Differentiating about the array centroid keeps adot orthogonal to a.
-    adot = -1j * np.pi * np.cos(phi) * (n - (n_elem - 1) / 2.0) * a
-    if phi.ndim:
-        return a, adot
-    return a.reshape(n_elem), adot.reshape(n_elem)
+    return a if phi.ndim else a.reshape(n_elem)
 
 
 @dataclass(frozen=True)
@@ -185,16 +167,13 @@ def _workspace(scenario: Scenario, kind: str, amps: np.ndarray, d: np.ndarray,
     )
 
 
-def synthesis_workspace(
-    scenario: Scenario, seg: SegmentationConfig | None = None,
-    field: PoseField | None = None,
-) -> SynthWorkspace:
+def synthesis_workspace(scenario: Scenario,
+                        seg: SegmentationConfig | None = None) -> SynthWorkspace:
     """Build the reusable tables for extended-target synthesis.
 
     The contour is cut into K equal arc-length segments (K from the
     segmentation config and the perimeter); each contributes one echo from
-    its midpoint with deterministic amplitude g*sqrt(l_T/K)*w_k. field is
-    pose_field(scenario), built here when not given; the bounds can share it.
+    its midpoint with deterministic amplitude g*sqrt(l_T/K)*w_k.
     """
     if seg is None:
         seg = SegmentationConfig()
@@ -216,9 +195,7 @@ def synthesis_workspace(
     geo = geometry_at(scenario.contour, scenario.pose, u_k)
     weights = reflection_weights(geo, scenario.alpha)
     # Continuous-contour weight norm fixes g in fixed-energy mode.
-    if field is None:
-        field = pose_field(scenario)
-    gain = scenario.gain_g(field.w_norm_sq)
+    gain = scenario.gain_g(scenario.lit_arc.w_norm_sq)
     amps = gain * np.sqrt(total / k) * weights.w
     return _workspace(scenario, "extended", amps, geo.d, geo.phi, segments=k)
 

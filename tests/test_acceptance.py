@@ -143,9 +143,8 @@ def test_criterion_4_range_sweep_regimes(scenario):
 
 def test_criterion_5_closed_forms_cross_check(scenario):
     start = time.monotonic()
-    field = pose_field(scenario)
-    far = t_blocks(scenario, field)
-    energy = 2.0 * scenario.e_over_n0(field.w_norm_sq)
+    far = t_blocks(scenario)
+    energy = 2.0 * scenario.e_over_n0(scenario.lit_arc.w_norm_sq)
     big_l, _, big_z = radar_constants(scenario)
     big_l, big_z = energy * big_l, energy * big_z
 
@@ -158,7 +157,7 @@ def test_criterion_5_closed_forms_cross_check(scenario):
     # shape unknown: the same form in the Schur complements L', A', B', and
     # the projection route
     unknown = far.crb()
-    stack = field_stack(scenario, field, far_field=True)
+    stack = field_stack(scenario, far_field=True)
     schur = pose_inverse(*schur_pose_block(stack), big_z)
     scale = float(np.abs(schur).max())
     assert float(np.abs(unknown.covariance[:3, :3] - schur).max()) / scale < 1e-10

@@ -84,10 +84,9 @@ def test_unknown_shape_matches_reference(scenario, pose):
     float64 far-field stack defines."""
     if pose is not None:
         scenario = scenario.with_pose(pose)
-    field = pose_field(scenario)
-    stack = field_stack(scenario, field, far_field=True)
+    stack = field_stack(scenario, far_field=True)
     reference = mp_inverse_gram([stack])
-    rep = t_blocks(scenario, field).crb()
+    rep = t_blocks(scenario).crb()
     for i, value in enumerate((rep.c_range, rep.c_bearing, rep.c_heading)):
         assert value == pytest.approx(float(reference[i, i]), rel=1e-12)
 
@@ -100,7 +99,7 @@ def test_algebraic_equals_projection_route(scenario, far):
             for value in vars(far).values()]
     assert not any(shape and shape[-1] == 2 * k for shape in kept)
     alg = far.crb()
-    stack = field_stack(scenario, pose_field(scenario), far_field=True)
+    stack = field_stack(scenario, far_field=True)
     proj = unknown_shape_projection(stack, _pose_constants(scenario, far)[3])
     assert proj["c_range"] == pytest.approx(alg.c_range, rel=1e-11)
     assert proj["c_heading"] == pytest.approx(alg.c_heading, rel=1e-11)
@@ -117,7 +116,7 @@ def test_radar_facing_pose_has_no_unknown_shape_bound():
     far = t_blocks(facing)
     with pytest.raises(IdentifiabilityError):
         far.crb()
-    stack = field_stack(facing, pose_field(facing), far_field=True)
+    stack = field_stack(facing, far_field=True)
     with pytest.raises(IdentifiabilityError):
         unknown_shape_projection(stack, _pose_constants(facing, far)[3])
     for report in (far.pose_block().crb(), hcrb_exact(facing, contour_known=True)):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import SCENARIO_FILE
 
+import hcrb.cli
 import hcrb.experiments
 from hcrb import __version__
 from hcrb.cli import entry
@@ -296,6 +297,37 @@ def test_simulate_deterministic_with_frame_dump(tmp_path, capsys):
     assert len(rows) == 4
     assert {row.split(",")[1] for row in rows} == {"d_hat", "phi_hat"}
     assert all(row.split(",")[6] == "3" for row in rows)
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "sweep", "mc", "diversity"])
+def test_missing_out_directory_exits_one_before_the_command(tmp_path, capsys,
+                                                            monkeypatch, command):
+    monkeypatch.setitem(hcrb.cli._COMMANDS, command,
+                        lambda args, bundle: pytest.fail("the command ran"))
+    missing = tmp_path / "missing"
+    assert entry([command, "--scenario", SCENARIO,
+                  "--out", str(missing / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "sweep", "mc", "diversity"])
+def test_unwritable_out_exits_one(tmp_path, capsys, monkeypatch, command):
+    # the table is written to a path that is a directory
+    monkeypatch.setitem(hcrb.cli._COMMANDS, command, lambda args, bundle: ResultTable())
+    assert entry([command, "--scenario", SCENARIO, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_dump_frames_onto_a_file_exits_one(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert entry(["simulate", "--scenario", SCENARIO, "--trials", "1",
+                  "--dump-frames", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
 
 
 def test_simulate_point_target(capsys):

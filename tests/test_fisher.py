@@ -125,7 +125,7 @@ def test_exact_bounds_frozen(scenario):
 def _assert_matches_reference(scenario):
     """Both exact bounds against a 40-digit inverse of the information that
     the float64 field stack defines."""
-    stack = field_stack(scenario, pose_field(scenario))
+    stack = field_stack(scenario)
     res = efim_exact(scenario)
     for report, rows in ((res.crb(), stack), (res.pose_block().crb(), stack[:3])):
         reference = mp_inverse_gram([rows])

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import SCENARIO_FILE, mp_inverse_gram
 
-from hcrb.contour import pose_field, wrap_angle
+from hcrb.contour import wrap_angle
 from hcrb.errors import IdentifiabilityError, ScenarioError
 from hcrb.experiments import BOW_OFFSET, run_diversity
 from hcrb.fisher import efim_exact, field_stack
@@ -134,7 +134,7 @@ def test_fused_peb_matches_reference(bundle, count):
     for radar in radars:
         local = radar_local_scenario(scenario.with_e_over_n0_db(per), target, heading,
                                      radar)
-        stacks.append(field_stack(local, pose_field(local)))
+        stacks.append(field_stack(local))
         chains.append(_chain_matrix(target - radar.position, local.pose.d,
                                     stacks[-1].shape[0]))
     for info, rows, size in ((fused, stacks, None), (fused.pose_block(),

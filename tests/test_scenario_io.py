@@ -99,6 +99,18 @@ def test_validation_errors():
         build(normalize(_doc(contour={"m": [-2.0], "n": [1.0]})))
     with pytest.raises(ScenarioError):
         normalize(_doc(contour={"m": [2.0, 0.1], "n": [1.0]}))
+    # counts are JSON integers: 10.0 and true are not
+    for key, doc in (
+        ("contour.Q", _doc(contour={"Q": 1.0, "m": [2.0], "n": [1.0]})),
+        ("contour.Q", _doc(contour={"Q": True, "m": [2.0], "n": [1.0]})),
+        ("quadrature.nodes", _doc(quadrature={"nodes": True})),
+    ):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(key)} must be an integer"):
+            normalize(doc)
+    # a carrier at or below 0 Hz has no wavelength
+    for fc in (0, -77e9):
+        with pytest.raises(ScenarioError, match="carrier"):
+            build(_doc(waveform={"B": 1e9, "T": 1e-5, "fc": fc}))
     # a section or radar entry that is not an object is named, not iterated
     for key, doc in (
         ("contour", _doc(contour=5)),

@@ -12,7 +12,9 @@ from scipy.stats import chi2
 
 from conftest import small_waveform
 
+import hcrb.contour
 from hcrb._pool import THREADS_ENV, openblas_libraries
+from hcrb.asymptotics import t_blocks
 from hcrb.contour import (
     ContourParams,
     TargetPose,
@@ -24,6 +26,7 @@ from hcrb.contour import (
     reflection_weights,
 )
 from hcrb.errors import ScenarioError
+from hcrb.fisher import efim_exact, radar_constants
 from hcrb.scenario import EnergySpec, Scenario, SegmentationConfig, WaveformSpec
 from hcrb.starcalc import SampledField, star_norm_sq
 from hcrb.waveform import (
@@ -85,22 +88,26 @@ def test_waveform_spec_guards():
 def test_steering_identities():
     n = 30
     npt.assert_allclose(steering(n, 0.0), np.ones(n))
-    npt.assert_allclose(steering(n, 0.0, centered=True), np.ones(n))
     a = steering(n, 0.7)
     assert a[0] == pytest.approx(1.0)  # first-element phase reference
     assert np.sum(np.abs(a) ** 2) == pytest.approx(n)
-    ac, adot = steering(n, 0.3, centered=True, derivative=True)
-    assert np.real(np.vdot(ac, adot)) == pytest.approx(0.0, abs=1e-9)
-    expected = np.cos(0.3) ** 2 * np.pi**2 * (n - 1) * n * (n + 1) / 12.0
-    assert np.sum(np.abs(adot) ** 2) == pytest.approx(expected, rel=1e-12)
 
 
-def test_steering_derivative_matches_finite_difference():
-    n, phi, h = 12, -0.4, 1e-7
-    _, adot = steering(n, phi, centered=True, derivative=True)
-    fd = (steering(n, phi + h, centered=True)
-          - steering(n, phi - h, centered=True)) / (2.0 * h)
-    npt.assert_allclose(adot, fd, atol=1e-5)
+def test_steering_curvature_is_the_bounds_array_constant():
+    """||d a_c / d phi||^2 = N M cos^2(phi), with a_c the steering vector
+    referenced to the array centre and M from radar_constants: the bounds'
+    array constant belongs to the array the frames are synthesized with."""
+    sc = _extended_scenario(EnergySpec(e_over_n0_db=40.0))
+    n, h = sc.array_n, 1e-6
+    _, big_m, _ = radar_constants(sc)
+
+    def centred(bearing):
+        return steering(n, bearing) * np.exp(1j * np.pi * (n - 1) / 2.0 * np.sin(bearing))
+
+    for phi in (sc.pose.phi, -0.4, 1.2):
+        adot = (centred(phi + h) - centred(phi - h)) / (2.0 * h)
+        expected = n * big_m * np.cos(phi) ** 2
+        assert np.sum(np.abs(adot) ** 2) == pytest.approx(expected, rel=1e-7)
 
 
 def test_steering_matched_peak():
@@ -183,15 +190,34 @@ def test_mean_frame_energy_matches_closed_form():
     assert np.mean(energies) == pytest.approx(expected, rel=0.05)
 
 
-def test_workspace_takes_the_pose_field():
+def test_scenario_builds_its_lit_arc_once(monkeypatch):
+    """The exact bound, the long-range bound and the synthesis energy norm
+    read one lit arc per scenario; a moved scenario builds its own, and the
+    contour it is built from cannot change under it."""
+    poses = []
+    original = hcrb.contour.geometry_table
+
+    def counted(*args, **kwargs):
+        poses.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hcrb.contour, "geometry_table", counted)
     sc = _extended_scenario(EnergySpec(e_over_n0_db=40.0))
-    seg = SegmentationConfig()
-    built = synthesis_workspace(sc, seg)
-    shared = synthesis_workspace(sc, seg, field=pose_field(sc))
-    for name in ("steer", "amps", "delayed", "delays"):
-        npt.assert_array_equal(getattr(shared, name), getattr(built, name))
-    assert (shared.n_total, shared.noise_std, shared.truth) == (
-        built.n_total, built.noise_std, built.truth)
+    efim_exact(sc)
+    t_blocks(sc)
+    synthesis_workspace(sc, SegmentationConfig())
+    assert poses == [sc.pose]
+    moved = sc.with_pose(TargetPose(10.0, 0.3, 1.0))
+    assert moved.lit_arc is not sc.lit_arc
+    assert poses == [sc.pose, moved.pose]
+
+    m, n = np.array([2.0, 0.1]), np.array([1.0, 0.05])
+    contour = ContourParams(m, n)
+    m[0] = n[0] = 5.0
+    assert (contour.m[0], contour.n[0]) == (2.0, 1.0)
+    assert not (contour.m.flags.writeable or contour.n.flags.writeable)
+    with pytest.raises(ValueError):
+        contour.m[0] = 3.0
 
 
 def test_delayed_chirps_equal_the_plain_phase_ramp(monkeypatch):
