@@ -1,13 +1,16 @@
-"""The thread pool behind the Monte Carlo trials and the delayed chirps.
+"""The thread pool behind the Monte Carlo trials, the delayed chirps and
+the two hot spots of a frame run on its own.
 
 map_items runs a function over items on worker_count() threads: the
-caller and pool threads kept for the life of the process. While a pooled
-map runs, every OpenBLAS library in the process is held to one
-thread: a GEMM issued from a pool thread otherwise wakes OpenBLAS's own
-worker thread, which spins beside the pool's threads for the core they
-need. The limit changes OpenBLAS's process-wide thread count for the
-length of the map, and does nothing where no OpenBLAS can be found (no
-/proc, or another BLAS).
+caller and pool threads kept for the life of the process. A map started
+inside a pooled map, on the caller or a pool thread, runs serially;
+map_workers() tells a caller how many workers its map would get, so it
+can size its work to them. While a pooled map runs, every OpenBLAS
+library in the process is held to one thread: a GEMM issued from a pool
+thread otherwise wakes OpenBLAS's own worker thread, which spins beside
+the pool's threads for the core they need. The limit changes OpenBLAS's
+process-wide thread count for the length of the map, and does nothing
+where no OpenBLAS can be found (no /proc, or another BLAS).
 """
 
 import ctypes
@@ -114,11 +117,20 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 # executors by (process, thread count), kept for the life of the process
 _EXECUTORS = {}
 _EXECUTORS_LOCK = threading.Lock()
-_POOL_THREAD = threading.local()
+# active on pool threads, and on a caller while its pooled map runs
+_IN_MAP = threading.local()
 
 
 def _mark_pool_thread():
-    _POOL_THREAD.active = True
+    _IN_MAP.active = True
+
+
+def map_workers() -> int:
+    """Workers a map started on this thread would get: 1 inside a pooled
+    map (on the caller or a pool thread), worker_count() otherwise."""
+    if getattr(_IN_MAP, "active", False):
+        return 1
+    return worker_count()
 
 
 def _executor(threads: int) -> ThreadPoolExecutor:
@@ -143,19 +155,21 @@ def map_items(fn, items):
     w - 1 pool threads run the rest. Each pool thread gets its own glibc
     malloc arena, so one fewer pool thread keeps the peak RSS of a run
     close to the serial one. A pooled map holds OpenBLAS to one thread. A
-    map called from a pool thread runs serially, so no pool thread waits
-    on items queued behind it.
+    map called from inside a pooled map, by its caller or a pool thread,
+    runs serially on that thread, so no item waits on items queued behind
+    it.
     """
     items = list(items)
-    threads = worker_count()
+    threads = map_workers()
     workers = min(threads, len(items))
-    if workers <= 1 or getattr(_POOL_THREAD, "active", False):
+    if workers <= 1:
         return [fn(item) for item in items]
     out = [None] * len(items)
     with _ONE_BLAS_THREAD:
         pool = _executor(threads - 1)
         pooled = [(i, pool.submit(fn, item)) for i, item in enumerate(items)
                   if i % workers]
+        _IN_MAP.active = True
         try:
             for i in range(0, len(items), workers):
                 out[i] = fn(items[i])
@@ -166,4 +180,6 @@ def map_items(fn, items):
                 future.cancel()
             wait([future for _, future in pooled])
             raise
+        finally:
+            _IN_MAP.active = False
     return out

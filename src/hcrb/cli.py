@@ -8,6 +8,7 @@ sweep results.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -257,19 +258,36 @@ _COMMANDS = {
 }
 
 
+def _check_out(path: Path):
+    """Raise ScenarioError unless a CSV can be written at path: its
+    directory exists and is writable, and path is not a directory or a
+    file that cannot be written."""
+    if not path.parent.is_dir():
+        raise ScenarioError(f"--out: no such directory: {path.parent}")
+    if path.is_dir():
+        raise ScenarioError(f"--out: is a directory: {path}")
+    if path.exists():
+        writable = os.access(path, os.W_OK)
+    else:
+        writable = os.access(path.parent, os.W_OK | os.X_OK)
+    if not writable:
+        raise ScenarioError(f"--out: cannot write {path}")
+
+
 def entry(argv=None) -> int:
     """Run one command: load its scenario, echo it or compute the command's
-    table, write --out, and report skipped sweep points (exit 2). A missing
-    --out directory is reported before the command runs; a file that cannot
-    be written is one error line (exit 1)."""
+    table, write --out, and report skipped sweep points (exit 2). An --out
+    that cannot be written (no such directory, a directory, no write
+    permission) is reported before the command runs; a write that fails
+    anyway is one error line (exit 1)."""
     try:
         args = _parser().parse_args(argv)
         bundle = load_file(args.scenario)
         if args.print_normalized:
             sys.stdout.write(dumps_normalized(bundle.document))
             return 0
-        if args.out and not Path(args.out).parent.is_dir():
-            raise ScenarioError(f"--out: no such directory: {Path(args.out).parent}")
+        if args.out:
+            _check_out(Path(args.out))
         table = _COMMANDS[args.command](args, bundle)
         if args.out:
             table.to_csv(args.out)

@@ -11,7 +11,11 @@ the error.
 Every estimate runs once per Monte Carlo trial, beside other trial threads.
 Its vector products (a^H y, the snapshot, the beamscan, the range polish)
 therefore use np.einsum rather than @: matmul hands them to BLAS, whose
-worker threads would spin beside the trial threads.
+worker threads would spin beside the trial threads. A frame estimated on
+its own (hcrb simulate) has the cores to itself, so the direction stage
+spreads its de-chirped row transforms and their powers over the pool;
+inside pooled trials it runs one row at a time on the trial's thread.
+Either way the profile is the same bits.
 """
 
 from dataclasses import dataclass
@@ -22,6 +26,7 @@ import scipy.fft
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.optimize import minimize_scalar
 
+from ._pool import map_items, map_workers
 from .scenario import WaveformSpec
 from .waveform import SignalFrame, chirp, steering
 
@@ -93,19 +98,44 @@ def _reference_conj(waveform: WaveformSpec, n_samples: int) -> np.ndarray:
 
 
 def _dechirped_profile(y: np.ndarray, ref: np.ndarray, nfft: int) -> np.ndarray:
-    """sum over rows of |FFT_nfft(ref * y_row)|^2, one row at a time.
+    """sum over rows of |FFT_nfft(ref * y_row)|^2, in blocks of
+    map_workers() rows.
 
-    The row powers are added in row order, so the result equals
-    np.sum(np.abs(np.fft.fft(ref * y, nfft, axis=1)) ** 2, axis=0) bit for
-    bit, while holding one row's spectrum (1 MB at nfft 65536) rather than
-    the stacked transform's 31.5 MB; concurrent trials keep a smaller
-    working set.
+    Each worker mixes and transforms one row of the block in place, then
+    each adds |X|^2 of the block's rows, in row order, to its own share of
+    the bins. The row powers are therefore added in row order, so the
+    result equals np.sum(np.abs(np.fft.fft(ref * y, nfft, axis=1)) ** 2,
+    axis=0) bit for bit at any worker count, while holding one block of
+    spectra (1 MB a row at nfft 65536) rather than the stacked transform's
+    31.5 MB. Inside pooled trials the block is one row.
     """
+    rows, n_samples = y.shape
+    width = min(map_workers(), rows)
+    block = np.empty((width, nfft), dtype=complex)
+    power = np.empty(nfft)
     profile = np.zeros(nfft)
-    for row in y:
-        power = np.abs(scipy.fft.fft(ref * row, nfft))
-        power *= power
-        profile += power
+    edges = [nfft * i // width for i in range(width + 1)]
+    shares = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    for start in range(0, rows, width):
+        count = min(width, rows - start)
+
+        def transform(j):
+            spectrum = block[j]
+            np.multiply(ref, y[start + j], out=spectrum[:n_samples])
+            spectrum[n_samples:] = 0.0
+            out = scipy.fft.fft(spectrum, overwrite_x=True)
+            if not np.shares_memory(out, spectrum):
+                spectrum[...] = out
+
+        def accumulate(bins):
+            row_power = power[bins]
+            for j in range(count):
+                np.abs(block[j, bins], out=row_power)
+                row_power *= row_power
+                profile[bins] += row_power
+
+        map_items(transform, range(count))
+        map_items(accumulate, shares)
     return profile
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from ._pool import map_items, worker_count
+from ._pool import map_items, map_workers
 from .contour import arclength_params, geometry_at, perimeter, reflection_weights
 from .errors import ScenarioError
 from .scenario import Scenario, SegmentationConfig, WaveformSpec
@@ -135,7 +135,7 @@ def _delayed_chirps(wf: WaveformSpec, delays: np.ndarray, n_total: int) -> np.nd
         if not np.shares_memory(shifted, ramp):
             ramp[...] = shifted
 
-    blocks = min(worker_count(), len(delays))
+    blocks = min(map_workers(), len(delays))
     edges = [len(delays) * i // blocks for i in range(blocks + 1)]
     map_items(fill, [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
     return out
@@ -223,14 +223,25 @@ def synthesize_frame(workspace: SynthWorkspace, seed: int) -> SignalFrame:
     else:
         h = np.exp(2j * np.pi * rng.uniform(size=k))
     coeff = workspace.amps * h
-    samples = (workspace.steer * coeff) @ workspace.delayed
+    noise = np.empty((len(workspace.steer), workspace.n_total))
+
+    def draw_noise():
+        rng.standard_normal(out=noise)
+        np.multiply(noise, workspace.noise_std, out=noise)
+
+    def step(item):
+        # item 0 runs on the calling thread, so the frame comes from its
+        # malloc arena; the GEMM runs while the real-part noise is drawn
+        if item == 0:
+            return (workspace.steer * coeff) @ workspace.delayed
+        draw_noise()
+
     # clean + noise_std * (re + 1j * im), added in place in the order drawn;
     # both halves pass through one buffer
-    noise = np.empty(samples.shape)
-    for part in (samples.real, samples.imag):
-        rng.standard_normal(out=noise)
-        noise *= workspace.noise_std
-        part += noise
+    samples, _ = map_items(step, (0, 1))
+    samples.real += noise
+    draw_noise()
+    samples.imag += noise
     wf = workspace.scenario.waveform
     return SignalFrame(
         samples=samples,

@@ -1,6 +1,7 @@
 """End-to-end checks of the hcrb command line."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -319,6 +320,27 @@ def test_unwritable_out_exits_one(tmp_path, capsys, monkeypatch, command):
     assert entry([command, "--scenario", SCENARIO, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["directory", "unwritable_directory"])
+def test_unwritable_out_exits_one_before_mc_runs(tmp_path, capsys, monkeypatch,
+                                                 case):
+    # an --out that cannot take the table must not cost the trials
+    monkeypatch.setattr(hcrb.cli, "run_mc",
+                        lambda *args, **kwargs: pytest.fail("run_mc ran"))
+    if case == "directory":
+        out = tmp_path
+    else:
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        if os.access(locked, os.W_OK):
+            pytest.skip("this user can write into a read-only directory")
+        out = locked / "mc.csv"
+    assert entry(["mc", "--scenario", SCENARIO, "--trials", "2",
+                  "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and err.count("\n") == 1
+    assert str(out) in err
 
 
 def test_dump_frames_onto_a_file_exits_one(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Matched-filter baseline: beamscan direction, de-chirp range."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -7,6 +9,7 @@ from scipy.optimize import minimize_scalar
 from conftest import small_waveform
 
 from hcrb import estimators
+from hcrb._pool import THREADS_ENV
 from hcrb.contour import ContourParams, TargetPose
 from hcrb.estimators import estimate, estimate_direction, estimate_range
 from hcrb.fisher import point_target_crb
@@ -151,6 +154,37 @@ def test_direction_matches_the_stacked_transform(kind, bundle):
     assert est.peak_to_median == ratio
     assert est.confident
     assert abs(est.phi - phi) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ("extended", "point"))
+def test_the_same_bits_at_any_worker_count(kind, bundle, monkeypatch):
+    """Frames, profiles and estimates do not depend on how many workers
+    share a frame. At 3 workers the bins split unevenly; at 4 the last
+    block of the 30 rows is short. Threads switch every microsecond, so a
+    lost or reordered update between workers would show."""
+    if kind == "extended":
+        sc = bundle.scenario
+        workspace = synthesis_workspace(sc, bundle.segmentation)
+    else:
+        sc = _point_scenario(25.0, -0.3, EnergySpec(e_over_n0_db=30.0),
+                             small_waveform())
+        workspace = point_workspace(sc)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "2", "3", "4"):
+            monkeypatch.setenv(THREADS_ENV, threads)
+            frame = synthesize_frame(workspace, 17)
+            ref, nfft, profile, _, _ = _stacked_direction(frame, sc.waveform)
+            assert np.array_equal(
+                estimators._dechirped_profile(frame.samples, ref, nfft), profile)
+            seen.append((frame.samples, estimate(frame, sc.waveform)))
+    finally:
+        sys.setswitchinterval(interval)
+    for samples, result in seen[1:]:
+        assert np.array_equal(samples, seen[0][0])
+        assert result == seen[0][1]
 
 
 def test_point_estimator_is_unbiased_and_efficient():

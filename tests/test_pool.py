@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hcrb.experiments
-from hcrb._pool import THREADS_ENV, map_items, openblas_libraries
+from hcrb._pool import THREADS_ENV, map_items, map_workers, openblas_libraries
 from hcrb.experiments import run_mc
 
 
@@ -76,6 +76,30 @@ def test_nested_and_concurrent_maps_restore_blas_counts(monkeypatch, blas_at_two
         thread.join()
     assert seen == [[1] * len(blas_at_two)] * (2 * 5 * 4 * 3)
     assert _counts() == blas_at_two
+
+
+def test_nested_maps_stay_on_their_thread(monkeypatch):
+    # an inner map on the caller would otherwise queue its items behind the
+    # outer map's items on the pool threads
+    monkeypatch.setenv(THREADS_ENV, "2")
+
+    def outer(_):
+        return threading.get_ident(), map_items(
+            lambda _: threading.get_ident(), range(3))
+
+    seen = map_items(outer, range(4))
+    assert seen[0][0] == threading.get_ident()
+    assert len({thread for thread, _ in seen}) == 2
+    for thread, inner in seen:
+        assert inner == [thread] * 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_map_workers_is_one_inside_a_pooled_map(monkeypatch, threads):
+    monkeypatch.setenv(THREADS_ENV, threads)
+    assert map_workers() == int(threads)
+    assert map_items(lambda _: map_workers(), range(4)) == [1] * 4
+    assert map_workers() == int(threads)
 
 
 def test_run_mc_restores_blas_counts(scenario, monkeypatch, blas_at_two):
