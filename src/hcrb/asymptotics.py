@@ -6,15 +6,14 @@ are read as the exact ones are: crb() with the shape unknown,
 pose_block().crb() with it known.
 """
 
-from ._linalg import triangular_factor
-from .fisher import FisherInfo, check_not_endfire, field_stack, gamma_labels, radar_constants
+from .fisher import FisherInfo, check_not_endfire, radar_constants, sized_info
 from .scenario import Scenario
 
 
 def t_blocks(scenario: Scenario) -> FisherInfo:
     """The long-range information 2(E/N0) T, from the QR of the far-field
-    stack in the state order; IdentifiabilityError at endfire."""
-    rows = field_stack(scenario, far_field=True)
+    stack in the state order, sized with its own quadrature estimate
+    (fisher.sized_info); IdentifiabilityError at endfire."""
+    info = sized_info(scenario, far_field=True)
     check_not_endfire(radar_constants(scenario)[2])
-    return FisherInfo(r=triangular_factor(rows),
-                      labels=tuple(gamma_labels(scenario.contour.q)))
+    return info

@@ -8,7 +8,7 @@ the roughness-weighted illumination profiles (w, v) derive from r and rdot.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +23,12 @@ PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # largest relative change of the perimeter when its node count doubles
 PERIMETER_REL_TOL = 1e-7
+# largest relative change of a reported variance when a bound's node count
+# doubles, for the bound to be reported on fewer than quadrature.nodes nodes
+QUAD_REL_TOL = 1e-10
+# largest relative change of the integral of v^2 ||r_dot|| (v the least smooth
+# weight) from nodes/8 to nodes/4 nodes for which a bound is sized at all
+SMOOTH_REL_TOL = 1e-14
 # trapezoid intervals of the cumulative arc-length table
 ARCLENGTH_NODES = 8192
 
@@ -90,7 +96,14 @@ class TargetPose:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Contour quadrature: the uniform periodic trapezoid on `nodes` points."""
+    """Contour quadrature: the uniform periodic trapezoid on `nodes` points.
+
+    nodes is the finest grid a bound may use, and the one grid the geometry
+    is evaluated on. fisher sizes each bound on every fourth, every second
+    or every node (nodes/4, nodes/2 or nodes points): the coarsest grid
+    whose reported variances move by at most QUAD_REL_TOL from the grid of
+    half as many. The synthesis energy norm always uses every node.
+    """
 
     nodes: int = 4096
 
@@ -116,11 +129,20 @@ class GeometryTable:
     basis: tuple           # fourier_basis at u: four (Q, K) arrays
 
     def at(self, index) -> "GeometryTable":
-        """The table at the nodes that index (an index array) picks; du must
-        be per node, as on a quadrature grid."""
-        nodes = {name: value[..., index] for name, value in vars(self).items()
-                 if name != "basis"}
-        return GeometryTable(**nodes, basis=tuple(part[:, index] for part in self.basis))
+        """The table at the nodes that index (an increasing index array)
+        picks; du must be per node, as on a quadrature grid. Evenly spaced
+        nodes are sliced, not gathered: consecutive ones as views, others
+        copied to contiguous rows."""
+        step = index[1] - index[0] if index.size > 1 else 1
+        if index.size and np.all(np.diff(index) == step):
+            index = slice(index[0], index[-1] + 1, step)
+
+        def pick(value):
+            part = value[..., index]
+            return np.ascontiguousarray(part) if step > 1 else part
+
+        nodes = {name: pick(value) for name, value in vars(self).items() if name != "basis"}
+        return GeometryTable(**nodes, basis=tuple(pick(part) for part in self.basis))
 
 
 @dataclass(frozen=True)
@@ -200,17 +222,32 @@ def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
 
 @dataclass(frozen=True)
 class PoseField:
-    """One pose's lit arc, gathered once (Scenario.lit_arc) and read by
-    efim_exact, t_blocks and the synthesis energy norm.
+    """One pose's lit arc on one grid, gathered once per node count
+    (Scenario.lit_arc, Scenario.lit_arc_on) and read by efim_exact,
+    t_blocks and, on the full grid, the synthesis energy norm.
 
     table and weights hold the lit quadrature nodes only (w > 0, in grid
     order; none for a fully shadowed pose): the shadow adds nothing to any
-    bound. w_norm_sq is the squared star norm of w over the whole contour.
+    bound. index holds each lit node's index on the grid. w_norm_sq is the
+    squared star norm of w over the whole contour.
     """
 
     table: GeometryTable
     weights: ReflectionWeights
     w_norm_sq: float
+    index: np.ndarray
+
+    def subgrid(self, stride: int) -> "PoseField":
+        """The arc on the grid of every stride-th node, at stride times the
+        weight, with no geometry evaluated."""
+        keep = np.flatnonzero(self.index % stride == 0)
+        table = self.table.at(keep)
+        table = replace(table, du=stride * table.du)
+        w = self.weights.w[keep]
+        return PoseField(table=table,
+                         weights=ReflectionWeights(w=w, v=self.weights.v[keep]),
+                         w_norm_sq=float(np.sum(w * w * (table.arc * table.du))),
+                         index=self.index[keep] // stride)
 
 
 def pose_field(scenario) -> PoseField:
@@ -222,7 +259,7 @@ def pose_field(scenario) -> PoseField:
     lit = np.flatnonzero(weights.w > 0.0)
     return PoseField(table=table.at(lit),
                      weights=ReflectionWeights(w=weights.w[lit], v=weights.v[lit]),
-                     w_norm_sq=w_norm_sq)
+                     w_norm_sq=w_norm_sq, index=lit)
 
 
 def uniform_grid(nodes: int):

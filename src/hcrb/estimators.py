@@ -158,7 +158,7 @@ def estimate_direction(frame: SignalFrame, waveform: WaveformSpec) -> DirectionE
     nfft = 2 * int(2 ** np.ceil(np.log2(n_samples)))
     profile = _dechirped_profile(y, ref, nfft)
     bin_ = int(np.argmax(profile))
-    ratio = float(profile[bin_] / np.median(profile))
+    ratio = float(profile[bin_] / _median(profile))
 
     # reducing bin * t mod nfft in integers keeps every phase below 2 pi,
     # as the FFT's own twiddle factors are
@@ -182,6 +182,25 @@ def estimate_direction(frame: SignalFrame, waveform: WaveformSpec) -> DirectionE
         peak_to_median=ratio,
         confident=ratio >= CONFIDENCE_RATIO,
     )
+
+
+def _median(values: np.ndarray):
+    """np.median of a 1-D array, bit for bit, from one partition.
+
+    np.median partitions at both middle ranks and at the last (its NaN
+    check). One partition at n // 2 puts the upper middle value in place
+    with every lower rank before it, so the lower middle value is the
+    largest of those; the two are averaged as np.mean averages them. A NaN
+    anywhere sorts into the upper part and gives NaN, as in np.median.
+    """
+    half = values.size // 2
+    part = np.partition(values, half)
+    top = part[half:].max()
+    if np.isnan(top):
+        return top
+    if values.size % 2:
+        return part[half]
+    return (part[:half].max() + part[half]) / 2.0
 
 
 def _signed_cycles(index: float, nfft: int) -> float:
@@ -208,7 +227,7 @@ def estimate_range(
     spec = scipy.fft.fft(mix, nfft)
     mag = np.abs(spec) ** 2
     peak = int(np.argmax(mag))
-    ratio = float(mag[peak] / np.median(mag))
+    ratio = float(mag[peak] / _median(mag))
     confident = ratio >= BEAT_MARGIN * np.log2(nfft)
     if peak == 0:
         return RangeEstimate(d=0.0, peak_to_median=ratio, confident=confident)

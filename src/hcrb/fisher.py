@@ -7,10 +7,12 @@ stack of weighted derivative-field rows (mu, eta, xi) over the lit contour
 arc; the long-range information is the Gram of the same stack's far-field
 limit. FisherInfo keeps R from the QR of that stack and turns it into a
 bound, exact or long-range: crb() for the whole state (shape unknown),
-pose_block().crb() for the pose rows (shape known).
+pose_block().crb() for the pose rows (shape known). Each stack is sized:
+built on the coarsest grid whose bounds have converged (sized_info).
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -18,6 +20,8 @@ from scipy.constants import c as SPEED_OF_LIGHT
 from ._linalg import invert_info_matrix, triangular_factor
 from .contour import (
     PERP,
+    QUAD_REL_TOL,
+    SMOOTH_REL_TOL,
     ContourParams,
     GeometryTable,
     TargetPose,
@@ -126,13 +130,14 @@ def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTab
     return mu, eta, xi
 
 
-def field_stack(scenario: Scenario, far_field: bool = False):
+def field_stack(scenario: Scenario, far_field: bool = False, nodes: int = None):
     """Rows X, one per parameter, whose Gram X X^T is the information.
 
     The rows run in the state order, d, phi, heading, then the shape, so
     R's leading 3x3 block is the pose information with the shape known.
-    The columns are the lit nodes of scenario.lit_arc, in three blocks, each
-    node scaled by the square root of its quadrature weight:
+    The columns are the lit nodes of scenario.lit_arc_on(nodes) (default
+    quadrature.nodes), in three blocks, each node scaled by the square root
+    of its quadrature weight:
     X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
         sqrt(M) w cos(phi) eta]
     with P_w the star-orthogonal complement of w. With far_field, the same
@@ -140,14 +145,14 @@ def field_stack(scenario: Scenario, far_field: bool = False):
     one column sqrt(Z) ||w|| e_phi: X X^T is the long-range information
     2(E/N0) T, with T free of the range.
     """
-    lit = scenario.lit_arc
+    lit = scenario.lit_arc if nodes is None else scenario.lit_arc_on(nodes)
     weights, w_norm_sq, geo = lit.weights, lit.w_norm_sq, lit.table
     n = geo.u.size
     if n == 0:
         raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
     mu, eta, xi = _derivative_fields(scenario.contour, scenario.pose, geo, far_field)
     big_l, big_m, big_z = radar_constants(scenario)
-    scale = np.sqrt(2.0 * scenario.e_over_n0(w_norm_sq) / w_norm_sq)
+    scale = _stack_scale(scenario, w_norm_sq)
 
     stack = np.empty((mu.shape[0], 2 * n + (n if eta is not None else 1)))
     root_q = np.sqrt(geo.arc * geo.du)
@@ -165,6 +170,45 @@ def field_stack(scenario: Scenario, far_field: bool = False):
         np.multiply(eta, scale * np.sqrt(big_m) * w_hat * np.cos(geo.phi),
                     out=stack[:, 2 * n:])
     return stack
+
+
+def _stack_scale(scenario: Scenario, w_norm_sq: float) -> float:
+    """sqrt(2 E/N0 / ||w||^2), the scale of every field_stack column."""
+    return np.sqrt(2.0 * scenario.e_over_n0(w_norm_sq) / w_norm_sq)
+
+
+def _even_half(stack: np.ndarray, scenario: Scenario, far_field: bool,
+               nodes: int) -> np.ndarray:
+    """field_stack on the even half of the grid of `nodes` points, to
+    rounding, from that grid's stack, with no derivative field evaluated.
+
+    A node's columns carry the square root of its quadrature weight and the
+    scale sqrt(2 E/N0 / ||w||^2). On every other node at twice the weight
+    they scale by sqrt(2) and the ratio of the two grids' scales; the
+    far-field bearing column, which carries scale ||w||, by the ratio of
+    those. The xi block is projected against w once more, on the half
+    grid: the full grid's P_w moved it by a multiple of w, which this
+    projection removes.
+    """
+    arc = scenario.lit_arc_on(nodes)
+    n = arc.index.size
+    even = np.flatnonzero(arc.index % 2 == 0)
+    k = even.size
+    w = arc.weights.w[even]
+    root_q = np.sqrt(2.0 * arc.table.arc[even] * arc.table.du[even])
+    w_hat = w * root_q
+    w_norm_sq = float(np.sum(w_hat * w_hat))
+    scale, fine_scale = _stack_scale(scenario, w_norm_sq), _stack_scale(scenario, arc.w_norm_sq)
+    blocks = [even, n + even] if far_field else [even, n + even, 2 * n + even]
+    half = np.empty((stack.shape[0], 2 * k + (1 if far_field else k)))
+    np.multiply(stack[:, np.concatenate(blocks)], np.sqrt(2.0) * scale / fine_scale,
+                out=half[:, :len(blocks) * k])
+    if far_field:
+        half[:, 2 * k] = stack[:, 2 * n] * (scale * np.sqrt(w_norm_sq)
+                                            / (fine_scale * np.sqrt(arc.w_norm_sq)))
+    xi_block = half[:, k:2 * k]
+    xi_block -= np.outer(xi_block @ w_hat / w_norm_sq, w_hat)
+    return half
 
 
 def gamma_derivatives(scenario: Scenario, u):
@@ -200,10 +244,18 @@ class FisherInfo:
     """Equivalent Fisher information J = r.T @ r over the labelled
     parameters, pose first (three pose components, then the contour
     coefficients). r is upper triangular, its columns in label order; bounds
-    come from r, never from J."""
+    come from r, never from J. The pose block and each bound are computed
+    once and kept.
+
+    A single radar's information records its quadrature (sized_info):
+    nodes, the grid it was built on, and half, the same information on the
+    even half of those nodes when the grid was sized, which quad_error
+    compares it with. A fused information records neither."""
 
     r: np.ndarray
     labels: tuple
+    nodes: int = None
+    half: "FisherInfo" = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -213,13 +265,90 @@ class FisherInfo:
     def pose_block(self) -> "FisherInfo":
         """The information with the contour known: r's leading 3x3 block,
         exact because r[3:, :3] = 0 gives J_pp = r[:3, :3]^T r[:3, :3]."""
-        return FisherInfo(r=self.r[:3, :3], labels=self.labels[:3])
+        return self._pose_block
+
+    @cached_property
+    def _pose_block(self) -> "FisherInfo":
+        half = None if self.half is None else self.half.pose_block()
+        return replace(self, r=self.r[:3, :3], labels=self.labels[:3], half=half)
 
     def crb(self) -> "CrbReport":
         """The bound, the inverse of the information; IdentifiabilityError
         when it is singular."""
-        return CrbReport(covariance=invert_info_matrix(self.r, self.labels),
-                         labels=self.labels)
+        return self._crb
+
+    @cached_property
+    def _crb(self) -> "CrbReport":
+        covariance = invert_info_matrix(self.r, self.labels)
+        covariance.flags.writeable = False
+        return CrbReport(covariance=covariance, labels=self.labels)
+
+    @cached_property
+    def quad_error(self):
+        """The largest relative change of the reported variances (c_range,
+        c_bearing, c_heading; with the shape known, and unknown unless that
+        information is singular on either grid) from half to this grid;
+        None without half, or when a pose block is singular."""
+        if self.half is None:
+            return None
+        changes = []
+        for fine, coarse in ((self.pose_block(), self.half.pose_block()), (self, self.half)):
+            try:
+                ours, theirs = (np.diag(info.crb().covariance)[:3] for info in (fine, coarse))
+            except IdentifiabilityError:
+                if fine is not self:
+                    return None
+                break
+            changes.append(np.max(np.abs(ours - theirs) / ours))
+        return float(max(changes))
+
+
+def _ladder_start(scenario: Scenario):
+    """nodes/4, the grid a sized bound starts on, or None when no grid below
+    quadrature.nodes can converge: nodes is not a multiple of 8 of at least
+    64, or the integral of v^2 ||r_dot|| (v the least smooth weight, which
+    kinks at the shadow boundaries for alpha <= 2) moves by more than
+    SMOOTH_REL_TOL from the even half of nodes/4 points to all of them."""
+    nodes = scenario.quadrature.nodes
+    if nodes % 8 or nodes < 64:
+        return None
+    start = nodes // 4
+    arc = scenario.lit_arc_on(start)
+    terms = arc.weights.v ** 2 * arc.table.arc * arc.table.du
+    fine, half = float(np.sum(terms)), 2.0 * float(np.sum(terms[arc.index % 2 == 0]))
+    return start if fine > 0.0 and abs(fine - half) <= SMOOTH_REL_TOL * fine else None
+
+
+def sized_info(scenario: Scenario, far_field: bool = False) -> FisherInfo:
+    """The information of field_stack on the coarsest grid whose bounds
+    have converged.
+
+    Starting on nodes/4 (quadrature.nodes), the factor on n nodes is
+    reported when its variances move by at most QUAD_REL_TOL from those of
+    the factor on the even half of its nodes (FisherInfo.quad_error): the
+    one on n/2 nodes, first taken from the n-node stack (_even_half).
+    Otherwise n doubles, and the full grid is reported as it stands. The
+    full grid is taken at once when no grid below it can converge
+    (_ladder_start) or a pose block is singular: there the bound is the
+    unsized one, bit for bit.
+    """
+    nodes = scenario.quadrature.nodes
+    labels = tuple(gamma_labels(scenario.contour.q))
+    n = _ladder_start(scenario)
+    if n is not None:
+        stack = field_stack(scenario, far_field, n)
+        half = FisherInfo(r=triangular_factor(_even_half(stack, scenario, far_field, n)),
+                          labels=labels, nodes=n // 2)
+        while True:
+            info = FisherInfo(r=triangular_factor(stack), labels=labels, nodes=n, half=half)
+            if info.quad_error is None:
+                break
+            if info.quad_error <= QUAD_REL_TOL or n == nodes:
+                return info
+            half, n = info, 2 * n
+            stack = field_stack(scenario, far_field, n)
+    return FisherInfo(r=triangular_factor(field_stack(scenario, far_field, nodes)),
+                      labels=labels, nodes=nodes)
 
 
 def efim_exact(scenario: Scenario) -> FisherInfo:
@@ -227,12 +356,11 @@ def efim_exact(scenario: Scenario) -> FisherInfo:
 
     J = (2 E/N0 / ||w||^2) [ L <w mu, w mu> + M <w cos(phi) eta, w cos(phi) eta>
         + (alpha+1)^2 <P_w(v xi), P_w(v xi)> ]
-    is the Gram of field_stack's rows; r is R from their QR. One factor
-    serves both bounds: the known-contour bound is
-    efim_exact(...).pose_block().crb().
+    is the Gram of field_stack's rows on a sized grid (sized_info); r is R
+    from their QR. One factor serves both bounds: the known-contour bound
+    is efim_exact(...).pose_block().crb().
     """
-    return FisherInfo(r=triangular_factor(field_stack(scenario)),
-                      labels=tuple(gamma_labels(scenario.contour.q)))
+    return sized_info(scenario)
 
 
 @dataclass(frozen=True)

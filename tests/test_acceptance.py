@@ -157,7 +157,7 @@ def test_criterion_5_closed_forms_cross_check(scenario):
     # shape unknown: the same form in the Schur complements L', A', B', and
     # the projection route
     unknown = far.crb()
-    stack = field_stack(scenario, far_field=True)
+    stack = field_stack(scenario, far_field=True, nodes=far.nodes)
     schur = pose_inverse(*schur_pose_block(stack), big_z)
     scale = float(np.abs(schur).max())
     assert float(np.abs(unknown.covariance[:3, :3] - schur).max()) / scale < 1e-10

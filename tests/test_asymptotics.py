@@ -84,9 +84,10 @@ def test_unknown_shape_matches_reference(scenario, pose):
     float64 far-field stack defines."""
     if pose is not None:
         scenario = scenario.with_pose(pose)
-    stack = field_stack(scenario, far_field=True)
+    far = t_blocks(scenario)
+    stack = field_stack(scenario, far_field=True, nodes=far.nodes)
     reference = mp_inverse_gram([stack])
-    rep = t_blocks(scenario).crb()
+    rep = far.crb()
     for i, value in enumerate((rep.c_range, rep.c_bearing, rep.c_heading)):
         assert value == pytest.approx(float(reference[i, i]), rel=1e-12)
 
@@ -99,7 +100,7 @@ def test_algebraic_equals_projection_route(scenario, far):
             for value in vars(far).values()]
     assert not any(shape and shape[-1] == 2 * k for shape in kept)
     alg = far.crb()
-    stack = field_stack(scenario, far_field=True)
+    stack = field_stack(scenario, far_field=True, nodes=far.nodes)
     proj = unknown_shape_projection(stack, _pose_constants(scenario, far)[3])
     assert proj["c_range"] == pytest.approx(alg.c_range, rel=1e-11)
     assert proj["c_heading"] == pytest.approx(alg.c_heading, rel=1e-11)

@@ -187,6 +187,34 @@ def test_the_same_bits_at_any_worker_count(kind, bundle, monkeypatch):
         assert result == seen[0][1]
 
 
+@pytest.mark.parametrize("kind", ("extended", "point"))
+def test_one_partition_median_is_numpys(kind, bundle, monkeypatch):
+    """The peak-to-median ratios divide by np.median's value bit for bit:
+    on the direction profile and the range spectrum of a frame, on an odd
+    length, on ties, and with a NaN present (NaN, as in np.median)."""
+    if kind == "extended":
+        sc = bundle.scenario
+        workspace = synthesis_workspace(sc, bundle.segmentation)
+    else:
+        sc = _point_scenario(25.0, -0.3, EnergySpec(e_over_n0_db=30.0),
+                             small_waveform())
+        workspace = point_workspace(sc)
+    seen = []
+    median = estimators._median
+    monkeypatch.setattr(estimators, "_median",
+                        lambda values: seen.append(values.copy()) or median(values))
+    estimate(synthesize_frame(workspace, 17), sc.waveform)
+    assert len(seen) == 2
+    profile, spectrum = seen
+    with_nan = spectrum.copy()
+    with_nan[123] = np.nan
+    ties = np.round(profile / profile.max(), 3)
+    assert np.unique(ties).size < ties.size // 4
+    for values in (profile, spectrum, spectrum[:-1], ties, with_nan):
+        assert np.asarray(median(values)).tobytes() == np.median(values).tobytes()
+    assert np.isnan(median(with_nan))
+
+
 def test_point_estimator_is_unbiased_and_efficient():
     """At 40 dB the matched filter tracks the CRB within 3 dB and its mean
     error stays below a tenth of the CRB standard deviation."""

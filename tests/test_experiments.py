@@ -251,8 +251,11 @@ def _count_qrs(monkeypatch) -> list:
 
 
 def test_sweep_gathers_each_lit_arc_once(scenario, monkeypatch):
-    # the exact and the far-field stack read one lit table per pose, and
-    # each stack is factored once: all four bounds read those two QRs
+    # the exact and the far-field stack read one lit table per pose and
+    # grid: the full grid's, and the 1024-node subgrid that both sized
+    # stacks share. Each is factored once on 1024 nodes and once on the
+    # even half of them, taken from the same stack: all four bounds read
+    # those QRs
     gathers = []
     original = hcrb.contour.GeometryTable.at
 
@@ -263,8 +266,8 @@ def test_sweep_gathers_each_lit_arc_once(scenario, monkeypatch):
     monkeypatch.setattr(hcrb.contour.GeometryTable, "at", counted)
     qrs = _count_qrs(monkeypatch)
     table = run_range_sweep(scenario, n_points=3)
-    assert len(gathers) == 3
-    assert len(qrs) == 3 * 2
+    assert len(gathers) == 3 * 2
+    assert len(qrs) == 3 * 2 * 2
     assert len(table.rows) == 3 * 14
 
 
@@ -321,8 +324,10 @@ def test_diversity_builds_each_shared_radar_once(scenario, bundle, monkeypatch,
     target, heading = bundle.target_xy, bundle.heading
     table = run_diversity(scenario, target, heading, radius=radius)
     assert len(calls) == 12
-    # one QR per distinct radar, one per fused ring: both PEBs read its R
-    assert len(qrs) == 12 + 6
+    # per distinct radar one QR per grid its sizing tried (512 and 1024
+    # nodes for nine radars, and 2048 as well for three), one per fused
+    # ring: both PEBs read its R
+    assert len(qrs) == 9 * 2 + 3 * 3 + 6
     monkeypatch.undo()
     for count in range(1, 7):
         radars = uniform_constellation(target, count, radius,

@@ -124,9 +124,9 @@ def test_exact_bounds_frozen(scenario):
 
 def _assert_matches_reference(scenario):
     """Both exact bounds against a 40-digit inverse of the information that
-    the float64 field stack defines."""
-    stack = field_stack(scenario)
+    the float64 field stack defines, on the grid the bounds were sized on."""
     res = efim_exact(scenario)
+    stack = field_stack(scenario, nodes=res.nodes)
     for report, rows in ((res.crb(), stack), (res.pose_block().crb(), stack[:3])):
         reference = mp_inverse_gram([rows])
         for i, value in enumerate((report.c_range, report.c_bearing, report.c_heading)):

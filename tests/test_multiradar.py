@@ -20,6 +20,7 @@ from hcrb.multiradar import (
     peb,
     radar_local_scenario,
     uniform_constellation,
+    unit_energy,
 )
 from hcrb.scenario import EnergySpec
 from hcrb.scenario_io import build
@@ -124,8 +125,9 @@ def test_known_contour_fusion_is_the_pose_block(scenario):
 @pytest.mark.parametrize("count", [3, 1], ids=["three_radars", "diversity_1"])
 def test_fused_peb_matches_reference(bundle, count):
     """Both PEBs of a fused constellation against a 40-digit inverse of the
-    summed information that the float64 per-radar field stacks define. One
-    radar is run_diversity's first, at its default radius and budget."""
+    summed information that the float64 per-radar field stacks define, each
+    on the grid fuse sized it on (at unit E/N0). One radar is
+    run_diversity's first, at its default radius and budget."""
     scenario, target, heading = bundle.scenario, bundle.target_xy, bundle.heading
     radars = uniform_constellation(target, count, 7.0, start_angle=heading - BOW_OFFSET)
     fused = fuse(scenario, target, heading, radars, total_e_over_n0_db=40.0)
@@ -134,7 +136,9 @@ def test_fused_peb_matches_reference(bundle, count):
     for radar in radars:
         local = radar_local_scenario(scenario.with_e_over_n0_db(per), target, heading,
                                      radar)
-        stacks.append(field_stack(local))
+        sized = efim_exact(radar_local_scenario(unit_energy(scenario), target, heading,
+                                                radar))
+        stacks.append(field_stack(local, nodes=sized.nodes))
         chains.append(_chain_matrix(target - radar.position, local.pose.d,
                                     stacks[-1].shape[0]))
     for info, rows, size in ((fused, stacks, None), (fused.pose_block(),
