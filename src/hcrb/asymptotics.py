@@ -13,7 +13,7 @@ from .scenario import Scenario
 def t_blocks(scenario: Scenario) -> FisherInfo:
     """The long-range information 2(E/N0) T, from the QR of the far-field
     stack in the state order, sized with its own quadrature estimate
-    (fisher.sized_info); IdentifiabilityError at endfire."""
-    info = sized_info(scenario, far_field=True)
+    (fisher.sized_info); IdentifiabilityError at endfire, checked before
+    any stack is built."""
     check_not_endfire(radar_constants(scenario)[2])
-    return info
+    return sized_info(scenario, far_field=True)

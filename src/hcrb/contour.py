@@ -130,16 +130,20 @@ class GeometryTable:
 
     def at(self, index) -> "GeometryTable":
         """The table at the nodes that index (an increasing index array)
-        picks; du must be per node, as on a quadrature grid. Evenly spaced
-        nodes are sliced, not gathered: consecutive ones as views, others
-        copied to contiguous rows."""
-        step = index[1] - index[0] if index.size > 1 else 1
-        if index.size and np.all(np.diff(index) == step):
+        picks; du must be per node, as on a quadrature grid. Consecutive
+        nodes, as on a lit arc that does not wrap, are views of this table
+        (its basis rows are the grid's shared arrays); other evenly spaced
+        ones, as on a subgrid, are sliced and copied into contiguous rows;
+        the rest are gathered with np.take. Each is cheaper than fancy
+        indexing."""
+        step = index[1] - index[0] if index.size > 1 else 0
+        if step > 0 and np.all(np.diff(index) == step):
             index = slice(index[0], index[-1] + 1, step)
 
         def pick(value):
-            part = value[..., index]
-            return np.ascontiguousarray(part) if step > 1 else part
+            if not isinstance(index, slice):
+                return np.take(value, index, axis=-1)
+            return value[..., index] if step == 1 else value[..., index].copy()
 
         nodes = {name: pick(value) for name, value in vars(self).items() if name != "basis"}
         return GeometryTable(**nodes, basis=tuple(pick(part) for part in self.basis))

@@ -146,69 +146,62 @@ def field_stack(scenario: Scenario, far_field: bool = False, nodes: int = None):
     2(E/N0) T, with T free of the range.
     """
     lit = scenario.lit_arc if nodes is None else scenario.lit_arc_on(nodes)
-    weights, w_norm_sq, geo = lit.weights, lit.w_norm_sq, lit.table
-    n = geo.u.size
-    if n == 0:
+    return _weighted_stack(scenario, _lit_fields(scenario, lit, far_field), lit.weights.w,
+                           lit.weights.v, lit.table.arc * lit.table.du, lit.table.phi,
+                           lit.w_norm_sq)
+
+
+def field_stacks(scenario: Scenario, far_field: bool, nodes: int):
+    """field_stack on the grid of `nodes` points and on its even half, every
+    other node at twice the weight (nodes/2 points), the derivative fields
+    evaluated once: the half's are the even nodes' columns of the full
+    grid's. The two stacks are the same to rounding as field_stack on each
+    grid."""
+    lit = scenario.lit_arc_on(nodes)
+    fields = _lit_fields(scenario, lit, far_field)
+    q = lit.table.arc * lit.table.du
+    stack = _weighted_stack(scenario, fields, lit.weights.w, lit.weights.v, q,
+                            lit.table.phi, lit.w_norm_sq)
+    even = np.flatnonzero(lit.index % 2 == 0)
+    w, q = lit.weights.w[even], 2.0 * q[even]
+    half = _weighted_stack(scenario, tuple(None if f is None else f[:, even] for f in fields),
+                           w, lit.weights.v[even], q, lit.table.phi[even],
+                           float(np.sum(w * w * q)))
+    return stack, half
+
+
+def _lit_fields(scenario: Scenario, lit, far_field: bool):
+    """_derivative_fields on a lit arc; NoIlluminationError when none of its
+    nodes is lit."""
+    if lit.table.u.size == 0:
         raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
-    mu, eta, xi = _derivative_fields(scenario.contour, scenario.pose, geo, far_field)
+    return _derivative_fields(scenario.contour, scenario.pose, lit.table, far_field)
+
+
+def _weighted_stack(scenario: Scenario, fields, w, v, q, phi, w_norm_sq: float):
+    """field_stack's rows from the derivative fields (mu, eta, xi) at lit
+    nodes with weights w and v, quadrature weights q = ||r_dot|| du and
+    bearings phi; w_norm_sq is ||w||^2 on that grid."""
+    mu, eta, xi = fields
+    n = w.size
     big_l, big_m, big_z = radar_constants(scenario)
-    scale = _stack_scale(scenario, w_norm_sq)
+    scale = np.sqrt(2.0 * scenario.e_over_n0(w_norm_sq) / w_norm_sq)
 
     stack = np.empty((mu.shape[0], 2 * n + (n if eta is not None else 1)))
-    root_q = np.sqrt(geo.arc * geo.du)
-    w_hat = weights.w * root_q
+    root_q = np.sqrt(q)
+    w_hat = w * root_q
     np.multiply(mu, scale * np.sqrt(big_l) * w_hat, out=stack[:, :n])
     xi_block = stack[:, n:2 * n]
-    np.multiply(xi, scale * (scenario.alpha + 1.0) * weights.v * root_q, out=xi_block)
-    # P_w: one rank-1 update against w, whose squared norm the pose field holds
+    np.multiply(xi, scale * (scenario.alpha + 1.0) * v * root_q, out=xi_block)
+    # P_w: one rank-1 update against w, whose squared norm the caller holds
     w_col = unit_weights(w_hat)
     xi_block -= np.outer(star_inner(w_col, w_col.with_values(xi_block)) / w_norm_sq, w_hat)
     if eta is None:
         stack[:, 2 * n] = 0.0
         stack[1, 2 * n] = scale * np.sqrt(big_z * w_norm_sq)
     else:
-        np.multiply(eta, scale * np.sqrt(big_m) * w_hat * np.cos(geo.phi),
-                    out=stack[:, 2 * n:])
+        np.multiply(eta, scale * np.sqrt(big_m) * w_hat * np.cos(phi), out=stack[:, 2 * n:])
     return stack
-
-
-def _stack_scale(scenario: Scenario, w_norm_sq: float) -> float:
-    """sqrt(2 E/N0 / ||w||^2), the scale of every field_stack column."""
-    return np.sqrt(2.0 * scenario.e_over_n0(w_norm_sq) / w_norm_sq)
-
-
-def _even_half(stack: np.ndarray, scenario: Scenario, far_field: bool,
-               nodes: int) -> np.ndarray:
-    """field_stack on the even half of the grid of `nodes` points, to
-    rounding, from that grid's stack, with no derivative field evaluated.
-
-    A node's columns carry the square root of its quadrature weight and the
-    scale sqrt(2 E/N0 / ||w||^2). On every other node at twice the weight
-    they scale by sqrt(2) and the ratio of the two grids' scales; the
-    far-field bearing column, which carries scale ||w||, by the ratio of
-    those. The xi block is projected against w once more, on the half
-    grid: the full grid's P_w moved it by a multiple of w, which this
-    projection removes.
-    """
-    arc = scenario.lit_arc_on(nodes)
-    n = arc.index.size
-    even = np.flatnonzero(arc.index % 2 == 0)
-    k = even.size
-    w = arc.weights.w[even]
-    root_q = np.sqrt(2.0 * arc.table.arc[even] * arc.table.du[even])
-    w_hat = w * root_q
-    w_norm_sq = float(np.sum(w_hat * w_hat))
-    scale, fine_scale = _stack_scale(scenario, w_norm_sq), _stack_scale(scenario, arc.w_norm_sq)
-    blocks = [even, n + even] if far_field else [even, n + even, 2 * n + even]
-    half = np.empty((stack.shape[0], 2 * k + (1 if far_field else k)))
-    np.multiply(stack[:, np.concatenate(blocks)], np.sqrt(2.0) * scale / fine_scale,
-                out=half[:, :len(blocks) * k])
-    if far_field:
-        half[:, 2 * k] = stack[:, 2 * n] * (scale * np.sqrt(w_norm_sq)
-                                            / (fine_scale * np.sqrt(arc.w_norm_sq)))
-    xi_block = half[:, k:2 * k]
-    xi_block -= np.outer(xi_block @ w_hat / w_norm_sq, w_hat)
-    return half
 
 
 def gamma_derivatives(scenario: Scenario, u):
@@ -244,18 +237,19 @@ class FisherInfo:
     """Equivalent Fisher information J = r.T @ r over the labelled
     parameters, pose first (three pose components, then the contour
     coefficients). r is upper triangular, its columns in label order; bounds
-    come from r, never from J. The pose block and each bound are computed
+    come from r, never from J. The pose block and the bound are computed
     once and kept.
 
     A single radar's information records its quadrature (sized_info):
-    nodes, the grid it was built on, and half, the same information on the
-    even half of those nodes when the grid was sized, which quad_error
-    compares it with. A fused information records neither."""
+    nodes, the grid it was built on, and quad_error, the estimate the grid
+    was accepted on (None when the full grid was taken without one). Its
+    pose block records the grid only; a fused information records neither.
+    """
 
     r: np.ndarray
     labels: tuple
     nodes: int = None
-    half: "FisherInfo" = None
+    quad_error: float = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -269,8 +263,7 @@ class FisherInfo:
 
     @cached_property
     def _pose_block(self) -> "FisherInfo":
-        half = None if self.half is None else self.half.pose_block()
-        return replace(self, r=self.r[:3, :3], labels=self.labels[:3], half=half)
+        return FisherInfo(r=self.r[:3, :3], labels=self.labels[:3], nodes=self.nodes)
 
     def crb(self) -> "CrbReport":
         """The bound, the inverse of the information; IdentifiabilityError
@@ -283,24 +276,13 @@ class FisherInfo:
         covariance.flags.writeable = False
         return CrbReport(covariance=covariance, labels=self.labels)
 
-    @cached_property
-    def quad_error(self):
-        """The largest relative change of the reported variances (c_range,
-        c_bearing, c_heading; with the shape known, and unknown unless that
-        information is singular on either grid) from half to this grid;
-        None without half, or when a pose block is singular."""
-        if self.half is None:
-            return None
-        changes = []
-        for fine, coarse in ((self.pose_block(), self.half.pose_block()), (self, self.half)):
-            try:
-                ours, theirs = (np.diag(info.crb().covariance)[:3] for info in (fine, coarse))
-            except IdentifiabilityError:
-                if fine is not self:
-                    return None
-                break
-            changes.append(np.max(np.abs(ours - theirs) / ours))
-        return float(max(changes))
+    def recording(self, quad_error: float) -> "FisherInfo":
+        """This information with its quadrature estimate recorded, keeping
+        the pose block and the bound already computed."""
+        info = replace(self, quad_error=quad_error)
+        vars(info).update((name, value) for name, value in vars(self).items()
+                          if name in ("_pose_block", "_crb"))
+        return info
 
 
 def _ladder_start(scenario: Scenario):
@@ -308,47 +290,82 @@ def _ladder_start(scenario: Scenario):
     quadrature.nodes can converge: nodes is not a multiple of 8 of at least
     64, or the integral of v^2 ||r_dot|| (v the least smooth weight, which
     kinks at the shadow boundaries for alpha <= 2) moves by more than
-    SMOOTH_REL_TOL from the even half of nodes/4 points to all of them."""
+    SMOOTH_REL_TOL from nodes/8 to nodes/4 points. Both integrals are read
+    off the full grid's lit arc, so a bound that takes the full grid
+    gathers no subgrid."""
     nodes = scenario.quadrature.nodes
     if nodes % 8 or nodes < 64:
         return None
-    start = nodes // 4
-    arc = scenario.lit_arc_on(start)
+    arc = scenario.lit_arc
     terms = arc.weights.v ** 2 * arc.table.arc * arc.table.du
-    fine, half = float(np.sum(terms)), 2.0 * float(np.sum(terms[arc.index % 2 == 0]))
-    return start if fine > 0.0 and abs(fine - half) <= SMOOTH_REL_TOL * fine else None
+    fine, half = (stride * float(np.sum(terms[arc.index % stride == 0])) for stride in (4, 8))
+    return nodes // 4 if fine > 0.0 and abs(fine - half) <= SMOOTH_REL_TOL * fine else None
+
+
+def _reported(info: FisherInfo):
+    """c_range, c_bearing and c_heading of info's bound; None when info is
+    singular."""
+    try:
+        return np.diag(info.crb().covariance)[:3]
+    except IdentifiabilityError:
+        return None
+
+
+def _quad_error(fine: FisherInfo, coarse: FisherInfo):
+    """The largest relative change of the reported variances (c_range,
+    c_bearing, c_heading, with the shape known and unknown) from coarse, on
+    the even half of fine's nodes, to fine.
+
+    An information singular on both grids is left out: a radar whose
+    shape-unknown information is singular until fused is sized by its pose
+    block. One singular on one grid only has not converged (inf). None when
+    the pose block is singular on both grids: nothing can be compared.
+    """
+    changes = []
+    for ours, theirs in ((_reported(fine.pose_block()), _reported(coarse.pose_block())),
+                         (_reported(fine), _reported(coarse))):
+        if ours is None and theirs is None:
+            continue
+        if ours is None or theirs is None:
+            return np.inf
+        changes.append(float(np.max(np.abs(ours - theirs) / ours)))
+    return max(changes) if changes else None
+
+
+def _info(scenario: Scenario, stack: np.ndarray, nodes: int) -> FisherInfo:
+    """The information of a field stack on the grid of `nodes` points; the
+    stack is overwritten by its QR."""
+    return FisherInfo(r=triangular_factor(stack),
+                      labels=tuple(gamma_labels(scenario.contour.q)), nodes=nodes)
 
 
 def sized_info(scenario: Scenario, far_field: bool = False) -> FisherInfo:
     """The information of field_stack on the coarsest grid whose bounds
     have converged.
 
-    Starting on nodes/4 (quadrature.nodes), the factor on n nodes is
+    Starting on n = nodes/4 (quadrature.nodes), the factor on n nodes is
     reported when its variances move by at most QUAD_REL_TOL from those of
-    the factor on the even half of its nodes (FisherInfo.quad_error): the
-    one on n/2 nodes, first taken from the n-node stack (_even_half).
-    Otherwise n doubles, and the full grid is reported as it stands. The
-    full grid is taken at once when no grid below it can converge
-    (_ladder_start) or a pose block is singular: there the bound is the
-    unsized one, bit for bit.
+    the factor on n/2 nodes, the even half of its grid (_quad_error; on
+    the first grid the two stacks share their derivative fields,
+    field_stacks). Otherwise n doubles, and the full grid is reported as
+    it stands. The full grid is taken at once when no grid below it can
+    converge (_ladder_start) or the pose block is singular on both grids:
+    there the bound is the unsized one, bit for bit.
     """
     nodes = scenario.quadrature.nodes
-    labels = tuple(gamma_labels(scenario.contour.q))
     n = _ladder_start(scenario)
     if n is not None:
-        stack = field_stack(scenario, far_field, n)
-        half = FisherInfo(r=triangular_factor(_even_half(stack, scenario, far_field, n)),
-                          labels=labels, nodes=n // 2)
+        stack, half = field_stacks(scenario, far_field, n)
+        coarse, fine = _info(scenario, half, n // 2), _info(scenario, stack, n)
         while True:
-            info = FisherInfo(r=triangular_factor(stack), labels=labels, nodes=n, half=half)
-            if info.quad_error is None:
+            error = _quad_error(fine, coarse)
+            if error is None:
                 break
-            if info.quad_error <= QUAD_REL_TOL or n == nodes:
-                return info
-            half, n = info, 2 * n
-            stack = field_stack(scenario, far_field, n)
-    return FisherInfo(r=triangular_factor(field_stack(scenario, far_field, nodes)),
-                      labels=labels, nodes=nodes)
+            if error <= QUAD_REL_TOL or n == nodes:
+                return fine.recording(error)
+            coarse, n = fine, 2 * n
+            fine = _info(scenario, field_stack(scenario, far_field, n), n)
+    return _info(scenario, field_stack(scenario, far_field, nodes), nodes)
 
 
 def efim_exact(scenario: Scenario) -> FisherInfo:

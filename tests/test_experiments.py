@@ -252,10 +252,10 @@ def _count_qrs(monkeypatch) -> list:
 
 def test_sweep_gathers_each_lit_arc_once(scenario, monkeypatch):
     # the exact and the far-field stack read one lit table per pose and
-    # grid: the full grid's, and the 1024-node subgrid that both sized
-    # stacks share. Each is factored once on 1024 nodes and once on the
-    # even half of them, taken from the same stack: all four bounds read
-    # those QRs
+    # grid: the full grid's, and the 1024-node subgrid gathered from it,
+    # which both sized stacks share. Each is factored once on 1024 nodes
+    # and once on the even half of them, whose stack shares its derivative
+    # fields: all four bounds read those QRs
     gathers = []
     original = hcrb.contour.GeometryTable.at
 

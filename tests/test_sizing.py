@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_scenario
 
+from hcrb import fisher
 from hcrb._linalg import triangular_factor
 from hcrb.asymptotics import t_blocks
 from hcrb.contour import QuadratureSpec, TargetPose, geometry_table
@@ -15,9 +16,9 @@ from hcrb.errors import IdentifiabilityError, ScenarioError
 from hcrb.experiments import BOW_OFFSET, SWEEP_RADAR, ray_positions, run_diversity
 from hcrb.fisher import (
     FisherInfo,
-    _even_half,
     efim_exact,
     field_stack,
+    field_stacks,
     gamma_labels,
     sized_info,
 )
@@ -70,13 +71,15 @@ def test_subgrid_arc_is_the_coarse_grid_arc(scenario):
 @pytest.mark.parametrize("far_field", [False, True], ids=["exact", "far_field"])
 @pytest.mark.parametrize("energy", [EnergySpec(e_over_n0_db=40.0), EnergySpec(gain=2e3)],
                          ids=["fixed", "physical"])
-def test_even_half_of_a_stack_is_the_coarse_stack(scenario, far_field, energy):
-    """The stack on every other node, rescaled and projected again from the
-    1024-node stack, is the stack field_stack builds on 512 nodes."""
+def test_even_half_shares_the_derivative_fields(scenario, far_field, energy):
+    """The even-half stack that field_stacks builds from the 1024-node
+    derivative fields is the stack field_stack builds on 512 nodes, and
+    the full one is field_stack's on 1024."""
     scenario = replace(scenario, energy=energy)
-    coarse = field_stack(scenario, far_field, 512)
-    half = _even_half(field_stack(scenario, far_field, 1024), scenario, far_field, 1024)
-    npt.assert_allclose(half, coarse, rtol=0.0, atol=1e-14 * np.abs(coarse).max())
+    stack, half = field_stacks(scenario, far_field, 1024)
+    for got, want in ((stack, field_stack(scenario, far_field, 1024)),
+                      (half, field_stack(scenario, far_field, 512))):
+        npt.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("heading_deg", [60.0, 90.0, 120.0, 180.0])
@@ -143,22 +146,48 @@ def test_rough_surfaces_keep_the_full_grid_bit_for_bit():
 def test_smooth_surfaces_record_their_estimate(scenario):
     """A sized information records its grid and its estimate, the largest
     relative change of the six reported variances from the grid of half as
-    many nodes; its pose block records the known-shape part."""
+    many nodes; its pose block records the grid."""
     info = efim_exact(scenario)
-    assert info.nodes == scenario.quadrature.nodes // 4
-    assert info.half.nodes == info.nodes // 2
-    change = np.abs(_variances(info) - _variances(info.half)) / _variances(info)
+    assert info.nodes == info.pose_block().nodes == scenario.quadrature.nodes // 4
+    half_stack = field_stacks(scenario, False, info.nodes)[1]
+    half = FisherInfo(r=triangular_factor(half_stack), labels=info.labels)
+    change = np.abs(_variances(info) - _variances(half)) / _variances(info)
     assert info.quad_error == change.max() <= 1e-10
-    assert info.pose_block().quad_error == change[0].max()
-    assert info.pose_block().nodes == info.nodes
+
+
+def test_an_information_singular_on_one_grid_only_has_not_converged(scenario,
+                                                                    monkeypatch):
+    """When the shape-unknown information is singular on one of the two
+    grids only, the finer grid is not accepted: here it is singular on
+    nodes/4 points alone, so neither nodes/4 (against nodes/8) nor nodes/2
+    (against nodes/4) converges, and the full grid reports its bound."""
+    original = fisher._info
+    start = scenario.quadrature.nodes // 4
+
+    def rank_short_at_start(sc, stack, nodes):
+        if nodes == start:
+            stack[-1] = 0.0
+        return original(sc, stack, nodes)
+
+    monkeypatch.setattr(fisher, "_info", rank_short_at_start)
+    sc = scenario.with_pose(scenario.pose)
+    with pytest.raises(IdentifiabilityError):
+        fisher._info(sc, field_stack(sc, False, start), start).crb()
+    info = sized_info(sc)
+    assert info.nodes == sc.quadrature.nodes and info.quad_error <= 1e-10
+    npt.assert_array_equal(info.r, _full_grid(sc).r)
+    assert np.isfinite(info.crb().c_heading)
 
 
 def test_a_singular_pose_block_takes_the_full_grid(scenario):
     """At endfire the long-range pose block is singular on every grid, so
-    t_blocks builds the full grid and raises there, as unsized."""
+    its sizing takes the full grid at once; t_blocks raises before it
+    builds any stack."""
     endfire = scenario.with_pose(TargetPose(10.0, np.pi / 2.0, 1.0))
     assert efim_exact(endfire).nodes < scenario.quadrature.nodes
     far = sized_info(endfire, far_field=True)
     assert far.nodes == scenario.quadrature.nodes and far.quad_error is None
-    with pytest.raises(IdentifiabilityError):
-        t_blocks(endfire)
+    fresh = scenario.with_pose(endfire.pose)
+    with pytest.raises(IdentifiabilityError, match="endfire"):
+        t_blocks(fresh)
+    assert "lit_arc" not in vars(fresh) and "_arcs_on" not in vars(fresh)
