@@ -27,18 +27,15 @@ from .fisher import (
     CrbReport,
     FisherInfo,
     efim_exact,
-    gamma_derivatives,
     gamma_labels,
-    gamma_vector,
     hcrb_exact,
     point_target_crb,
     radar_constants,
-    scenario_with_gamma,
 )
 from .multiradar import RadarPose, fuse, peb, uniform_constellation
 from .scenario import EnergySpec, Scenario, SegmentationConfig, WaveformSpec
 from .scenario_io import ScenarioBundle, build, dumps_normalized, load_file, normalize
-from .starcalc import SampledField, project_perp, star_inner
+from .starcalc import SampledField, star_inner
 from .waveform import (
     SignalFrame,
     chirp,

@@ -198,6 +198,8 @@ def _cmd_bounds(args, bundle: ScenarioBundle) -> ResultTable:
 
 
 def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
+    if args.dump_frames == "":
+        raise ScenarioError("--dump-frames: empty path")
     scenario = bundle.scenario
     if args.point:
         workspace = point_workspace(scenario)
@@ -258,10 +260,13 @@ _COMMANDS = {
 }
 
 
-def _check_out(path: Path):
-    """Raise ScenarioError unless a CSV can be written at path: its
-    directory exists and is writable, and path is not a directory or a
-    file that cannot be written."""
+def _check_out(text: str):
+    """Raise ScenarioError unless a CSV can be written at the path text: it
+    is not empty, its directory exists and is writable, and it is not a
+    directory or a file that cannot be written."""
+    if not text:
+        raise ScenarioError("--out: empty path")
+    path = Path(text)
     if not path.parent.is_dir():
         raise ScenarioError(f"--out: no such directory: {path.parent}")
     if path.is_dir():
@@ -286,10 +291,10 @@ def entry(argv=None) -> int:
         if args.print_normalized:
             sys.stdout.write(dumps_normalized(bundle.document))
             return 0
-        if args.out:
-            _check_out(Path(args.out))
+        if args.out is not None:
+            _check_out(args.out)
         table = _COMMANDS[args.command](args, bundle)
-        if args.out:
+        if args.out is not None:
             table.to_csv(args.out)
             print(f"wrote {len(table.rows)} rows to {args.out}")
         for line in table.failures:

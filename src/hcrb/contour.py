@@ -14,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError, RegularityError, ScenarioError
-from .starcalc import SampledField, star_norm_sq
 
 TWO_PI = 2.0 * np.pi
 
@@ -259,7 +258,7 @@ def pose_field(scenario) -> PoseField:
     reflection weights at the lit quadrature nodes, and ||w||^2."""
     table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
     weights = reflection_weights(table, scenario.alpha)
-    w_norm_sq = star_norm_sq(SampledField(weights.w, table.arc, table.du))
+    w_norm_sq = float(np.sum(weights.w * weights.w * (table.arc * table.du)))
     lit = np.flatnonzero(weights.w > 0.0)
     return PoseField(table=table.at(lit),
                      weights=ReflectionWeights(w=weights.w[lit], v=weights.v[lit]),

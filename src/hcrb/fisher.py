@@ -25,7 +25,6 @@ from .contour import (
     ContourParams,
     GeometryTable,
     TargetPose,
-    geometry_at,
     rotation,
 )
 from .errors import IdentifiabilityError, NoIlluminationError
@@ -43,25 +42,6 @@ def gamma_labels(q: int):
         + [f"a{k}" for k in range(1, q + 1)]
         + [f"b{k}" for k in range(1, q + 1)]
     )
-
-
-def gamma_vector(scenario: Scenario) -> np.ndarray:
-    """Flatten pose + contour into the canonical state ordering."""
-    pose = scenario.pose
-    return np.concatenate(
-        [[pose.d, pose.phi, pose.heading], scenario.contour.m, scenario.contour.n]
-    )
-
-
-def scenario_with_gamma(scenario: Scenario, gamma: np.ndarray) -> Scenario:
-    """Rebuild the scenario from a state vector (inverse of gamma_vector)."""
-    q = scenario.contour.q
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (2 * q + 3,):
-        raise ValueError(f"state must have length {2 * q + 3}, got {gamma.shape}")
-    pose = TargetPose(d=gamma[0], phi=gamma[1], heading=gamma[2])
-    contour = ContourParams(m=gamma[3 : 3 + q], n=gamma[3 + q :])
-    return replace(scenario, pose=pose, contour=contour)
 
 
 def _derivative_fields(params: ContourParams, pose: TargetPose, geo: GeometryTable,
@@ -202,13 +182,6 @@ def _weighted_stack(scenario: Scenario, fields, w, v, q, phi, w_norm_sq: float):
     else:
         np.multiply(eta, scale * np.sqrt(big_m) * w_hat * np.cos(phi), out=stack[:, 2 * n:])
     return stack
-
-
-def gamma_derivatives(scenario: Scenario, u):
-    """mu, eta, xi evaluated at contour parameter(s) u, shapes (2Q+3, K)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    geo = geometry_at(scenario.contour, scenario.pose, u)
-    return _derivative_fields(scenario.contour, scenario.pose, geo)
 
 
 def radar_constants(scenario: Scenario):

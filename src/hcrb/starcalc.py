@@ -1,9 +1,12 @@
 """Star-product calculus on contour-sampled fields.
 
 The star product <f, g> = integral of f g ||r_dot|| du over [0, 2pi) is the
-inner product under which all bound formulas are assembled. Fields are
-tabulated on a shared quadrature grid; vector-valued fields are stacks of
-rows, for which the overloaded product returns the Gram matrix.
+inner product of the bound formulas. Fields are tabulated on a shared
+quadrature grid; vector-valued fields are stacks of rows, for which the
+overloaded product returns the Gram matrix. The bounds run star_inner once
+per field stack, in the rank-1 P_w update of fisher._weighted_stack; the
+projections onto a span, by which the tests referee the QR route, live in
+tests/referees.py.
 """
 
 import copy
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import solve_spd
 from .errors import ScenarioError
 
 
@@ -93,28 +95,3 @@ def star_inner(f: SampledField, g: SampledField):
     if g.values.ndim == 1:
         return gram[:, 0]
     return gram
-
-
-def star_norm_sq(f: SampledField):
-    """Squared star norm; per-row for stacked fields."""
-    a = np.atleast_2d(f.values)
-    out = np.sum(a * a * f.quad_weights, axis=1)
-    return float(out[0]) if f.values.ndim == 1 else out
-
-
-def project(f: SampledField, basis: SampledField) -> SampledField:
-    """Star-orthogonal projection of f onto the span of the basis rows."""
-    gram = np.atleast_2d(star_inner(basis, basis))
-    rhs = np.atleast_2d(star_inner(basis, f))
-    if f.values.ndim == 1:
-        rhs = rhs.reshape(-1, 1)
-    coef = solve_spd(gram, rhs)
-    proj = coef.T @ np.atleast_2d(basis.values)
-    return f.with_values(proj.reshape(f.values.shape))
-
-
-def project_perp(f: SampledField, basis: SampledField) -> SampledField:
-    """Residual of f after projecting out the span of the basis rows."""
-    # the projection's values are a fresh array: the residual overwrites it
-    residual = project(f, basis).values
-    return f.with_values(np.subtract(f.values, residual, out=residual))

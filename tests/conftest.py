@@ -1,12 +1,14 @@
 """Shared fixtures and generators for the test suite."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from hcrb.contour import ContourParams, TargetPose
+from hcrb.contour import ContourParams, TargetPose, geometry_at
+from hcrb.fisher import _derivative_fields
 from hcrb.scenario import EnergySpec, Scenario, WaveformSpec
 from hcrb.scenario_io import load_file
 
@@ -57,15 +59,38 @@ def small_waveform() -> WaveformSpec:
     return WaveformSpec(bandwidth=5e7, duration=2e-6, sample_rate=1e8)
 
 
+def gamma_vector(scenario: Scenario) -> np.ndarray:
+    """Flatten pose + contour into the canonical state ordering."""
+    pose = scenario.pose
+    return np.concatenate(
+        [[pose.d, pose.phi, pose.heading], scenario.contour.m, scenario.contour.n]
+    )
+
+
+def scenario_with_gamma(scenario: Scenario, gamma: np.ndarray) -> Scenario:
+    """Rebuild the scenario from a state vector (inverse of gamma_vector)."""
+    q = scenario.contour.q
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (2 * q + 3,):
+        raise ValueError(f"state must have length {2 * q + 3}, got {gamma.shape}")
+    pose = TargetPose(d=gamma[0], phi=gamma[1], heading=gamma[2])
+    contour = ContourParams(m=gamma[3 : 3 + q], n=gamma[3 + q :])
+    return replace(scenario, pose=pose, contour=contour)
+
+
+def gamma_derivatives(scenario: Scenario, u):
+    """mu, eta, xi evaluated at contour parameter(s) u, shapes (2Q+3, K)."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    geo = geometry_at(scenario.contour, scenario.pose, u)
+    return _derivative_fields(scenario.contour, scenario.pose, geo)
+
+
 def finite_difference_gradients(sc: Scenario, u: np.ndarray):
     """Central differences of (d, phi, beta) under each gamma perturbation.
 
     Angles are differenced through the complex exponential so wrap points do
     not poison the quotient. Returns (mu, eta, xi) with xi = eta - dbeta.
     """
-    from hcrb.contour import geometry_at
-    from hcrb.fisher import gamma_vector, scenario_with_gamma
-
     gamma = gamma_vector(sc)
     mu = np.empty((gamma.size, u.size))
     eta = np.empty_like(mu)

@@ -1,5 +1,6 @@
 """The paper's closed forms and a projection route: referees of the QR
-route by which hcrb reads the long-range bound (asymptotics.t_blocks).
+route by which hcrb reads the long-range bound (asymptotics.t_blocks),
+and the star projections the route is built on.
 
 At long range the pose block of the information is
 [[L, A, -A], [A, Z+B, -B], [-A, -B, B]]: L and Z are the radar constants,
@@ -12,9 +13,34 @@ the information 2(E/N0) T, not of T.
 
 import numpy as np
 
-from hcrb._linalg import triangular_factor
+from hcrb._linalg import solve_spd, triangular_factor
 from hcrb.errors import IdentifiabilityError
-from hcrb.starcalc import project_perp, star_inner, star_norm_sq, unit_weights
+from hcrb.starcalc import SampledField, star_inner, unit_weights
+
+
+def star_norm_sq(f: SampledField):
+    """Squared star norm; per-row for stacked fields."""
+    a = np.atleast_2d(f.values)
+    out = np.sum(a * a * f.quad_weights, axis=1)
+    return float(out[0]) if f.values.ndim == 1 else out
+
+
+def project(f: SampledField, basis: SampledField) -> SampledField:
+    """Star-orthogonal projection of f onto the span of the basis rows."""
+    gram = np.atleast_2d(star_inner(basis, basis))
+    rhs = np.atleast_2d(star_inner(basis, f))
+    if f.values.ndim == 1:
+        rhs = rhs.reshape(-1, 1)
+    coef = solve_spd(gram, rhs)
+    proj = coef.T @ np.atleast_2d(basis.values)
+    return f.with_values(proj.reshape(f.values.shape))
+
+
+def project_perp(f: SampledField, basis: SampledField) -> SampledField:
+    """Residual of f after projecting out the span of the basis rows."""
+    # the projection's values are a fresh array: the residual overwrites it
+    residual = project(f, basis).values
+    return f.with_values(np.subtract(f.values, residual, out=residual))
 
 
 def pose_inverse(big_l: float, a: float, b: float, big_z: float) -> np.ndarray:

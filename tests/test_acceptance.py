@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradients, random_scenario
+from conftest import finite_difference_gradients, gamma_derivatives, random_scenario
 from referees import pose_inverse, schur_pose_block, unknown_shape_projection
 
 from hcrb.asymptotics import t_blocks
@@ -27,7 +27,6 @@ from hcrb.experiments import MC_RANGES, run_diversity, run_mc, run_range_sweep
 from hcrb.fisher import (
     efim_exact,
     field_stack,
-    gamma_derivatives,
     hcrb_exact,
     point_target_crb,
     radar_constants,

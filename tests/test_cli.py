@@ -322,7 +322,7 @@ def test_unwritable_out_exits_one(tmp_path, capsys, monkeypatch, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("case", ["directory", "unwritable_directory"])
+@pytest.mark.parametrize("case", ["directory", "unwritable_directory", "empty"])
 def test_unwritable_out_exits_one_before_mc_runs(tmp_path, capsys, monkeypatch,
                                                  case):
     # an --out that cannot take the table must not cost the trials
@@ -330,6 +330,8 @@ def test_unwritable_out_exits_one_before_mc_runs(tmp_path, capsys, monkeypatch,
                         lambda *args, **kwargs: pytest.fail("run_mc ran"))
     if case == "directory":
         out = tmp_path
+    elif case == "empty":
+        out = ""
     else:
         locked = tmp_path / "locked"
         locked.mkdir(mode=0o500)
@@ -350,6 +352,15 @@ def test_dump_frames_onto_a_file_exits_one(tmp_path, capsys):
                   "--dump-frames", str(taken)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(taken) in err
+
+
+def test_empty_dump_frames_exits_one_before_synthesis(capsys, monkeypatch):
+    monkeypatch.setattr(hcrb.cli, "synthesis_workspace",
+                        lambda *args, **kwargs: pytest.fail("synthesis ran"))
+    assert entry(["simulate", "--scenario", SCENARIO, "--trials", "1",
+                  "--dump-frames", ""]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --dump-frames: empty path\n"
 
 
 def test_simulate_point_target(capsys):

@@ -7,7 +7,14 @@ import numpy.testing as npt
 import pytest
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from conftest import finite_difference_gradients, mp_inverse_gram, random_scenario
+from conftest import (
+    finite_difference_gradients,
+    gamma_derivatives,
+    gamma_vector,
+    mp_inverse_gram,
+    random_scenario,
+    scenario_with_gamma,
+)
 
 from hcrb.asymptotics import t_blocks
 from hcrb.contour import ContourParams, TargetPose, pose_field
@@ -15,13 +22,10 @@ from hcrb.errors import IdentifiabilityError
 from hcrb.fisher import (
     efim_exact,
     field_stack,
-    gamma_derivatives,
     gamma_labels,
-    gamma_vector,
     hcrb_exact,
     point_target_crb,
     radar_constants,
-    scenario_with_gamma,
 )
 from hcrb.scenario import EnergySpec, Scenario, WaveformSpec
 from hcrb.waveform import effective_bandwidth

@@ -11,15 +11,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from referees import project, project_perp, star_norm_sq
+
 from hcrb._linalg import invert_info_matrix, solve_spd, triangular_factor
 from hcrb.errors import IdentifiabilityError, ScenarioError
-from hcrb.starcalc import (
-    SampledField,
-    project,
-    project_perp,
-    star_inner,
-    star_norm_sq,
-)
+from hcrb.starcalc import SampledField, star_inner
 
 values = st.floats(-5.0, 5.0)
 weights = st.floats(0.1, 3.0)

@@ -11,6 +11,7 @@ from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.stats import chi2
 
 from conftest import small_waveform
+from referees import star_norm_sq
 
 import hcrb.contour
 from hcrb._pool import THREADS_ENV, openblas_libraries
@@ -28,7 +29,7 @@ from hcrb.contour import (
 from hcrb.errors import ScenarioError
 from hcrb.fisher import efim_exact, radar_constants
 from hcrb.scenario import EnergySpec, Scenario, SegmentationConfig, WaveformSpec
-from hcrb.starcalc import SampledField, star_norm_sq
+from hcrb.starcalc import SampledField
 from hcrb.waveform import (
     _delayed_chirps,
     chirp,
