@@ -197,17 +197,27 @@ def _cmd_bounds(args, bundle: ScenarioBundle) -> ResultTable:
     return table
 
 
-def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
-    if args.dump_frames == "":
+def _frame_dir(text: str) -> Path:
+    """Make the --dump-frames directory at the path text, before any work;
+    ScenarioError when the path is empty or the directory cannot be made."""
+    if not text:
         raise ScenarioError("--dump-frames: empty path")
+    path = Path(text)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ScenarioError(f"--dump-frames: cannot make directory {path} "
+                            f"({err.strerror})") from err
+    return path
+
+
+def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
+    dump_dir = None if args.dump_frames is None else _frame_dir(args.dump_frames)
     scenario = bundle.scenario
     if args.point:
         workspace = point_workspace(scenario)
     else:
         workspace = synthesis_workspace(scenario, bundle.segmentation)
-    dump_dir = Path(args.dump_frames) if args.dump_frames else None
-    if dump_dir:
-        dump_dir.mkdir(parents=True, exist_ok=True)
 
     seeds = np.random.SeedSequence(args.seed).generate_state(
         args.trials, dtype=np.uint64)
@@ -217,7 +227,7 @@ def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
     d_hats, phi_hats = [], []
     for trial, trial_seed in enumerate(seeds):
         frame = synthesize_frame(workspace, int(trial_seed))
-        if dump_dir:
+        if dump_dir is not None:
             dump_frame(frame, dump_dir / f"frame_{trial:04d}.c64")
         result = estimate(frame, scenario.waveform)
         d_hats.append(result.d)

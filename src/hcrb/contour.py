@@ -22,12 +22,6 @@ PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # largest relative change of the perimeter when its node count doubles
 PERIMETER_REL_TOL = 1e-7
-# largest relative change of a reported variance when a bound's node count
-# doubles, for the bound to be reported on fewer than quadrature.nodes nodes
-QUAD_REL_TOL = 1e-10
-# largest relative change of the integral of v^2 ||r_dot|| (v the least smooth
-# weight) from nodes/8 to nodes/4 nodes for which a bound is sized at all
-SMOOTH_REL_TOL = 1e-14
 # trapezoid intervals of the cumulative arc-length table
 ARCLENGTH_NODES = 8192
 
@@ -95,20 +89,17 @@ class TargetPose:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Contour quadrature: the uniform periodic trapezoid on `nodes` points.
-
-    nodes is the finest grid a bound may use, and the one grid the geometry
-    is evaluated on. fisher sizes each bound on every fourth, every second
-    or every node (nodes/4, nodes/2 or nodes points): the coarsest grid
-    whose reported variances move by at most QUAD_REL_TOL from the grid of
-    half as many. The synthesis energy norm always uses every node.
-    """
+    """Contour quadrature: the uniform periodic trapezoid on `nodes` points,
+    the one grid the geometry is evaluated on and the finest a bound may
+    use. nodes is a multiple of 8 of at least 64, so that fisher can size a
+    bound on a subgrid of it."""
 
     nodes: int = 4096
 
     def __post_init__(self):
-        if self.nodes < 16:
-            raise ScenarioError("quadrature needs at least 16 nodes")
+        if self.nodes < 64 or self.nodes % 8:
+            raise ScenarioError("quadrature.nodes must be a multiple of 8 of at least 64, "
+                                f"got {self.nodes}")
 
 
 @dataclass(frozen=True)
@@ -132,9 +123,8 @@ class GeometryTable:
         picks; du must be per node, as on a quadrature grid. Consecutive
         nodes, as on a lit arc that does not wrap, are views of this table
         (its basis rows are the grid's shared arrays); other evenly spaced
-        ones, as on a subgrid, are sliced and copied into contiguous rows;
-        the rest are gathered with np.take. Each is cheaper than fancy
-        indexing."""
+        ones are sliced and copied into contiguous rows; the rest are
+        gathered with np.take. Each is cheaper than fancy indexing."""
         step = index[1] - index[0] if index.size > 1 else 0
         if step > 0 and np.all(np.diff(index) == step):
             index = slice(index[0], index[-1] + 1, step)
@@ -225,9 +215,8 @@ def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
 
 @dataclass(frozen=True)
 class PoseField:
-    """One pose's lit arc on one grid, gathered once per node count
-    (Scenario.lit_arc, Scenario.lit_arc_on) and read by efim_exact,
-    t_blocks and, on the full grid, the synthesis energy norm.
+    """One pose's lit arc on one grid (Scenario.lit_arc on the full grid),
+    read by the bounds and the synthesis energy norm.
 
     table and weights hold the lit quadrature nodes only (w > 0, in grid
     order; none for a fully shadowed pose): the shadow adds nothing to any
@@ -242,15 +231,21 @@ class PoseField:
 
     def subgrid(self, stride: int) -> "PoseField":
         """The arc on the grid of every stride-th node, at stride times the
-        weight, with no geometry evaluated."""
-        keep = np.flatnonzero(self.index % stride == 0)
-        table = self.table.at(keep)
-        table = replace(table, du=stride * table.du)
-        w = self.weights.w[keep]
-        return PoseField(table=table,
-                         weights=ReflectionWeights(w=w, v=self.weights.v[keep]),
-                         w_norm_sq=float(np.sum(w * w * (table.arc * table.du))),
-                         index=self.index[keep] // stride)
+        weight, with no geometry evaluated: built on first request and
+        kept, one per stride, so every bound of the pose shares it."""
+        if stride == 1:
+            return self
+        arcs = vars(self).setdefault("_subgrids", {})
+        if stride not in arcs:
+            keep = np.flatnonzero(self.index % stride == 0)
+            table = self.table.at(keep)
+            table = replace(table, du=stride * table.du)
+            w = self.weights.w[keep]
+            arcs[stride] = PoseField(table=table,
+                                     weights=ReflectionWeights(w=w, v=self.weights.v[keep]),
+                                     w_norm_sq=float(np.sum(w * w * (table.arc * table.du))),
+                                     index=self.index[keep] // stride)
+        return arcs[stride]
 
 
 def pose_field(scenario) -> PoseField:

@@ -18,21 +18,19 @@ import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from ._linalg import invert_info_matrix, triangular_factor
-from .contour import (
-    PERP,
-    QUAD_REL_TOL,
-    SMOOTH_REL_TOL,
-    ContourParams,
-    GeometryTable,
-    TargetPose,
-    rotation,
-)
-from .errors import IdentifiabilityError, NoIlluminationError
+from .contour import PERP, ContourParams, GeometryTable, TargetPose, rotation
+from .errors import IdentifiabilityError, NoIlluminationError, ScenarioError
 from .scenario import Scenario
 from .starcalc import star_inner, unit_weights
 from .waveform import effective_bandwidth
 
 ENDFIRE_TOL = 1e-8
+# largest relative change of a reported variance when a bound's node count
+# doubles, for the bound to be reported on fewer than quadrature.nodes nodes
+QUAD_REL_TOL = 1e-10
+# largest relative change of the integral of v^2 ||r_dot|| (v the least smooth
+# weight) from every eighth to every fourth node for which a bound is sized
+SMOOTH_REL_TOL = 1e-14
 
 
 def gamma_labels(q: int):
@@ -115,9 +113,9 @@ def field_stack(scenario: Scenario, far_field: bool = False, nodes: int = None):
 
     The rows run in the state order, d, phi, heading, then the shape, so
     R's leading 3x3 block is the pose information with the shape known.
-    The columns are the lit nodes of scenario.lit_arc_on(nodes) (default
-    quadrature.nodes), in three blocks, each node scaled by the square root
-    of its quadrature weight:
+    The columns are the lit nodes of the grid of `nodes` points (default
+    quadrature.nodes, which it must divide; _lit_arc), in three blocks,
+    each node scaled by the square root of its quadrature weight:
     X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
         sqrt(M) w cos(phi) eta]
     with P_w the star-orthogonal complement of w. With far_field, the same
@@ -125,7 +123,7 @@ def field_stack(scenario: Scenario, far_field: bool = False, nodes: int = None):
     one column sqrt(Z) ||w|| e_phi: X X^T is the long-range information
     2(E/N0) T, with T free of the range.
     """
-    lit = scenario.lit_arc if nodes is None else scenario.lit_arc_on(nodes)
+    lit = scenario.lit_arc if nodes is None else _lit_arc(scenario, nodes)
     return _weighted_stack(scenario, _lit_fields(scenario, lit, far_field), lit.weights.w,
                            lit.weights.v, lit.table.arc * lit.table.du, lit.table.phi,
                            lit.w_norm_sq)
@@ -137,7 +135,7 @@ def field_stacks(scenario: Scenario, far_field: bool, nodes: int):
     evaluated once: the half's are the even nodes' columns of the full
     grid's. The two stacks are the same to rounding as field_stack on each
     grid."""
-    lit = scenario.lit_arc_on(nodes)
+    lit = _lit_arc(scenario, nodes)
     fields = _lit_fields(scenario, lit, far_field)
     q = lit.table.arc * lit.table.du
     stack = _weighted_stack(scenario, fields, lit.weights.w, lit.weights.v, q,
@@ -148,6 +146,18 @@ def field_stacks(scenario: Scenario, far_field: bool, nodes: int):
                            w, lit.weights.v[even], q, lit.table.phi[even],
                            float(np.sum(w * w * q)))
     return stack, half
+
+
+def _lit_arc(scenario: Scenario, nodes: int):
+    """The pose's lit arc on the grid of `nodes` points, every
+    (quadrature.nodes / nodes)-th node of scenario.lit_arc
+    (PoseField.subgrid); ScenarioError unless nodes divides
+    quadrature.nodes."""
+    stride, rest = divmod(scenario.quadrature.nodes, nodes)
+    if rest:
+        raise ScenarioError(f"{nodes} nodes are no subgrid of the "
+                            f"{scenario.quadrature.nodes}-node quadrature")
+    return scenario.lit_arc.subgrid(stride)
 
 
 def _lit_fields(scenario: Scenario, lit, far_field: bool):
@@ -259,20 +269,17 @@ class FisherInfo:
 
 
 def _ladder_start(scenario: Scenario):
-    """nodes/4, the grid a sized bound starts on, or None when no grid below
-    quadrature.nodes can converge: nodes is not a multiple of 8 of at least
-    64, or the integral of v^2 ||r_dot|| (v the least smooth weight, which
-    kinks at the shadow boundaries for alpha <= 2) moves by more than
-    SMOOTH_REL_TOL from nodes/8 to nodes/4 points. Both integrals are read
-    off the full grid's lit arc, so a bound that takes the full grid
-    gathers no subgrid."""
-    nodes = scenario.quadrature.nodes
-    if nodes % 8 or nodes < 64:
-        return None
+    """4, the stride of the grid a sized bound starts on (every fourth node
+    of the full grid), or None when no coarser grid can converge: the
+    integral of v^2 ||r_dot|| (v the least smooth weight, which kinks at
+    the shadow boundaries for alpha <= 2) moves by more than SMOOTH_REL_TOL
+    from every eighth to every fourth node. Both integrals are read off the
+    full grid's lit arc, so a bound that takes the full grid gathers no
+    subgrid."""
     arc = scenario.lit_arc
     terms = arc.weights.v ** 2 * arc.table.arc * arc.table.du
     fine, half = (stride * float(np.sum(terms[arc.index % stride == 0])) for stride in (4, 8))
-    return nodes // 4 if fine > 0.0 and abs(fine - half) <= SMOOTH_REL_TOL * fine else None
+    return 4 if fine > 0.0 and abs(fine - half) <= SMOOTH_REL_TOL * fine else None
 
 
 def _reported(info: FisherInfo):
@@ -326,8 +333,9 @@ def sized_info(scenario: Scenario, far_field: bool = False) -> FisherInfo:
     there the bound is the unsized one, bit for bit.
     """
     nodes = scenario.quadrature.nodes
-    n = _ladder_start(scenario)
-    if n is not None:
+    stride = _ladder_start(scenario)
+    if stride is not None:
+        n = nodes // stride
         stack, half = field_stacks(scenario, far_field, n)
         coarse, fine = _info(scenario, half, n // 2), _info(scenario, stack, n)
         while True:

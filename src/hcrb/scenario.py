@@ -104,32 +104,12 @@ class Scenario:
     @cached_property
     def lit_arc(self) -> PoseField:
         """The pose's lit contour arc (contour.pose_field) on the full grid,
-        quadrature.nodes, built on first read and kept: the exact bound,
-        the long-range bound and the synthesis energy norm all read this one
-        or a subgrid of it (lit_arc_on). A scenario is immutable (its
-        contour arrays are read-only), so the arc cannot go stale; with_pose
-        and the like return a new scenario, which builds its own."""
+        quadrature.nodes, built on first read and kept: every bound and the
+        synthesis energy norm read this one or a subgrid of it. A scenario
+        is immutable (its contour arrays are read-only), so the arc cannot
+        go stale; with_pose and the like return a new scenario, which builds
+        its own."""
         return pose_field(self)
-
-    def lit_arc_on(self, nodes: int) -> PoseField:
-        """The lit arc on the grid of `nodes` points, which must divide
-        quadrature.nodes: every (quadrature.nodes / nodes)-th node of
-        lit_arc at that many times the weight (PoseField.subgrid), with no
-        geometry evaluated. Kept, one per node count."""
-        if nodes == self.quadrature.nodes:
-            return self.lit_arc
-        if self.quadrature.nodes % nodes:
-            raise ScenarioError(f"{nodes} nodes are no subgrid of the "
-                                f"{self.quadrature.nodes}-node quadrature")
-        arcs = self._subgrid_arcs
-        if nodes not in arcs:
-            arcs[nodes] = self.lit_arc.subgrid(self.quadrature.nodes // nodes)
-        return arcs[nodes]
-
-    @cached_property
-    def _subgrid_arcs(self) -> dict:
-        """Node count -> the lit arc on that subgrid (lit_arc_on)."""
-        return {}
 
     # The energy model E = g^2 N ||w||^2, with ||w||^2 the squared star norm
     # of the illumination profile (1 for a point target). Fixed mode pins

@@ -11,12 +11,22 @@ from conftest import SCENARIO_FILE
 import hcrb.cli
 import hcrb.experiments
 from hcrb import __version__
+from hcrb._pool import THREADS_ENV
 from hcrb.cli import entry
 from hcrb.experiments import ResultTable, _bound_rows
 from hcrb.multiradar import fuse, peb
 from hcrb.scenario_io import SCHEMA_VERSION, dumps_normalized, load_file, normalize
 
 SCENARIO = str(SCENARIO_FILE)
+
+
+def _vehicle_with(tmp_path, edit) -> str:
+    """The path of a copy of the vehicle scenario that edit changed."""
+    doc = json.loads(SCENARIO_FILE.read_text())
+    edit(doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def test_version_exits_zero(capsys):
@@ -80,11 +90,12 @@ def test_schema_errors_exit_one(tmp_path, capsys):
     assert entry(["bounds", "--scenario", str(bad)]) == 1
     assert "invalid JSON" in capsys.readouterr().err
 
-    doc = json.loads(SCENARIO_FILE.read_text())
-    doc["bogus"] = {}
-    bad.write_text(json.dumps(doc))
-    assert entry(["bounds", "--scenario", str(bad)]) == 1
-    assert "unknown top-level" in capsys.readouterr().err
+    for edit, message in ((lambda doc: doc.update(bogus={}), "unknown top-level"),
+                          (lambda doc: doc.update(radar=[5]), "radar[0] must be a JSON object"),
+                          (lambda doc: doc["waveform"].update(fc=0), "carrier")):
+        assert entry(["bounds", "--scenario", _vehicle_with(tmp_path, edit)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -261,6 +272,19 @@ def test_sweep_row_count(tmp_path, capsys):
     assert len({line.split(",")[0] for line in lines[1:]}) == 3
 
 
+def test_rough_vehicle_row_counts(tmp_path, capsys):
+    # an alpha = 0 copy of the vehicle: its lit weights kink at the shadow
+    # boundaries, so every bound takes the full grid, unsized
+    path = _vehicle_with(tmp_path, lambda doc: doc["channel"].update(alpha=0))
+    sweep, bounds = tmp_path / "sweep.csv", tmp_path / "bounds.csv"
+    assert entry(["sweep", "--scenario", path, "--points", "5",
+                  "--out", str(sweep)]) == 0
+    assert len(sweep.read_text().splitlines()) == 1 + 5 * 14
+    assert entry(["bounds", "--scenario", path, "--exact", "--unknown",
+                  "--out", str(bounds)]) == 0
+    assert len(bounds.read_text().splitlines()) == 1 + 5
+
+
 def test_sweep_skipping_every_point_exits_two(tmp_path, capsys):
     """With the bow facing the radar along the whole ray every sweep point is
     singular: each is named on stderr, the CSV keeps only its header, exit 2."""
@@ -298,6 +322,21 @@ def test_simulate_deterministic_with_frame_dump(tmp_path, capsys):
     assert len(rows) == 4
     assert {row.split(",")[1] for row in rows} == {"d_hat", "phi_hat"}
     assert all(row.split(",")[6] == "3" for row in rows)
+
+
+def test_simulate_is_the_same_at_one_and_two_workers(tmp_path, capsys, monkeypatch):
+    # a lone frame splits its work over the workers: the same CSV and the
+    # same frame files at one worker and at two
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        frames, out = tmp_path / f"frames_{threads}", tmp_path / f"sim_{threads}.csv"
+        assert entry(["simulate", "--scenario", SCENARIO, "--trials", "2",
+                      "--dump-frames", str(frames), "--out", str(out)]) == 0
+        outputs.append({"csv": out.read_bytes(),
+                        **{path.name: path.read_bytes() for path in frames.iterdir()}})
+    assert len(outputs[0]) == 1 + 2 * 2
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep", "mc", "diversity"])
@@ -345,13 +384,18 @@ def test_unwritable_out_exits_one_before_mc_runs(tmp_path, capsys, monkeypatch,
     assert str(out) in err
 
 
-def test_dump_frames_onto_a_file_exits_one(tmp_path, capsys):
+def test_dump_frames_onto_a_file_exits_one(tmp_path, capsys, monkeypatch):
+    # a frame directory that cannot be made must not cost the workspace
+    monkeypatch.setattr(hcrb.cli, "synthesis_workspace",
+                        lambda *args, **kwargs: pytest.fail("synthesis ran"))
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert entry(["simulate", "--scenario", SCENARIO, "--trials", "1",
-                  "--dump-frames", str(taken)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(taken) in err
+    for target in (taken, taken / "frames"):
+        assert entry(["simulate", "--scenario", SCENARIO, "--trials", "1",
+                      "--dump-frames", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --dump-frames: cannot make directory {target} (")
+        assert err.count("\n") == 1
 
 
 def test_empty_dump_frames_exits_one_before_synthesis(capsys, monkeypatch):
@@ -389,3 +433,6 @@ def test_diversity_subcommand(tmp_path, capsys):
     assert entry(["diversity", "--scenario", SCENARIO, "--counts", "0",
                   "--out", str(out)]) == 1
     assert "invalid radar counts" in capsys.readouterr().err
+    assert entry(["diversity", "--scenario", SCENARIO, "--counts", "1-6",
+                  "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 6 * 2

@@ -1,19 +1,21 @@
-"""The paper's point-target connection as a limit of the computed bound.
+"""The paper's limits of the computed bound, each read off decade ratios.
 
-Shrinking the contour by eps (m and n scaled by eps, the pose kept) turns
-the extended target into a point at its center, so the known-shape range
-and bearing bounds must tend to point_target_crb. What is tested is the
-order of that approach, read off decade ratios.
+Point target: shrinking the contour by eps (m and n scaled by eps, the pose
+kept) turns the extended target into a point at its center, so the
+known-shape range and bearing bounds must tend to point_target_crb.
+Bandwidth: raising B turns the known-shape range bound into the one the
+range delays alone give. What is tested is the order of each approach.
 
-The tolerance on an order: if the deviation is delta(eps) = a eps^p (1 +
-r(eps)), the decade ratio delta(eps) / delta(eps / 10) is 10^p times
-(1 + r(eps)) / (1 + r(eps / 10)). Its observed order log10(ratio) rounds to
+The tolerance on an order: if the deviation is delta(x) = a x^p (1 +
+r(x)), the decade ratio delta(x) / delta(x / 10) is 10^p times
+(1 + r(x)) / (1 + r(x / 10)). Its observed order log10(ratio) rounds to
 p, and to neither p - 1 nor p + 1, as long as the higher terms r stay below
-(sqrt(10) - 1) / (sqrt(10) + 1) = 0.52 of the leading one. So the test asks
-|log10(ratio) - p| < 1/2: it pins the leading power of eps and tolerates
-any correction that does not rival it. On the vehicle at 60 and 90 degrees
-the range orders read 1.975 to 2.006 and the bearing orders 0.97 to 1.37
-(the 90-degree poses carry the larger eps^2 term).
+(sqrt(10) - 1) / (sqrt(10) + 1) = 0.52 of the leading one. So the tests ask
+|log10(ratio) - p| < 1/2: they pin the leading power and tolerate any
+correction that does not rival it. On the vehicle at 60 and 90 degrees
+the point-target range orders read 1.975 to 2.006 and the bearing orders
+0.97 to 1.37 (the 90-degree poses carry the larger eps^2 term); the
+bandwidth orders read 2.000.
 """
 
 from dataclasses import replace
@@ -22,10 +24,14 @@ import numpy as np
 import pytest
 
 from hcrb.contour import ContourParams
-from hcrb.fisher import efim_exact, point_target_crb
+from hcrb.fisher import _derivative_fields, efim_exact, point_target_crb, radar_constants
+from hcrb.scenario import WaveformSpec
 
 # contour scales, a decade apart
 EPS = (1e-2, 1e-3, 1e-4, 1e-5)
+# sweep bandwidths in Hz, a decade apart, at the time-bandwidth product TB
+BANDWIDTHS = (1e10, 1e11, 1e12)
+TB = 1e5
 
 
 def _order(deviations):
@@ -62,3 +68,58 @@ def test_known_shape_bound_tends_to_the_point_target_bound(scenario, alpha,
     assert np.all(np.isfinite(heading)) and np.all(heading > 0.0)
     moves = np.abs(np.diff(heading))
     assert moves[1] < moves[0], heading
+
+
+def _range_delay_limit(scenario, nodes: int) -> float:
+    """L c_range_known's limit as B grows: the range entry of the
+    pseudo-inverse of the pose Gram G = sum w^2 mu mu^T ||r_dot|| du of
+    the range-delay rows mu, times ||w||^2 / (2 E/N0), on the grid of
+    `nodes` points. G is singular (mu's phi and heading rows are opposite),
+    but the range axis lies in its range."""
+    lit = scenario.lit_arc.subgrid(scenario.quadrature.nodes // nodes)
+    mu = _derivative_fields(scenario.contour, scenario.pose, lit.table)[0][:3]
+    weighted = mu * (lit.weights.w * np.sqrt(lit.table.arc * lit.table.du))
+    gram = weighted @ weighted.T
+    return (np.linalg.pinv(gram)[0, 0] * lit.w_norm_sq
+            / (2.0 * scenario.e_over_n0(lit.w_norm_sq)))
+
+
+@pytest.mark.parametrize("heading_deg", [60.0, 90.0])
+@pytest.mark.parametrize("alpha", [0.0, 5.0])
+def test_range_bound_tends_to_the_range_delay_bound(scenario, alpha, heading_deg):
+    """Raising B with TB held (so T = TB / B) scales L = (4 pi B_rms / c)^2
+    as B^2 and leaves the rest of the information J - L G as it is.
+
+    Shape known: the range axis lies in G's range, so L c_range_known tends
+    to the range-delay limit, with deviation dev = L c_range_known / limit
+    - 1 = -kappa / L + O(1 / L^2):
+    - dev < 0 at every B, since the rest of the information can only shrink
+      the bound; it is checked strictly, the QR's rounding (well under the
+      4e-9 of the smallest |dev|) cannot flip it.
+    - dev falls 100x per decade of B: order 2, within 1/2.
+    - |dev| < 1e-5 at 1 THz (L = 1.46e8). kappa is the rest of the
+      information along the range axis, relative to G; it reads at most 148
+      here (alpha = 5, 60 degrees), under the array constant M = 739. The
+      bound allows kappa up to 1.46e3, twice M.
+    Shape unknown: the contour coefficients absorb what the range delays
+    tell apart, so L c_range_unknown does not settle but keeps growing: it
+    rises at every decade, and by more than 10x over the two (51x to 1000x
+    measured), where the known-shape one moves by at most 1e-2.
+    The limit is taken on the grid the bound reports (FisherInfo.nodes), so
+    no quadrature error separates the two.
+    """
+    base = replace(scenario, alpha=alpha).with_pose(
+        replace(scenario.pose, heading=np.radians(heading_deg)))
+    dev, unknown = [], []
+    for bandwidth in BANDWIDTHS:
+        sc = replace(base, waveform=WaveformSpec(bandwidth=bandwidth, duration=TB / bandwidth))
+        info = efim_exact(sc)
+        big_l = radar_constants(sc)[0]
+        limit = _range_delay_limit(sc, info.nodes)
+        dev.append(big_l * info.pose_block().crb().c_range / limit - 1.0)
+        unknown.append(big_l * info.crb().c_range)
+
+    assert np.all(np.array(dev) < 0.0), dev
+    assert np.all(np.abs(_order(dev) - 2.0) < 0.5), dev
+    assert abs(dev[-1]) < 1e-5, dev
+    assert np.all(np.diff(unknown) > 0.0) and unknown[-1] > 10.0 * unknown[0], unknown

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import SCENARIO_FILE
 
+from hcrb.cli import entry
 from hcrb.errors import ScenarioError
 from hcrb.scenario_io import build, dumps_normalized, load_file, normalize
 
@@ -139,3 +140,20 @@ def test_validation_errors():
     assert legacy.document["quadrature"] == {"nodes": 512}
     with pytest.raises(ScenarioError, match="split_at_shadow was removed"):
         normalize(_doc(quadrature={"split_at_shadow": True}))
+
+
+@pytest.mark.parametrize("nodes", [32, 100, 60, 8])
+def test_quadrature_nodes_off_the_rule_exit_one(tmp_path, capsys, nodes):
+    # a bound is sized on every fourth or every second node, and screened
+    # against every eighth, so nodes is a multiple of 8 of at least 64
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_doc(quadrature={"nodes": nodes})))
+    assert entry(["bounds", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: quadrature.nodes must be a multiple of 8 of at least 64, "
+                   f"got {nodes}\n")
+
+
+@pytest.mark.parametrize("nodes", [64, 512, 1024, 4096])
+def test_quadrature_nodes_on_the_rule_load(nodes):
+    assert build(_doc(quadrature={"nodes": nodes})).scenario.quadrature.nodes == nodes

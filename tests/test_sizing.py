@@ -53,8 +53,9 @@ def _variances(info: FisherInfo) -> np.ndarray:
 
 def test_subgrid_arc_is_the_coarse_grid_arc(scenario):
     """Every fourth node of the full-grid arc at four times the weight is
-    the arc a 1024-node quadrature evaluates, with no geometry evaluated."""
-    coarse = scenario.lit_arc_on(1024)
+    the arc a 1024-node quadrature evaluates, with no geometry evaluated;
+    the arc keeps it, one per stride, and field_stack reads it."""
+    coarse = scenario.lit_arc.subgrid(4)
     table = geometry_table(scenario.contour, scenario.pose, QuadratureSpec(1024))
     lit = coarse.index
     npt.assert_array_equal(coarse.table.u, table.u[lit])
@@ -62,10 +63,14 @@ def test_subgrid_arc_is_the_coarse_grid_arc(scenario):
     npt.assert_allclose(coarse.table.d, table.d[lit], rtol=1e-15)
     npt.assert_allclose(coarse.table.basis[0], table.basis[0][:, lit], rtol=0, atol=1e-15)
     assert coarse.w_norm_sq == pytest.approx(scenario.lit_arc.w_norm_sq, rel=1e-12)
-    assert scenario.lit_arc_on(1024) is coarse
-    assert scenario.lit_arc_on(scenario.quadrature.nodes) is scenario.lit_arc
-    with pytest.raises(ScenarioError):
-        scenario.lit_arc_on(1000)
+    assert scenario.lit_arc.subgrid(4) is coarse
+    assert scenario.lit_arc.subgrid(2) is not coarse
+    assert scenario.lit_arc.subgrid(1) is scenario.lit_arc
+    assert fisher._lit_arc(scenario, 1024) is coarse
+    assert fisher._lit_arc(scenario, scenario.quadrature.nodes) is scenario.lit_arc
+    for nodes in (1000, 2 * scenario.quadrature.nodes):
+        with pytest.raises(ScenarioError):
+            field_stack(scenario, nodes=nodes)
 
 
 @pytest.mark.parametrize("far_field", [False, True], ids=["exact", "far_field"])
@@ -190,4 +195,4 @@ def test_a_singular_pose_block_takes_the_full_grid(scenario):
     fresh = scenario.with_pose(endfire.pose)
     with pytest.raises(IdentifiabilityError, match="endfire"):
         t_blocks(fresh)
-    assert "lit_arc" not in vars(fresh) and "_arcs_on" not in vars(fresh)
+    assert "lit_arc" not in vars(fresh)
