@@ -9,7 +9,8 @@ the roughness-weighted illumination profiles (w, v) derive from r and rdot.
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # largest relative change of the perimeter when its node count doubles
 PERIMETER_REL_TOL = 1e-7
-# trapezoid intervals of the cumulative arc-length table
+# trapezoid intervals of the arc-length table
 ARCLENGTH_NODES = 8192
 
 
@@ -36,6 +37,15 @@ def wrap_angle(x):
 def rotation(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+class ArcLength(NamedTuple):
+    """A contour's arc-length table: the cumulative trapezoid length s at
+    parameters u (both read-only) and the perimeter."""
+
+    u: np.ndarray
+    s: np.ndarray
+    perimeter: float
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,28 @@ class ContourParams:
     @property
     def q(self) -> int:
         return self.m.size
+
+    @cached_property
+    def arc_length(self) -> ArcLength:
+        """The arc-length table from ||rho_dot|| on ARCLENGTH_NODES + 1 points
+        of [0, 2pi], built on first read and kept. RegularityError if the
+        speed vanishes, QuadratureError if every second point moves the
+        perimeter by more than PERIMETER_REL_TOL; a failure is not kept."""
+        u = np.linspace(0.0, TWO_PI, ARCLENGTH_NODES + 1)
+        _, rho_dot = eval_local(self, u)
+        speed = np.hypot(rho_dot[0], rho_dot[1])
+        if speed.min() <= 0.0:
+            raise RegularityError("contour is not regular: ||rho_dot|| vanishes on the grid")
+        du = TWO_PI / ARCLENGTH_NODES
+        total = float(np.sum(speed[:-1] * du))
+        coarse = float(np.sum(speed[:-1:2] * (2.0 * du)))
+        if abs(total - coarse) > PERIMETER_REL_TOL * abs(total):
+            raise QuadratureError(f"perimeter quadrature not converged: {coarse} vs {total} "
+                                  f"at {ARCLENGTH_NODES // 2} nodes")
+        s = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(u))])
+        for array in (s, u):
+            array.flags.writeable = False
+        return ArcLength(u=u, s=s, perimeter=total)
 
 
 @dataclass(frozen=True)
@@ -276,78 +308,31 @@ def geometry_table(params: ContourParams, pose: TargetPose,
     return table
 
 
-def _coefficient_key(params: ContourParams):
-    """Cache key of a contour: the exact bytes of its coefficients."""
-    return params.m.tobytes(), params.n.tobytes()
-
-
-def _from_key(key) -> ContourParams:
-    m, n = key
-    return ContourParams(np.frombuffer(m), np.frombuffer(n))
-
-
-def perimeter(params: ContourParams, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Total contour length; raises unless doubling the nodes moves it by at
-    most PERIMETER_REL_TOL.
-
-    It depends on the contour alone, so it is cached per coefficients and
-    node count; failures raise on every call."""
-    return _perimeter(_coefficient_key(params), spec.nodes)
-
-
-@lru_cache(maxsize=8)
-def _perimeter(key, base_nodes: int) -> float:
-    params = _from_key(key)
-    total = None
-    for nodes in (base_nodes, 2 * base_nodes):
-        u, du = uniform_grid(nodes)
-        _, rho_dot = eval_local(params, u)
-        speed = np.hypot(rho_dot[0], rho_dot[1])
-        if speed.min() <= 0.0:
-            raise RegularityError("contour is not regular: ||rho_dot|| vanishes on the grid")
-        prev, total = total, float(np.sum(speed * du))
-    if abs(total - prev) > PERIMETER_REL_TOL * abs(total):
-        raise QuadratureError(
-            f"perimeter quadrature not converged: {prev} vs {total} at {base_nodes} nodes"
-        )
-    return total
+def perimeter(params: ContourParams) -> float:
+    """Total contour length, the periodic trapezoid on the contour's
+    arc-length table (ContourParams.arc_length)."""
+    return params.arc_length.perimeter
 
 
 def arclength_params(params: ContourParams, fractions) -> np.ndarray:
     """Contour parameters u at the given arc-length fractions of the perimeter."""
-    s, u = _cumulative_length(_coefficient_key(params))
-    return np.interp(np.asarray(fractions, dtype=float) * s[-1], s, u)
-
-
-@lru_cache(maxsize=8)
-def _cumulative_length(key):
-    """Cumulative trapezoid arc length s along u on ARCLENGTH_NODES + 1
-    points, both read-only; like the perimeter it depends on the contour
-    alone."""
-    u = np.linspace(0.0, TWO_PI, ARCLENGTH_NODES + 1)
-    _, rho_dot = eval_local(_from_key(key), u)
-    speed = np.hypot(rho_dot[0], rho_dot[1])
-    s = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(u))])
-    for array in (s, u):
-        array.flags.writeable = False
-    return s, u
+    table = params.arc_length
+    return np.interp(np.asarray(fractions, dtype=float) * table.s[-1], table.s, table.u)
 
 
 def check_simple(params: ContourParams, nodes: int = 256) -> bool:
     """Advisory self-intersection test on a polygonal sampling; warns if it fails."""
     u, _ = uniform_grid(nodes)
     rho, _ = eval_local(params, u)
-    pts = rho.T
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    for i in range(nodes):
-        # skip the segment itself and its two neighbours
-        js = np.arange(i + 2, nodes if i > 0 else nodes - 1)
-        if js.size == 0:
-            continue
-        if np.any(_segments_cross(a[i], b[i], a[js], b[js])):
-            warnings.warn("contour appears to self-intersect (advisory check)", stacklevel=2)
-            return False
+    a = rho.T
+    b = np.roll(a, -1, axis=0)
+    # every pair of sides at once, but a side and its two neighbours
+    i, j = np.triu_indices(nodes, k=2)
+    keep = (i > 0) | (j < nodes - 1)
+    i, j = i[keep], j[keep]
+    if np.any(_segments_cross(a[i], b[i], a[j], b[j])):
+        warnings.warn("contour appears to self-intersect (advisory check)", stacklevel=2)
+        return False
     return True
 
 
@@ -358,5 +343,5 @@ def _segments_cross(p0, p1, q0, q1):
         ) * (b[..., 0] - o[..., 0])
 
     d1 = orient(p0, p1, q0) * orient(p0, p1, q1)
-    d2 = orient(q0, q1, p0[None]) * orient(q0, q1, p1[None])
+    d2 = orient(q0, q1, p0) * orient(q0, q1, p1)
     return (d1 < 0) & (d2 < 0)

@@ -63,6 +63,14 @@ class EnergySpec:
             raise ScenarioError("noise PSD must be positive")
         if self.gain is not None and self.gain < 0.0:
             raise ScenarioError("gain must be non-negative")
+        if self.e_over_n0_db is not None:
+            try:
+                linear = 10.0 ** (float(self.e_over_n0_db) / 10.0)
+            except OverflowError:
+                linear = np.inf
+            if not 0.0 < linear < np.inf:
+                raise ScenarioError(f"E/N0 of {self.e_over_n0_db:g} dB is out of range: "
+                                    "10^(dB/10) must be a positive finite number")
 
     @property
     def mode(self) -> str:

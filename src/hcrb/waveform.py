@@ -172,8 +172,9 @@ def synthesis_workspace(scenario: Scenario,
     """Build the reusable tables for extended-target synthesis.
 
     The contour is cut into K equal arc-length segments (K from the
-    segmentation config and the perimeter); each contributes one echo from
-    its midpoint with deterministic amplitude g*sqrt(l_T/K)*w_k.
+    segmentation config and the perimeter, both read off the contour's
+    arc-length table, not the bound's quadrature); each contributes one
+    echo from its midpoint with deterministic amplitude g*sqrt(l_T/K)*w_k.
     """
     if seg is None:
         seg = SegmentationConfig()
@@ -184,7 +185,7 @@ def synthesis_workspace(scenario: Scenario,
             "synthesis is dubious at this resolution",
             stacklevel=2,
         )
-    total = perimeter(scenario.contour, scenario.quadrature)
+    total = perimeter(scenario.contour)
     k = seg.count(total)
     if k < 8:
         raise ScenarioError(

@@ -203,6 +203,48 @@ def test_fully_shadowed_pose_exit_codes(tmp_path, capsys):
     assert "fully shadowed" in capsys.readouterr().err
 
 
+def _q257_contour(doc):
+    """A circle with a 257th harmonic of 0.9 / 257: its speed nearly
+    vanishes 257 times a turn, so the perimeter on every second point of
+    the arc-length table is off by 7e-4."""
+    m = [0.0] * 257
+    m[0], m[-1] = 1.0, 0.9 / 257
+    doc["contour"] = {"Q": 257, "m": m, "n": list(m)}
+
+
+@pytest.mark.parametrize("edit, commands, message", [
+    # an astroid: its speed vanishes at its four cusps, all on the grid
+    (lambda doc: doc.update(contour={"Q": 3, "m": [3.0, 0.0, 1.0], "n": [3.0, 0.0, -1.0]}),
+     ("bounds", "simulate"), "error: contour is not regular: "),
+    (_q257_contour, ("simulate",), "error: perimeter quadrature not converged: 7.634650588444285 "
+                                   "vs 7.640031813458245 at 4096 nodes"),
+], ids=("astroid", "q257"))
+def test_contour_errors_exit_one(tmp_path, capsys, edit, commands, message):
+    path = _vehicle_with(tmp_path, edit)
+    for command in commands:
+        trials = ["--trials", "1"] if command == "simulate" else []
+        assert entry([command, "--scenario", path, *trials]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("db, argv", [
+    (1e5, ["bounds"]),
+    (-1e5, ["bounds"]),
+    (40.0, ["diversity", "--counts", "1,2", "--total-db", "1e5"]),
+], ids=("overflow", "underflow", "diversity_total-db"))
+def test_out_of_range_e_over_n0_exits_one(tmp_path, capsys, db, argv):
+    """A dB value whose linear E/N0 overflows to inf or underflows to 0 is
+    a scenario error, in the file or on the command line."""
+    path = _vehicle_with(tmp_path, lambda doc: doc["channel"].update(E_over_N0_dB=db))
+    assert entry([argv[0], "--scenario", path, *argv[1:],
+                  "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: E/N0 of ") and "out of range" in err, err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_radar_facing_asymptotic_unknown_shape_exits_two(tmp_path, capsys):
     """With the bow facing the radar the shape block is singular: the
     asymptotic unknown-shape bound exits 2, the known-shape bound still 0.

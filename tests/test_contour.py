@@ -1,10 +1,11 @@
 """Contour geometry: Fourier curves, poses, illumination weights, arc length."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-import hcrb.contour
 from hcrb.contour import (
     ContourParams,
     QuadratureSpec,
@@ -20,7 +21,7 @@ from hcrb.contour import (
     uniform_grid,
     wrap_angle,
 )
-from hcrb.errors import ScenarioError
+from hcrb.errors import RegularityError, ScenarioError
 
 CIRCLE = ContourParams(np.array([2.0]), np.array([2.0]))
 
@@ -150,30 +151,40 @@ def test_arclength_params_inverts_cumulative_length(scenario):
     )
 
 
-def test_contour_tables_are_cached_per_coefficients(scenario):
-    params = scenario.contour
-    twin = ContourParams(params.m.copy(), params.n.copy())
+def test_arc_length_table_is_cached_per_contour(scenario):
+    """The perimeter and the segment midpoints come from one arc-length
+    table, built once per contour instance, read-only, and bit for bit the
+    uncached cumulative trapezoid; its perimeter is the periodic trapezoid
+    on the same speeds."""
+    params = ContourParams(scenario.contour.m, scenario.contour.n)
     fractions = (np.arange(40) + 0.5) / 40
     first = arclength_params(params, fractions)
-    hits = hcrb.contour._cumulative_length.cache_info().hits
-    assert np.array_equal(arclength_params(twin, fractions), first)
-    assert hcrb.contour._cumulative_length.cache_info().hits == hits + 1
+    table = params.arc_length
+    assert params.arc_length is table
+    assert np.array_equal(arclength_params(params, fractions), first)
+    assert not any(a.flags.writeable for a in (table.u, table.s))
     # the uncached construction, bit for bit
     u = np.linspace(0.0, 2.0 * np.pi, 8193)
     _, rho_dot = eval_local(params, u)
     speed = np.hypot(rho_dot[0], rho_dot[1])
     s = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(u))])
     assert np.array_equal(first, np.interp(fractions * s[-1], s, u))
-    assert not any(a.flags.writeable
-                   for a in hcrb.contour._cumulative_length(
-                       hcrb.contour._coefficient_key(params)))
-
-    hits = hcrb.contour._perimeter.cache_info().hits
+    assert perimeter(params) == float(np.sum(speed[:-1] * (2.0 * np.pi / 8192)))
+    # a twin has a table of its own, equal to this one
+    twin = ContourParams(params.m.copy(), params.n.copy())
     assert perimeter(twin) == perimeter(params)
-    assert hcrb.contour._perimeter.cache_info().hits >= hits + 1
-    # the key is the exact coefficients: a nudged contour is measured anew
+    assert twin.arc_length is not table
     nudged = ContourParams(params.m * (1.0 + 1e-3), params.n)
     assert perimeter(nudged) != perimeter(params)
+
+
+def test_arc_length_failure_raises_on_every_read():
+    """An astroid's speed vanishes at its cusps; the failed table is not
+    kept, so each read raises again."""
+    astroid = ContourParams(np.array([3.0, 0.0, 1.0]), np.array([3.0, 0.0, -1.0]))
+    for _ in range(2):
+        with pytest.raises(RegularityError, match="not regular"):
+            perimeter(astroid)
 
 
 def test_geometry_table_grid(scenario):
@@ -197,11 +208,37 @@ def test_geometry_table_shares_one_read_only_basis(scenario):
         assert np.array_equal(cached, computed)
 
 
+def _crosses_by_loop(params: ContourParams, nodes: int = 256) -> bool:
+    """check_simple's referee: each pair of polygon sides but a side and
+    its two neighbours, one at a time, by the sign of the orientations."""
+    rho, _ = eval_local(params, uniform_grid(nodes)[0])
+    pts = [tuple(p) for p in rho.T]
+
+    def orient(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    for i in range(nodes):
+        p0, p1 = pts[i], pts[(i + 1) % nodes]
+        for j in range(i + 2, nodes if i > 0 else nodes - 1):
+            q0, q1 = pts[j], pts[(j + 1) % nodes]
+            if (orient(p0, p1, q0) * orient(p0, p1, q1) < 0
+                    and orient(q0, q1, p0) * orient(q0, q1, p1) < 0):
+                return True
+    return False
+
+
 def test_check_simple(scenario):
-    assert check_simple(scenario.contour) is True
+    """check_simple agrees with a loop over the same side pairs on the
+    vehicle, a self-crossing contour and a simple concave one, and warns on
+    the crossing one only."""
     crossing = ContourParams(np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.0, 2.0]))
-    with pytest.warns(UserWarning):
-        assert check_simple(crossing) is False
+    concave = ContourParams(np.array([2.0, 0.0, 0.5]), np.array([1.1, 0.0, 0.5]))
+    for params, simple in ((scenario.contour, True), (crossing, False), (concave, True)):
+        assert _crosses_by_loop(params) is not simple
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert check_simple(params) is simple
+        assert [type(w.message) for w in caught] == ([] if simple else [UserWarning])
 
 
 def test_validation_errors():

@@ -158,13 +158,18 @@ def _physical_scenario(scenario, n0):
 
 
 def test_noise_scale_equivariance(scenario):
+    """Every variance scales as 1/(E/N0): through N0 in physical mode, and
+    through the dB value itself in fixed mode."""
     kappa = 3.7
-    base = hcrb_exact(_physical_scenario(scenario, 1e-3), contour_known=False)
-    scaled = hcrb_exact(_physical_scenario(scenario, kappa * 1e-3),
-                        contour_known=False)
-    assert scaled.c_range == pytest.approx(kappa * base.c_range, rel=1e-9)
-    assert scaled.c_bearing == pytest.approx(kappa * base.c_bearing, rel=1e-9)
-    assert scaled.c_heading == pytest.approx(kappa * base.c_heading, rel=1e-9)
+    for louder, quieter in (
+            (_physical_scenario(scenario, 1e-3), _physical_scenario(scenario, kappa * 1e-3)),
+            (scenario.with_e_over_n0_db(40.0),
+             scenario.with_e_over_n0_db(40.0 - 10.0 * np.log10(kappa)))):
+        base = hcrb_exact(louder, contour_known=False)
+        scaled = hcrb_exact(quieter, contour_known=False)
+        assert scaled.c_range == pytest.approx(kappa * base.c_range, rel=1e-9)
+        assert scaled.c_bearing == pytest.approx(kappa * base.c_bearing, rel=1e-9)
+        assert scaled.c_heading == pytest.approx(kappa * base.c_heading, rel=1e-9)
 
 
 def test_received_energy_modes(scenario):

@@ -4,7 +4,9 @@ Point target: shrinking the contour by eps (m and n scaled by eps, the pose
 kept) turns the extended target into a point at its center, so the
 known-shape range and bearing bounds must tend to point_target_crb.
 Bandwidth: raising B turns the known-shape range bound into the one the
-range delays alone give. What is tested is the order of each approach.
+range delays alone give. Array size: growing the array turns the
+known-shape bearing bound into the one the bearing rows alone give. What is
+tested is the order of each approach.
 
 The tolerance on an order: if the deviation is delta(x) = a x^p (1 +
 r(x)), the decade ratio delta(x) / delta(x / 10) is 10^p times
@@ -32,6 +34,8 @@ EPS = (1e-2, 1e-3, 1e-4, 1e-5)
 # sweep bandwidths in Hz, a decade apart, at the time-bandwidth product TB
 BANDWIDTHS = (1e10, 1e11, 1e12)
 TB = 1e5
+# array sizes, a decade apart
+ARRAY_SIZES = (3000, 30000)
 
 
 def _order(deviations):
@@ -123,3 +127,58 @@ def test_range_bound_tends_to_the_range_delay_bound(scenario, alpha, heading_deg
     assert np.all(np.abs(_order(dev) - 2.0) < 0.5), dev
     assert abs(dev[-1]) < 1e-5, dev
     assert np.all(np.diff(unknown) > 0.0) and unknown[-1] > 10.0 * unknown[0], unknown
+
+
+def _bearing_limit(scenario, nodes: int) -> float:
+    """M c_bearing_known's limit as N grows: the bearing entry of the
+    inverse of the pose Gram B = sum (w cos(phi) eta)(w cos(phi) eta)^T
+    ||r_dot|| du of the bearing rows eta, times ||w||^2 / (2 E/N0), on the
+    grid of `nodes` points. Unlike the range Gram, B is regular."""
+    lit = scenario.lit_arc.subgrid(scenario.quadrature.nodes // nodes)
+    eta = _derivative_fields(scenario.contour, scenario.pose, lit.table)[1][:3]
+    weighted = eta * (lit.weights.w * np.cos(lit.table.phi)
+                      * np.sqrt(lit.table.arc * lit.table.du))
+    gram = weighted @ weighted.T
+    return (np.linalg.inv(gram)[1, 1] * lit.w_norm_sq
+            / (2.0 * scenario.e_over_n0(lit.w_norm_sq)))
+
+
+@pytest.mark.parametrize("heading_deg", [60.0, 90.0])
+@pytest.mark.parametrize("alpha", [0.0, 5.0])
+def test_bearing_bound_tends_to_the_array_bound(scenario, alpha, heading_deg):
+    """Growing the array N scales M = pi^2 (N^2 - 1) / 12 and leaves the
+    rest of the information, A, as it is: the known-shape information is
+    A + M c B, with c = 2 (E/N0) / ||w||^2.
+
+    So M c_bearing_known = [(c B + A / M)^-1]_phi tends to the limit, with
+    deviation dev = M c_bearing_known / limit - 1 = -kappa / M + O(1 / M^2),
+    kappa = [B^-1 A B^-1]_phi / (c [B^-1]_phi) >= 0:
+    - dev < 0 at every N, since A can only shrink the bound; the QR's
+      rounding (well under the 5e-5 of the smallest |dev|) cannot flip it.
+    - dev falls 100x per decade of N from 3e3 to 3e4: order 2, within
+      1/2. kappa reads 3.7e4 to 2.0e6 here (the largest at alpha = 5 and
+      90 degrees), so at N = 3e3 (M = 7.4e6) the O(1 / M^2) term is at
+      most 0.27 of the leading one, under the 0.52 an order allows. Below
+      that it is not: at N = 300 the ratio of decades reads 4.
+    - |dev| < 1e-2 at N = 3e4 (M = 7.4e8); the largest reads 2.7e-3. The
+      bound allows kappa up to 7.4e6, 3.7 times the largest measured.
+    Only the known-shape bound is read: the shape-unknown bound of the
+    same information is reported singular from N = 1e4 at alpha = 5 and
+    60 degrees (and from 1e5 at 90 degrees), while the pose block's
+    condition number stays under 4e4. The limit is taken on the grid the
+    bound reports (FisherInfo.nodes), so no quadrature error separates the
+    two.
+    """
+    base = replace(scenario, alpha=alpha).with_pose(
+        replace(scenario.pose, heading=np.radians(heading_deg)))
+    dev = []
+    for n in ARRAY_SIZES:
+        sc = replace(base, array_n=n)
+        info = efim_exact(sc)
+        big_m = radar_constants(sc)[1]
+        dev.append(big_m * info.pose_block().crb().c_bearing / _bearing_limit(sc, info.nodes)
+                   - 1.0)
+
+    assert np.all(np.array(dev) < 0.0), dev
+    assert np.all(np.abs(_order(dev) - 2.0) < 0.5), dev
+    assert abs(dev[-1]) < 1e-2, dev

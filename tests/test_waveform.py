@@ -317,7 +317,7 @@ def _origin_shifted_workspace(sc, seg, shift):
     """Rebuild the synthesis tables with segment midpoints moved by a
     fraction of a segment along the contour."""
     base = synthesis_workspace(sc, seg)
-    total = perimeter(sc.contour, sc.quadrature)
+    total = perimeter(sc.contour)
     k = seg.count(total)
     mids = np.sort(((np.arange(k) + 0.5 + shift) % k) / k)
     u_k = arclength_params(sc.contour, mids)
