@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgeqrt, dtrtri
 
 from ._pool import _ONE_BLAS_THREAD
-from .errors import IdentifiabilityError
+from .errors import IdentifiabilityError, ScenarioError
 
 # relative cutoff on sigma^2 of R (the eigenvalues of J = R^T R) below which
 # a direction counts as null
@@ -55,13 +55,16 @@ def triangular_factor(rows: np.ndarray) -> np.ndarray:
 
 
 def check_rank(r: np.ndarray, labels=None) -> None:
-    """Raise IdentifiabilityError when J = R^T R is singular.
+    """Raise IdentifiabilityError when J = R^T R is singular, ScenarioError
+    when R is not finite (the scenario overflowed the arithmetic).
 
     A direction is null when its sigma^2 of R is at most NULL_RCOND times
     the largest. The error carries the orthonormal null-space basis and the
     labels (in R's column order) of the parameters it involves: those whose
     basis row has norm above sqrt(NULL_RCOND).
     """
+    if not np.isfinite(r).all():
+        raise ScenarioError("information matrix is not finite: the scenario overflows float64")
     sigma_sq = np.linalg.svd(r, compute_uv=False) ** 2
     cutoff = NULL_RCOND * max(sigma_sq.max(), np.finfo(float).tiny)
     null = np.count_nonzero(sigma_sq <= cutoff)

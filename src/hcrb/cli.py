@@ -108,7 +108,6 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="bounds along the range sweep")
     _add_scenario_arg(p_sweep)
     p_sweep.add_argument("--points", type=_COUNT, default=30)
-    p_sweep.add_argument("--seed", type=_SEED, default=0)
     p_sweep.add_argument("--out", metavar="CSV", required=True)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimator variance vs bounds")
@@ -126,7 +125,6 @@ def _parser() -> argparse.ArgumentParser:
     p_div.add_argument("--radius", type=_FINITE, default=7.0)
     p_div.add_argument("--total-db", type=_FINITE, default=40.0,
                        help="aggregate E/N0 budget in dB, split evenly")
-    p_div.add_argument("--seed", type=_SEED, default=0)
     p_div.add_argument("--out", metavar="CSV", required=True)
     return parser
 
@@ -221,7 +219,7 @@ def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
 
     seeds = np.random.SeedSequence(args.seed).generate_state(
         args.trials, dtype=np.uint64)
-    table = ResultTable()
+    table = ResultTable(seed=args.seed)
     kind = "point" if args.point else "extended"
     sweep = f"simulate:{scenario.pose.d:.6g}"
     d_hats, phi_hats = [], []
@@ -235,9 +233,8 @@ def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
         flag = "" if result.confident else "  (low confidence)"
         print(f"trial {trial:3d}: d = {result.d:.4f} m, "
               f"phi = {result.phi:.6f} rad{flag}")
-        table.add(sweep, "d_hat", "monte_carlo", result.d, "m", trial, args.seed)
-        table.add(sweep, "phi_hat", "monte_carlo", result.phi, "rad", trial,
-                  args.seed)
+        table.add(sweep, "d_hat", "monte_carlo", result.d, "m", trial)
+        table.add(sweep, "phi_hat", "monte_carlo", result.phi, "rad", trial)
     pose = scenario.pose
     print(f"{kind} target truth: d = {pose.d:.4f} m, phi = {pose.phi:.6f} rad")
     print(f"mean estimate   : d = {np.mean(d_hats):.4f} m, "
@@ -246,8 +243,7 @@ def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
 
 
 def _cmd_sweep(args, bundle: ScenarioBundle) -> ResultTable:
-    return run_range_sweep(bundle.scenario, n_points=args.points,
-                           seed=args.seed, skip_singular=True)
+    return run_range_sweep(bundle.scenario, n_points=args.points, skip_singular=True)
 
 
 def _cmd_mc(args, bundle: ScenarioBundle) -> ResultTable:
@@ -258,7 +254,7 @@ def _cmd_mc(args, bundle: ScenarioBundle) -> ResultTable:
 def _cmd_diversity(args, bundle: ScenarioBundle) -> ResultTable:
     return run_diversity(bundle.scenario, bundle.target_xy, bundle.heading,
                          counts=args.counts, radius=args.radius,
-                         total_e_over_n0_db=args.total_db, seed=args.seed)
+                         total_e_over_n0_db=args.total_db)
 
 
 _COMMANDS = {

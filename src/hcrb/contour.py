@@ -7,7 +7,6 @@ from the radar at the origin. All reflection geometry (d, phi, beta) and
 the roughness-weighted illumination profiles (w, v) derive from r and rdot.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -25,6 +24,8 @@ PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 PERIMETER_REL_TOL = 1e-7
 # trapezoid intervals of the arc-length table
 ARCLENGTH_NODES = 8192
+# sides of the polygon on which a contour is tested for crossing itself
+POLYGON_SIDES = 256
 
 
 def wrap_angle(x):
@@ -79,9 +80,11 @@ class ContourParams:
     @cached_property
     def arc_length(self) -> ArcLength:
         """The arc-length table from ||rho_dot|| on ARCLENGTH_NODES + 1 points
-        of [0, 2pi], built on first read and kept. RegularityError if the
-        speed vanishes, QuadratureError if every second point moves the
-        perimeter by more than PERIMETER_REL_TOL; a failure is not kept."""
+        of [0, 2pi], built on first read and kept; reading it admits the
+        contour. RegularityError if the speed vanishes, QuadratureError if
+        every second point moves the perimeter by more than
+        PERIMETER_REL_TOL, ScenarioError if the contour crosses itself
+        (_check_simple); a failure is not kept."""
         u = np.linspace(0.0, TWO_PI, ARCLENGTH_NODES + 1)
         _, rho_dot = eval_local(self, u)
         speed = np.hypot(rho_dot[0], rho_dot[1])
@@ -93,6 +96,7 @@ class ContourParams:
         if abs(total - coarse) > PERIMETER_REL_TOL * abs(total):
             raise QuadratureError(f"perimeter quadrature not converged: {coarse} vs {total} "
                                   f"at {ARCLENGTH_NODES // 2} nodes")
+        _check_simple(self)
         s = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) / 2.0 * np.diff(u))])
         for array in (s, u):
             array.flags.writeable = False
@@ -283,6 +287,7 @@ class PoseField:
 def pose_field(scenario) -> PoseField:
     """The lit arc of a Scenario's target pose: its geometry table and
     reflection weights at the lit quadrature nodes, and ||w||^2."""
+    scenario.contour.arc_length  # the contour's admission
     table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
     weights = reflection_weights(table, scenario.alpha)
     w_norm_sq = float(np.sum(weights.w * weights.w * (table.arc * table.du)))
@@ -300,12 +305,10 @@ def uniform_grid(nodes: int):
 
 def geometry_table(params: ContourParams, pose: TargetPose,
                    spec: QuadratureSpec = QuadratureSpec()) -> GeometryTable:
-    """Evaluate the full contour geometry on the uniform quadrature grid."""
+    """Evaluate the full contour geometry on the uniform quadrature grid; the
+    contour's regularity is its admission's (ContourParams.arc_length)."""
     u, du = uniform_grid(spec.nodes)
-    table = geometry_at(params, pose, u, du, _uniform_basis(params.q, spec.nodes))
-    if table.arc.min() <= 0.0:
-        raise RegularityError("contour is not regular: ||rho_dot|| vanishes on the grid")
-    return table
+    return geometry_at(params, pose, u, du, _uniform_basis(params.q, spec.nodes))
 
 
 def perimeter(params: ContourParams) -> float:
@@ -320,20 +323,16 @@ def arclength_params(params: ContourParams, fractions) -> np.ndarray:
     return np.interp(np.asarray(fractions, dtype=float) * table.s[-1], table.s, table.u)
 
 
-def check_simple(params: ContourParams, nodes: int = 256) -> bool:
-    """Advisory self-intersection test on a polygonal sampling; warns if it fails."""
-    u, _ = uniform_grid(nodes)
-    rho, _ = eval_local(params, u)
-    a = rho.T
+def _check_simple(params: ContourParams) -> None:
+    """ScenarioError when two sides of the contour's polygon on
+    uniform_grid(POLYGON_SIDES) cross, a side and its two neighbours aside."""
+    a = eval_local(params, uniform_grid(POLYGON_SIDES)[0])[0].T
     b = np.roll(a, -1, axis=0)
-    # every pair of sides at once, but a side and its two neighbours
-    i, j = np.triu_indices(nodes, k=2)
-    keep = (i > 0) | (j < nodes - 1)
+    i, j = np.triu_indices(POLYGON_SIDES, k=2)
+    keep = (i > 0) | (j < POLYGON_SIDES - 1)
     i, j = i[keep], j[keep]
     if np.any(_segments_cross(a[i], b[i], a[j], b[j])):
-        warnings.warn("contour appears to self-intersect (advisory check)", stacklevel=2)
-        return False
-    return True
+        raise ScenarioError(f"contour crosses itself (its {POLYGON_SIDES}-side polygon does)")
 
 
 def _segments_cross(p0, p1, q0, q1):

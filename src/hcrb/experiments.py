@@ -1,10 +1,10 @@
 """Reproducible sweep and Monte Carlo runners emitting flat CSV tables.
 
-Every runner is a pure function of (inputs, seed): trials draw their seeds
-from a SeedSequence keyed on (seed, sweep point, trial), so tables are
-bit-identical across re-runs and across worker counts. The CSV layout is
-one scalar per row: sweep,quantity,method,value,units,n_trials,seed with
-the sweep column carrying name:abscissa (e.g. "range:6.7082").
+Every runner is a pure function of its inputs, run_mc's seed among them:
+its trials draw their seeds from a SeedSequence keyed on (seed, sweep
+point, trial), so tables are bit-identical across re-runs and worker
+counts. The CSV layout is one scalar per row: sweep,quantity,method,value,
+units,n_trials,seed, the sweep column name:abscissa (e.g. "range:6.7082").
 """
 
 import csv
@@ -47,31 +47,30 @@ class ResultRow:
     value: float
     units: str
     n_trials: int
-    seed: int
 
 
 @dataclass
 class ResultTable:
+    seed: int = 0  # the run's seed, which to_csv writes on every row
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)  # skipped sweep points
 
-    def add(self, sweep, quantity, method, value, units, n_trials=0, seed=0):
+    def add(self, sweep, quantity, method, value, units, n_trials=0):
         self.rows.append(
-            ResultRow(sweep, quantity, method, float(value), units,
-                      int(n_trials), int(seed))
+            ResultRow(sweep, quantity, method, float(value), units, int(n_trials))
         )
 
-    def add_report(self, sweep, name, method, report, seed=0):
+    def add_report(self, sweep, name, method, report):
         """The c_range_, c_bearing_ and c_heading_ rows of one bound report;
         name is the shape case (known or unknown)."""
-        self.add(sweep, f"c_range_{name}", method, report.c_range, "m^2", 0, seed)
-        self.add(sweep, f"c_bearing_{name}", method, report.c_bearing, "rad^2", 0, seed)
-        self.add(sweep, f"c_heading_{name}", method, report.c_heading, "rad^2", 0, seed)
+        self.add(sweep, f"c_range_{name}", method, report.c_range, "m^2")
+        self.add(sweep, f"c_bearing_{name}", method, report.c_bearing, "rad^2")
+        self.add(sweep, f"c_heading_{name}", method, report.c_heading, "rad^2")
 
-    def add_point(self, sweep, point, seed=0):
+    def add_point(self, sweep, point):
         """The two rows of a point-target bound (fisher.point_target_crb)."""
-        self.add(sweep, "c_range_point", "point_target", point[0, 0], "m^2", 0, seed)
-        self.add(sweep, "c_bearing_point", "point_target", point[1, 1], "rad^2", 0, seed)
+        self.add(sweep, "c_range_point", "point_target", point[0, 0], "m^2")
+        self.add(sweep, "c_bearing_point", "point_target", point[1, 1], "rad^2")
 
     def to_csv(self, target) -> None:
         """Write to a path or file object; float formatting is fixed so
@@ -86,7 +85,7 @@ class ResultTable:
         for row in self.rows:
             writer.writerow([row.sweep, row.quantity, row.method,
                              f"{row.value:.17g}", row.units, row.n_trials,
-                             row.seed])
+                             self.seed])
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -106,7 +105,7 @@ def ray_positions(n_points: int) -> np.ndarray:
     return start[None, :] + t_sel[:, None] * (stop - start)[None, :]
 
 
-def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
+def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario):
     """Exact, asymptotic and point-target bound rows for one pose.
 
     Both exact reports come from the R of one field stack's QR: the
@@ -125,12 +124,12 @@ def _bound_rows(table: ResultTable, sweep: str, scenario: Scenario, seed: int):
 
     for method, known, unknown in (("exact", exact_known, exact),
                                    ("asymptotic", asym_known, asym_unknown)):
-        table.add_report(sweep, "known", method, known, seed)
-        table.add_report(sweep, "unknown", method, unknown, seed)
-    table.add_point(sweep, point, seed)
+        table.add_report(sweep, "known", method, known)
+        table.add_report(sweep, "unknown", method, unknown)
+    table.add_point(sweep, point)
 
 
-def run_range_sweep(scenario: Scenario, n_points: int = 30, seed: int = 0,
+def run_range_sweep(scenario: Scenario, n_points: int = 30,
                     skip_singular: bool = False) -> ResultTable:
     """Bounds along the range sweep, energy pinned by the scenario config.
 
@@ -142,7 +141,7 @@ def run_range_sweep(scenario: Scenario, n_points: int = 30, seed: int = 0,
         moved = scenario.with_pose(SWEEP_RADAR.local_pose(xy, scenario.pose.heading))
         sweep = f"range:{moved.pose.d:.6g}"
         try:
-            _bound_rows(table, sweep, moved, seed)
+            _bound_rows(table, sweep, moved)
         except IdentifiabilityError as err:
             if not skip_singular:
                 raise
@@ -171,7 +170,7 @@ def _mc_point(scenario, workspace, seeds):
     return d_hat, phi_hat, used
 
 
-def _variance_rows(table, sweep, kind, d_hat, phi_hat, used, truth, seed):
+def _variance_rows(table, sweep, kind, d_hat, phi_hat, used, truth):
     n_used = int(used.sum())
     if n_used < 2:
         raise ScenarioError(
@@ -179,13 +178,12 @@ def _variance_rows(table, sweep, kind, d_hat, phi_hat, used, truth, seed):
         )
     var_d = float(np.var(d_hat[used], ddof=1))
     var_phi = float(np.var(phi_hat[used], ddof=1))
-    table.add(sweep, f"var_range_{kind}", "monte_carlo", var_d, "m^2", n_used, seed)
-    table.add(sweep, f"var_bearing_{kind}", "monte_carlo", var_phi, "rad^2",
-              n_used, seed)
+    table.add(sweep, f"var_range_{kind}", "monte_carlo", var_d, "m^2", n_used)
+    table.add(sweep, f"var_bearing_{kind}", "monte_carlo", var_phi, "rad^2", n_used)
     table.add(sweep, f"bias_range_{kind}", "monte_carlo",
-              float(np.mean(d_hat[used]) - truth.d), "m", n_used, seed)
+              float(np.mean(d_hat[used]) - truth.d), "m", n_used)
     table.add(sweep, f"bias_bearing_{kind}", "monte_carlo",
-              float(np.mean(phi_hat[used]) - truth.phi), "rad", n_used, seed)
+              float(np.mean(phi_hat[used]) - truth.phi), "rad", n_used)
 
 
 def _mc_positions(ranges) -> list:
@@ -222,29 +220,27 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
     if trials < 2:
         raise ScenarioError(
             f"Monte Carlo needs at least 2 trials to form a variance, got {trials}")
-    table = ResultTable()
+    table = ResultTable(seed=seed)
     for index, xy in enumerate(_mc_positions(ranges)):
         moved = scenario.with_pose(SWEEP_RADAR.local_pose(xy, scenario.pose.heading))
         sweep = f"mc:{moved.pose.d:.6g}"
-        _bound_rows(table, sweep, moved, seed)
+        _bound_rows(table, sweep, moved)
 
         ws_ext = synthesis_workspace(moved, segmentation)
         d_hat, phi_hat, used = _mc_point(
             moved, ws_ext, _trial_seeds(seed, index, 0, trials=trials))
-        _variance_rows(table, sweep, "extended", d_hat, phi_hat, used,
-                       moved.pose, seed)
+        _variance_rows(table, sweep, "extended", d_hat, phi_hat, used, moved.pose)
 
         ws_pt = point_workspace(moved)
         d_hat, phi_hat, used = _mc_point(
             moved, ws_pt, _trial_seeds(seed, index, 1, trials=trials))
-        _variance_rows(table, sweep, "point", d_hat, phi_hat, used,
-                       moved.pose, seed)
+        _variance_rows(table, sweep, "point", d_hat, phi_hat, used, moved.pose)
     return table
 
 
 def run_diversity(template: Scenario, target_xy, heading: float,
                   counts=tuple(range(1, 7)), radius: float = 7.0,
-                  total_e_over_n0_db: float = 40.0, seed: int = 0) -> ResultTable:
+                  total_e_over_n0_db: float = 40.0) -> ResultTable:
     """PEB versus constellation size at fixed aggregate energy.
 
     Radars sit uniformly on a circle around the target, boresights on the
@@ -282,5 +278,5 @@ def run_diversity(template: Scenario, target_xy, heading: float,
                      total_e_over_n0_db=total_e_over_n0_db,
                      factors=[factors[key] for key in keys])
         for name, info in (("known", fused.pose_block()), ("unknown", fused)):
-            table.add(sweep, f"peb_{name}", "exact", peb(info.crb()), "m", 0, seed)
+            table.add(sweep, f"peb_{name}", "exact", peb(info.crb()), "m")
     return table

@@ -162,10 +162,12 @@ def _lit_arc(scenario: Scenario, nodes: int):
 
 def _lit_fields(scenario: Scenario, lit, far_field: bool):
     """_derivative_fields on a lit arc; NoIlluminationError when none of its
-    nodes is lit."""
+    nodes is lit. A field that overflows is not finite, and neither is its
+    factor, which check_rank refuses."""
     if lit.table.u.size == 0:
         raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
-    return _derivative_fields(scenario.contour, scenario.pose, lit.table, far_field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _derivative_fields(scenario.contour, scenario.pose, lit.table, far_field)
 
 
 def _weighted_stack(scenario: Scenario, fields, w, v, q, phi, w_norm_sq: float):

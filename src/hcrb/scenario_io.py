@@ -202,6 +202,7 @@ def build(doc: dict) -> ScenarioBundle:
     doc = normalize(doc)
     contour = ContourParams(m=np.array(doc["contour"]["m"], dtype=float),
                             n=np.array(doc["contour"]["n"], dtype=float))
+    contour.arc_length  # the contour's admission: every command refuses it here
     radars = tuple(
         RadarPose(position=np.array([r["x"], r["y"]]),
                   kappa=np.radians(r["kappa"]), array_n=r["N"])

@@ -55,7 +55,7 @@ def test_bounds_report_and_csv(tmp_path, capsys, bundle, method, label):
     assert all(np.isfinite(values)) and all(v > 0 for v in values)
     # the same rows, bit for bit, as the sweep writes for this pose
     sweep = ResultTable()
-    _bound_rows(sweep, "pose", bundle.scenario, 0)
+    _bound_rows(sweep, "pose", bundle.scenario)
     expected = [[r.quantity, r.method, f"{r.value:.17g}", r.units, "0", "0"]
                 for r in sweep.rows
                 if (r.method, r.quantity.rsplit("_", 1)[1]) in
@@ -101,8 +101,6 @@ def test_schema_errors_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["diversity", "--counts", "1-2,4"],
     ["diversity", "--counts", "a"],
-    ["diversity", "--seed", "-1"],
-    ["sweep", "--seed", "-1"],
     ["sweep", "--points", "-3"],
     ["sweep", "--points", "0"],
     ["mc", "--ranges", "10,abc"],
@@ -111,7 +109,8 @@ def test_schema_errors_exit_one(tmp_path, capsys):
     ["simulate", "--seed", "-1"],
     ["simulate", "--trials", "-1"],
     ["simulate", "--trials", "0"],
-    ["sweep", "--seed", "abc"],
+    ["simulate", "--seed", "abc"],
+    ["mc", "--seed", "abc"],
     ["sweep", "--points", "1.5"],
     ["mc", "--trials", "x"],
     ["diversity", "--radius", "abc"],
@@ -130,12 +129,15 @@ def test_argument_errors_exit_one(tmp_path, capsys, argv):
     ["sweep", "--out", "x.csv"],
     ["bounds", "--scenario", SCENARIO, "--bogus"],
     [],
-], ids=("no_scenario", "unknown_option", "no_subcommand"))
+    # the bound studies draw no random numbers, so they take no --seed
+    ["sweep", "--scenario", SCENARIO, "--seed", "1", "--out", "x.csv"],
+    ["diversity", "--scenario", SCENARIO, "--seed", "1", "--out", "x.csv"],
+], ids=("no_scenario", "unknown_option", "no_subcommand", "sweep_seed", "diversity_seed"))
 def test_usage_errors_exit_one(capsys, argv):
     # argparse would exit 2, the code for a singular matrix
     assert entry(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: hcrb")
+    assert err.startswith("error: hcrb") and err.count("\n") == 1, err
 
 
 def test_help_exits_zero(capsys):
@@ -212,20 +214,27 @@ def _q257_contour(doc):
     doc["contour"] = {"Q": 257, "m": m, "n": list(m)}
 
 
-@pytest.mark.parametrize("edit, commands, message", [
+@pytest.mark.parametrize("edit, message", [
     # an astroid: its speed vanishes at its four cusps, all on the grid
     (lambda doc: doc.update(contour={"Q": 3, "m": [3.0, 0.0, 1.0], "n": [3.0, 0.0, -1.0]}),
-     ("bounds", "simulate"), "error: contour is not regular: "),
-    (_q257_contour, ("simulate",), "error: perimeter quadrature not converged: 7.634650588444285 "
-                                   "vs 7.640031813458245 at 4096 nodes"),
-], ids=("astroid", "q257"))
-def test_contour_errors_exit_one(tmp_path, capsys, edit, commands, message):
+     "error: contour is not regular: "),
+    (_q257_contour, "error: perimeter quadrature not converged: 7.634650588444285 "
+                    "vs 7.640031813458245 at 4096 nodes"),
+    (lambda doc: doc.update(contour={"Q": 3, "m": [1.0, 0.0, 2.0], "n": [1.0, 0.0, 2.0]}),
+     "error: contour crosses itself "),
+], ids=("astroid", "q257", "crossing"))
+def test_contour_errors_exit_one(tmp_path, capsys, edit, message):
+    """Every command refuses a contour the arc-length table does not admit
+    when it loads the file, the echo of the normalized file included."""
     path = _vehicle_with(tmp_path, edit)
-    for command in commands:
-        trials = ["--trials", "1"] if command == "simulate" else []
-        assert entry([command, "--scenario", path, *trials]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(message) and err.count("\n") == 1, err
+    out = ["--out", str(tmp_path / "out.csv")]
+    for argv in (["bounds"], ["bounds", "--print-normalized"], ["simulate", "--trials", "1"],
+                 ["sweep", *out], ["mc", *out], ["diversity", *out]):
+        assert entry([argv[0], "--scenario", path, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("db, argv", [
@@ -243,6 +252,22 @@ def test_out_of_range_e_over_n0_exits_one(tmp_path, capsys, db, argv):
     assert err.startswith("error: E/N0 of ") and "out of range" in err, err
     assert err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("edit, argv", [
+    # d^2 overflows near 1.3e154 m
+    (lambda doc: doc["target"].update(x=1e160), ["bounds"]),
+    (lambda doc: None, ["diversity", "--radius", "1e300"]),
+], ids=("bounds_far_target", "diversity_radius"))
+def test_overflowing_scenario_exits_one(tmp_path, capsys, edit, argv):
+    """A scenario whose bound overflows float64 is one error line, exit 1,
+    with no traceback and no CSV."""
+    path = _vehicle_with(tmp_path, edit)
+    out = tmp_path / "out.csv"
+    assert entry([argv[0], "--scenario", path, *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: information matrix is not finite") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_radar_facing_asymptotic_unknown_shape_exits_two(tmp_path, capsys):

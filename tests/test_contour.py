@@ -1,17 +1,16 @@
 """Contour geometry: Fourier curves, poses, illumination weights, arc length."""
 
-import warnings
-
 import numpy as np
 import numpy.testing as npt
 import pytest
+
+from conftest import random_scenario
 
 from hcrb.contour import (
     ContourParams,
     QuadratureSpec,
     TargetPose,
     arclength_params,
-    check_simple,
     eval_local,
     geometry_at,
     geometry_table,
@@ -209,7 +208,7 @@ def test_geometry_table_shares_one_read_only_basis(scenario):
 
 
 def _crosses_by_loop(params: ContourParams, nodes: int = 256) -> bool:
-    """check_simple's referee: each pair of polygon sides but a side and
+    """The crossing test's referee: each pair of polygon sides but a side and
     its two neighbours, one at a time, by the sign of the orientations."""
     rho, _ = eval_local(params, uniform_grid(nodes)[0])
     pts = [tuple(p) for p in rho.T]
@@ -227,18 +226,23 @@ def _crosses_by_loop(params: ContourParams, nodes: int = 256) -> bool:
     return False
 
 
-def test_check_simple(scenario):
-    """check_simple agrees with a loop over the same side pairs on the
-    vehicle, a self-crossing contour and a simple concave one, and warns on
-    the crossing one only."""
+def test_crossing_contour_is_refused(scenario):
+    """The arc-length table admits a contour only if it does not cross
+    itself, as a loop over the same side pairs finds, on the vehicle, a
+    self-crossing contour, a simple concave one and a few random ones."""
     crossing = ContourParams(np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.0, 2.0]))
     concave = ContourParams(np.array([2.0, 0.0, 0.5]), np.array([1.1, 0.0, 0.5]))
-    for params, simple in ((scenario.contour, True), (crossing, False), (concave, True)):
+    rng = np.random.default_rng(5)
+    drawn = [random_scenario(rng).contour for _ in range(4)]
+    for params in (scenario.contour, crossing, concave, *drawn):
+        simple = params is not crossing
         assert _crosses_by_loop(params) is not simple
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert check_simple(params) is simple
-        assert [type(w.message) for w in caught] == ([] if simple else [UserWarning])
+        if simple:
+            assert params.arc_length.perimeter > 0.0
+        else:
+            for _ in range(2):  # a refusal is not kept
+                with pytest.raises(ScenarioError, match="crosses itself"):
+                    params.arc_length
 
 
 def test_validation_errors():

@@ -208,9 +208,12 @@ def test_mc_table_structure(scenario):
         "var_range_point", "var_bearing_point",
         "bias_range_point", "bias_bearing_point",
     }
-    assert all(r.n_trials == 3 and r.seed == 1 for r in mc_rows)
+    assert all(r.n_trials == 3 for r in mc_rows)
     bound_rows = [r for r in table.rows if r.method != "monte_carlo"]
     assert all(r.n_trials == 0 for r in bound_rows)
+    # the run's seed is the table's, on every row of its CSV
+    assert table.seed == 1
+    assert {line.rsplit(",", 1)[1] for line in table.csv_text().splitlines()[1:]} == {"1"}
     assert MC_RANGES[0] == pytest.approx(6.7082039325)
 
 
@@ -341,10 +344,9 @@ def test_diversity_builds_each_shared_radar_once(scenario, bundle, monkeypatch,
 
 
 def test_result_table_serialization(tmp_path):
-    table = ResultTable()
+    table = ResultTable(seed=3)
     table.add("demo:1", "quantity_a", "exact", 1.0 / 3.0, "m^2")
-    table.add("demo:2", "quantity_b", "monte_carlo", 2.5e-17, "rad^2",
-              n_trials=7, seed=3)
+    table.add("demo:2", "quantity_b", "monte_carlo", 2.5e-17, "rad^2", n_trials=7)
     text = table.csv_text()
     out = tmp_path / "table.csv"
     table.to_csv(out)
@@ -353,4 +355,5 @@ def test_result_table_serialization(tmp_path):
     parsed = list(csv.reader(io.StringIO(text)))
     assert parsed[0] == HEADER
     assert float(parsed[1][3]) == 1.0 / 3.0  # %.17g survives the round trip
-    assert parsed[2][5] == "7" and parsed[2][6] == "3"
+    assert parsed[2][5] == "7"
+    assert [row[6] for row in parsed[1:]] == ["3", "3"]  # the table's one seed

@@ -18,7 +18,7 @@ from conftest import (
 
 from hcrb.asymptotics import t_blocks
 from hcrb.contour import ContourParams, TargetPose, pose_field
-from hcrb.errors import IdentifiabilityError
+from hcrb.errors import IdentifiabilityError, QuadratureError, ScenarioError
 from hcrb.fisher import (
     efim_exact,
     field_stack,
@@ -108,6 +108,19 @@ def test_endfire_raises(scenario):
         for route in (point_target_crb, t_blocks):
             with pytest.raises(IdentifiabilityError, match="endfire"):
                 route(endfire)
+
+
+@pytest.mark.parametrize("m, error, message", [
+    ([1.0, 0.0, 2.0], ScenarioError, "crosses itself"),
+    ([1.0] + [0.0] * 255 + [0.9 / 257], QuadratureError, "not converged"),
+], ids=("crossing", "q257"))
+def test_bounds_admit_the_contour(scenario, m, error, message):
+    """A library bound refuses a contour the arc-length table does not
+    admit, as the synthesis and the scenario loader do."""
+    refused = replace(scenario, contour=ContourParams(np.array(m), np.array(m)))
+    for bound in (efim_exact, t_blocks):
+        with pytest.raises(error, match=message):
+            bound(refused)
 
 
 def test_exact_bounds_frozen(scenario):
