@@ -134,7 +134,14 @@ class Scenario:
     def gain_g(self, w_norm_sq: float) -> float:
         """Channel amplitude g consistent with the configured energy mode."""
         if self.energy.mode == "physical_gain":
-            return np.sqrt(self.energy.gain) / self.pose.d**2
+            try:
+                d_sq = self.pose.d**2
+            except OverflowError:  # a Python float's square beyond float64
+                d_sq = np.inf
+            if not np.isfinite(d_sq):
+                raise ScenarioError(f"target range {self.pose.d:g} m: d^2 overflows "
+                                    "float64 in the physical-gain model")
+            return np.sqrt(self.energy.gain) / d_sq
         if w_norm_sq <= 0.0:
             raise ScenarioError("cannot place energy on a fully shadowed target")
         return float(np.sqrt(self.received_energy(w_norm_sq) / (self.array_n * w_norm_sq)))

@@ -7,6 +7,7 @@ rewrites user-provided numbers, so a normalized file re-parses to an
 identical scenario bit for bit.
 """
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -27,42 +28,82 @@ from .scenario import (
 
 SCHEMA_VERSION = "2"
 
-_SECTIONS = ("contour", "target", "radar", "channel", "waveform",
-             "quadrature", "segmentation")
 
-
-def _check_keys(section: str, given: dict, allowed: set, required: set):
-    if not isinstance(given, dict):
-        raise ScenarioError(f"{section} must be a JSON object")
-    unknown = set(given) - allowed
-    if unknown:
-        raise ScenarioError(
-            f"{section}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    missing = required - set(given)
-    if missing:
-        raise ScenarioError(f"{section}: missing required key(s) {sorted(missing)}")
-
-
-def _is_number(value) -> bool:
-    """A JSON number other than NaN and the infinities, which json parses."""
+def _finite(value) -> bool:
+    """A JSON number that converts to a finite float64. json parses true and
+    false as ints, NaN and Infinity as floats, and integers of any size."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return not isinstance(value, float) or math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float64's range
+        return False
 
 
-def _is_integer(value) -> bool:
-    """A JSON integer; json parses true and false as bools, which are ints."""
+def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(section: str, obj: dict, key: str, default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not _is_number(value):
-        raise ScenarioError(f"{section}.{key}: expected a finite number, got {value!r}")
-    return value
+# A kind is the phrase an error gives and the test a value must pass.
+_NUMBER = ("a finite number", _finite)
+_INTEGER = ("an integer", _integer)
+_NUMBERS = ("an array of finite numbers",
+            lambda value: isinstance(value, list) and all(map(_finite, value)))
+_ARRAY_SIZE = ("an integer >= 2", lambda value: _integer(value) and value >= 2)
+_BOOLEAN = ("true or false", lambda value: isinstance(value, bool))
+
+# A key's default is a value, a function of the section as given, or one of:
+_REQUIRED = "required"
+_OMITTED = "omitted"  # left out of the normalized section when not given
+
+# section -> key -> (kind, default), in the normalized order
+_SCHEMA = {
+    "contour": {"Q": (_INTEGER, lambda given: len(given["m"])),
+                "m": (_NUMBERS, _REQUIRED), "n": (_NUMBERS, _REQUIRED)},
+    "target": {"x": (_NUMBER, _REQUIRED), "y": (_NUMBER, _REQUIRED),
+               "heading": (_NUMBER, _REQUIRED)},
+    "radar": {"x": (_NUMBER, 0.0), "y": (_NUMBER, 0.0), "kappa": (_NUMBER, 0.0),
+              "N": (_ARRAY_SIZE, _REQUIRED)},
+    "channel": {"alpha": (_NUMBER, _REQUIRED), "E_over_N0_dB": (_NUMBER, _OMITTED),
+                "gain": (_NUMBER, _OMITTED), "N0": (_NUMBER, EnergySpec.n0)},
+    "waveform": {"B": (_NUMBER, _REQUIRED), "T": (_NUMBER, _REQUIRED),
+                 "fs": (_NUMBER, lambda given: 2.0 * given["B"]),
+                 "fc": (_NUMBER, DEFAULT_CARRIER_HZ)},
+    # schema 1 carried split_at_shadow; its default (false) still loads
+    "quadrature": {"nodes": (_INTEGER, QuadratureSpec.nodes),
+                   "split_at_shadow": (_BOOLEAN, _OMITTED)},
+    "segmentation": {"lR": (_NUMBER, SegmentationConfig.segment_length)},
+}
+# the target's polar form, for a single radar
+_POLAR_TARGET = {"d": (_NUMBER, _REQUIRED), "phi": (_NUMBER, _REQUIRED),
+                 "heading": (_NUMBER, _REQUIRED)}
+
+
+def _section(name: str, given, fields: dict) -> dict:
+    """One section checked against its fields and filled in their order."""
+    if not isinstance(given, dict):
+        raise ScenarioError(f"{name} must be a JSON object")
+    unknown = set(given) - set(fields)
+    if unknown:
+        raise ScenarioError(
+            f"{name}: unknown key(s) {sorted(unknown)}; allowed: {sorted(fields)}")
+    missing = {key for key, (_, default) in fields.items()
+               if default is _REQUIRED} - set(given)
+    if missing:
+        raise ScenarioError(f"{name}: missing required key(s) {sorted(missing)}")
+    for key, value in given.items():
+        phrase, test = fields[key][0]
+        if not test(value):
+            raise ScenarioError(f"{name}.{key} must be {phrase}, got {value!r}")
+    filled = {}
+    for key, (_, default) in fields.items():
+        if key in given:
+            filled[key] = copy.copy(given[key])  # a new list, not the caller's
+        elif callable(default):
+            filled[key] = default(given)
+        elif default is not _OMITTED:
+            filled[key] = default
+    return filled
 
 
 def normalize(doc: dict) -> dict:
@@ -73,116 +114,47 @@ def normalize(doc: dict) -> dict:
     """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS)
+    unknown = set(doc) - set(_SCHEMA)
     if unknown:
         raise ScenarioError(
             f"unknown top-level section(s) {sorted(unknown)}; "
-            f"allowed: {list(_SECTIONS)}"
+            f"allowed: {list(_SCHEMA)}"
         )
     for name in ("contour", "target", "channel", "waveform"):
         if name not in doc:
             raise ScenarioError(f"missing required section {name!r}")
 
-    contour = doc["contour"]
-    _check_keys("contour", contour, {"Q", "m", "n"}, {"m", "n"})
-    m, n = contour["m"], contour["n"]
-    if not (isinstance(m, list) and isinstance(n, list)):
-        raise ScenarioError("contour.m and contour.n must be arrays")
+    polar = isinstance(doc["target"], dict) and "d" in doc["target"]
+    radars = doc.get("radar", [{"N": 30}])
+    if not isinstance(radars, list) or not radars:
+        raise ScenarioError("radar must be a non-empty array of radar objects")
+    out = {}
+    for name, fields in _SCHEMA.items():
+        if name == "radar":
+            out[name] = [_section(f"radar[{i}]", entry, fields)
+                         for i, entry in enumerate(radars)]
+        else:
+            out[name] = _section(name, doc.get(name, {}),
+                                 _POLAR_TARGET if polar and name == "target" else fields)
+
+    m, n, q = out["contour"]["m"], out["contour"]["n"], out["contour"]["Q"]
     if len(m) != len(n) or not m:
         raise ScenarioError("contour.m and contour.n must have equal, nonzero length")
-    for name, coeffs in (("m", m), ("n", n)):
-        if not all(_is_number(c) for c in coeffs):
-            raise ScenarioError(f"contour.{name} must contain finite numbers only")
-    q = contour.get("Q", len(m))
-    if not _is_integer(q):
-        raise ScenarioError(f"contour.Q must be an integer, got {q!r}")
     if q != len(m):
         raise ScenarioError(f"contour.Q = {q} but {len(m)} coefficients given")
-
-    target = doc["target"]
-    if isinstance(target, dict) and "d" in target:
-        _check_keys("target", target, {"d", "phi", "heading"},
-                    {"d", "phi", "heading"})
-        target_norm = {"d": _number("target", target, "d"),
-                       "phi": _number("target", target, "phi"),
-                       "heading": _number("target", target, "heading")}
-        polar = True
-    else:
-        _check_keys("target", target, {"x", "y", "heading"}, {"x", "y", "heading"})
-        target_norm = {"x": _number("target", target, "x"),
-                       "y": _number("target", target, "y"),
-                       "heading": _number("target", target, "heading")}
-        polar = False
-
-    radars_in = doc.get("radar", [{"N": 30}])
-    if not isinstance(radars_in, list) or not radars_in:
-        raise ScenarioError("radar must be a non-empty array of radar objects")
-    radars_norm = []
-    for i, entry in enumerate(radars_in):
-        _check_keys(f"radar[{i}]", entry, {"x", "y", "kappa", "N"}, {"N"})
-        n_elem = entry["N"]
-        if not _is_integer(n_elem) or n_elem < 2:
-            raise ScenarioError(f"radar[{i}].N must be an integer >= 2")
-        radars_norm.append({
-            "x": _number(f"radar[{i}]", entry, "x", 0.0),
-            "y": _number(f"radar[{i}]", entry, "y", 0.0),
-            "kappa": _number(f"radar[{i}]", entry, "kappa", 0.0),
-            "N": n_elem,
-        })
-    if polar and len(radars_norm) > 1:
+    if polar and len(radars) > 1:
         raise ScenarioError(
             "target given as (d, phi) supports a single radar; "
             "use target (x, y) with constellations"
         )
-
-    channel = doc["channel"]
-    _check_keys("channel", channel, {"alpha", "E_over_N0_dB", "gain", "N0"},
-                {"alpha"})
-    if ("E_over_N0_dB" in channel) == ("gain" in channel):
+    if ("E_over_N0_dB" in out["channel"]) == ("gain" in out["channel"]):
         raise ScenarioError(
             "channel: set exactly one of E_over_N0_dB (fixed energy) or gain"
         )
-    channel_norm = {"alpha": _number("channel", channel, "alpha")}
-    if "E_over_N0_dB" in channel:
-        channel_norm["E_over_N0_dB"] = _number("channel", channel, "E_over_N0_dB")
-    else:
-        channel_norm["gain"] = _number("channel", channel, "gain")
-    channel_norm["N0"] = _number("channel", channel, "N0", EnergySpec.n0)
-
-    waveform = doc["waveform"]
-    _check_keys("waveform", waveform, {"B", "T", "fs", "fc"}, {"B", "T"})
-    waveform_norm = {
-        "B": _number("waveform", waveform, "B"),
-        "T": _number("waveform", waveform, "T"),
-        "fs": _number("waveform", waveform, "fs",
-                      2.0 * _number("waveform", waveform, "B")),
-        "fc": _number("waveform", waveform, "fc", DEFAULT_CARRIER_HZ),
-    }
-
-    quad = doc.get("quadrature", {})
-    _check_keys("quadrature", quad, {"nodes", "split_at_shadow"}, set())
-    # schema 1 carried split_at_shadow; its default (false) still loads
-    if quad.get("split_at_shadow", False) is not False:
+    if out["quadrature"].pop("split_at_shadow", False):
         raise ScenarioError("quadrature.split_at_shadow was removed in schema 2; "
                             "the uniform periodic trapezoid is the only rule")
-    quad_norm = {"nodes": quad.get("nodes", QuadratureSpec.nodes)}
-    if not _is_integer(quad_norm["nodes"]):
-        raise ScenarioError("quadrature.nodes must be an integer")
-
-    seg = doc.get("segmentation", {})
-    _check_keys("segmentation", seg, {"lR"}, set())
-    seg_norm = {"lR": _number("segmentation", seg, "lR",
-                              SegmentationConfig.segment_length)}
-
-    return {
-        "contour": {"Q": q, "m": list(m), "n": list(n)},
-        "target": target_norm,
-        "radar": radars_norm,
-        "channel": channel_norm,
-        "waveform": waveform_norm,
-        "quadrature": quad_norm,
-        "segmentation": seg_norm,
-    }
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,22 +177,22 @@ def build(doc: dict) -> ScenarioBundle:
     contour.arc_length  # the contour's admission: every command refuses it here
     radars = tuple(
         RadarPose(position=np.array([r["x"], r["y"]]),
-                  kappa=np.radians(r["kappa"]), array_n=r["N"])
+                  kappa=np.radians(float(r["kappa"])), array_n=r["N"])
         for r in doc["radar"]
     )
     first = radars[0]
 
     target = doc["target"]
     if "d" in target:
-        pose = TargetPose(d=target["d"], phi=np.radians(target["phi"]),
-                          heading=np.radians(target["heading"]))
+        pose = TargetPose(d=float(target["d"]), phi=np.radians(float(target["phi"])),
+                          heading=np.radians(float(target["heading"])))
         bearing = first.kappa + pose.phi
         target_xy = first.position + pose.d * np.array(
             [np.cos(bearing), np.sin(bearing)])
         heading_global = wrap_angle(pose.heading + first.kappa)
     else:
         target_xy = np.array([target["x"], target["y"]], dtype=float)
-        heading_global = wrap_angle(np.radians(target["heading"]))
+        heading_global = wrap_angle(np.radians(float(target["heading"])))
         pose = first.local_pose(target_xy, heading_global)
 
     channel = doc["channel"]
@@ -244,7 +216,7 @@ def load_file(path) -> ScenarioBundle:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to parse
         raise ScenarioError(f"{path}: invalid JSON ({err})") from err
     except OSError as err:
         raise ScenarioError(f"{path}: {err}") from err

@@ -270,6 +270,26 @@ def test_overflowing_scenario_exits_one(tmp_path, capsys, edit, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds"],
+    ["bounds", "--asymptotic"],
+    ["bounds", "--known"],
+    ["simulate", "--trials", "1"],
+    ["simulate", "--trials", "1", "--point"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_physical_gain_at_an_overflowing_range_exits_one(tmp_path, capsys, argv):
+    """Under a physical gain, g = sqrt(G)/d^2: a d^2 beyond float64 is one
+    error line, exit 1, before any bound or frame is built."""
+    def far(doc):
+        doc["channel"] = {"alpha": 5, "gain": 1}
+        doc["target"]["x"] = 1e160
+    path = _vehicle_with(tmp_path, far)
+    assert entry([argv[0], "--scenario", path, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: target range 1e+160 m: d^2 overflows float64 "
+                   "in the physical-gain model\n")
+
+
 def test_radar_facing_asymptotic_unknown_shape_exits_two(tmp_path, capsys):
     """With the bow facing the radar the shape block is singular: the
     asymptotic unknown-shape bound exits 2, the known-shape bound still 0.

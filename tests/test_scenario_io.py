@@ -10,7 +10,14 @@ from conftest import SCENARIO_FILE
 
 from hcrb.cli import entry
 from hcrb.errors import ScenarioError
-from hcrb.scenario_io import build, dumps_normalized, load_file, normalize
+from hcrb.scenario_io import (
+    _POLAR_TARGET,
+    _SCHEMA,
+    build,
+    dumps_normalized,
+    load_file,
+    normalize,
+)
 
 MINIMAL = {
     "contour": {"m": [2.0], "n": [1.0]},
@@ -135,6 +142,20 @@ def test_validation_errors():
     ):
         with pytest.raises(ScenarioError, match=key.replace(".", r"\.")):
             normalize(doc)
+    # a number is a finite float64: a JSON integer beyond its range is refused
+    for key, doc in (
+        ("target.x", _doc(target={"x": 10**400, "y": 3, "heading": 90})),
+        ("channel.alpha", _doc(channel={"alpha": 10**400, "E_over_N0_dB": 40})),
+        ("contour.m", _doc(contour={"m": [2.0, 10**400], "n": [1.0, 0.0]})),
+    ):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(key)} must be .*finite number"):
+            normalize(doc)
+    # an angle that is a finite float64 but no int64 reaches numpy as a float
+    big = 10**30
+    for doc in (_doc(target={"x": 6, "y": 3, "heading": big}),
+                _doc(target={"d": 10, "phi": big, "heading": 0}),
+                _doc(radar=[{"kappa": big, "N": 30}])):
+        build(doc)
     # schema-1 documents carry split_at_shadow: false; it loads and is dropped
     legacy = build(_doc(quadrature={"nodes": 512, "split_at_shadow": False}))
     assert legacy.document["quadrature"] == {"nodes": 512}
@@ -157,3 +178,46 @@ def test_quadrature_nodes_off_the_rule_exit_one(tmp_path, capsys, nodes):
 @pytest.mark.parametrize("nodes", [64, 512, 1024, 4096])
 def test_quadrature_nodes_on_the_rule_load(nodes):
     assert build(_doc(quadrature={"nodes": nodes})).scenario.quadrature.nodes == nodes
+
+
+def _fuzz_bases():
+    vehicle = json.loads(SCENARIO_FILE.read_text())
+    polar, gain, explicit = (json.loads(json.dumps(vehicle)) for _ in range(3))
+    polar["target"] = {"d": 6.7, "phi": 26.6, "heading": 90.0}
+    gain["channel"] = {"alpha": 5, "gain": 1.0}
+    explicit["waveform"].update(fs=4e9, fc=24e9)
+    return {"vehicle": vehicle, "polar": polar, "gain": gain, "explicit": explicit}
+
+
+FUZZ_VALUES = (0, -1, 1e300, -1e300, 1e-300, 10**30, 10**400, True, False, "x",
+               None, [], {}, [1.0], float("nan"), float("inf"))
+
+
+@pytest.mark.filterwarnings("ignore:time-bandwidth product:UserWarning")
+@pytest.mark.parametrize("base", ["vehicle", "polar", "gain", "explicit"])
+def test_every_field_at_an_extreme_loads_or_is_one_error_line(tmp_path, capsys, base):
+    """Each key of the schema, set in turn to each extreme value, gives exit
+    0 or one error line (exit 1) at load, never a traceback."""
+    doc = _fuzz_bases()[base]
+    path = tmp_path / "fuzz.json"
+    failures = []
+    for section, fields in _SCHEMA.items():
+        if section == "target" and "d" in doc["target"]:
+            fields = _POLAR_TARGET
+        for key in fields:
+            for value in FUZZ_VALUES:
+                edited = json.loads(json.dumps(doc))
+                (edited["radar"][0] if section == "radar" else edited[section])[key] = value
+                path.write_text(json.dumps(edited))
+                case = f"{section}.{key} = {value!r}"[:60]
+                try:
+                    code = entry(["bounds", "--scenario", str(path), "--print-normalized"])
+                except Exception as err:  # a traceback is the failure
+                    failures.append(f"{case}: {type(err).__name__}: {err}")
+                    continue
+                err = capsys.readouterr().err
+                if code == 1 and not re.fullmatch(r"error: [^\n]*\n", err):
+                    failures.append(f"{case}: stderr {err!r}")
+                elif code not in (0, 1):
+                    failures.append(f"{case}: exit {code}")
+    assert failures == []

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import hcrb
+from hcrb.scenario_io import _OMITTED, _POLAR_TARGET, _REQUIRED, _SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,3 +32,24 @@ def test_readme_library_example_runs(monkeypatch):
     assert block is not None
     monkeypatch.chdir(ROOT)
     exec(compile(block.group(1), "README.md", "exec"), {"__name__": "readme"})
+
+
+def test_readme_lists_every_scenario_key_with_its_kind_and_default():
+    # the "Scenario files" table has one row per key of the schema, no
+    # more: its kind's phrase, and its default unless computed or omitted
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip(): line for line in section.splitlines()
+            if line.startswith("| `")}
+    names = set()
+    for name, fields in [*_SCHEMA.items(), ("target", _POLAR_TARGET)]:
+        prefix = "radar[]" if name == "radar" else name
+        for key, ((phrase, _), default) in fields.items():
+            names.add(f"`{prefix}.{key}`")
+            row = rows.get(f"`{prefix}.{key}`", "")
+            assert f"| {phrase} |" in row, f"{prefix}.{key}: {row!r}"
+            if default is _REQUIRED:
+                assert "required" in row, row
+            elif not callable(default) and default is not _OMITTED:
+                assert f"| {default:g} " in row, row
+    assert set(rows) == names
