@@ -1,6 +1,13 @@
 """Small linear-algebra helpers: SPD solves, the triangular factor R of
 an information J = R^T R from the QR of its rows, and covariances from R
-(never from J, whose condition number is that of R squared)."""
+(never from J, whose condition number is that of R squared).
+
+A covariance is read off R^-1 (dtrtri), which also certifies that J has
+full rank: sigma_max^2 <= ||R||_F^2 and 1/sigma_min^2 <= ||R^-1||_F^2, so
+NULL_RCOND ||R||_F^2 ||R^-1||_F^2 < 1/2 puts every sigma^2 of R above
+twice the cutoff at which check_rank calls a direction null. The SVD of
+check_rank runs only when that product is not below 1/2 or R^-1 does not
+exist, and it alone decides those cases and names their null space."""
 
 import numpy as np
 import scipy.linalg
@@ -54,6 +61,11 @@ def triangular_factor(rows: np.ndarray) -> np.ndarray:
     return r
 
 
+def _check_finite(r: np.ndarray) -> None:
+    if not np.isfinite(r).all():
+        raise ScenarioError("information matrix is not finite: the scenario overflows float64")
+
+
 def check_rank(r: np.ndarray, labels=None) -> None:
     """Raise IdentifiabilityError when J = R^T R is singular, ScenarioError
     when R is not finite (the scenario overflowed the arithmetic).
@@ -63,8 +75,7 @@ def check_rank(r: np.ndarray, labels=None) -> None:
     labels (in R's column order) of the parameters it involves: those whose
     basis row has norm above sqrt(NULL_RCOND).
     """
-    if not np.isfinite(r).all():
-        raise ScenarioError("information matrix is not finite: the scenario overflows float64")
+    _check_finite(r)
     sigma_sq = np.linalg.svd(r, compute_uv=False) ** 2
     cutoff = NULL_RCOND * max(sigma_sq.max(), np.finfo(float).tiny)
     null = np.count_nonzero(sigma_sq <= cutoff)
@@ -84,7 +95,14 @@ def check_rank(r: np.ndarray, labels=None) -> None:
 
 def invert_info_matrix(r: np.ndarray, labels=None) -> np.ndarray:
     """Covariance J^-1 = R^-1 R^-T of the information J = R^T R, R upper
-    triangular; IdentifiabilityError (check_rank) when J is singular."""
-    check_rank(r, labels)
-    r_inv = dtrtri(r)[0]
+    triangular; ScenarioError when R is not finite, IdentifiabilityError
+    (check_rank) when J is singular. Full rank is certified from R^-1
+    (module docstring), so check_rank's SVD runs only where it may find a
+    null direction; every decision is the SVD's."""
+    _check_finite(r)
+    r_inv, failed = dtrtri(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        certified = not failed and NULL_RCOND * np.vdot(r, r) * np.vdot(r_inv, r_inv) < 0.5
+    if not certified:
+        check_rank(r, labels)
     return r_inv @ r_inv.T

@@ -218,10 +218,14 @@ def eval_local(params: ContourParams, u, basis=None):
 
 
 def geometry_at(params: ContourParams, pose: TargetPose, u: np.ndarray,
-                 du=None, basis=None) -> GeometryTable:
-    if basis is None:
-        basis = fourier_basis(params.q, u)
-    rho, rho_dot = eval_local(params, u, basis)
+                du=None) -> GeometryTable:
+    basis = fourier_basis(params.q, u)
+    return _placed(pose, u, du, basis, *eval_local(params, u, basis))
+
+
+def _placed(pose: TargetPose, u, du, basis, rho, rho_dot) -> GeometryTable:
+    """The geometry of the local contour rho, rho_dot at u, rotated by the
+    pose's heading and placed at its center."""
     rot = rotation(pose.heading)
     r = pose.p[:, None] + rot @ rho
     r_dot = rot @ rho_dot
@@ -306,9 +310,25 @@ def uniform_grid(nodes: int):
 def geometry_table(params: ContourParams, pose: TargetPose,
                    spec: QuadratureSpec = QuadratureSpec()) -> GeometryTable:
     """Evaluate the full contour geometry on the uniform quadrature grid; the
-    contour's regularity is its admission's (ContourParams.arc_length)."""
+    contour's regularity is its admission's (ContourParams.arc_length).
+    Only the placement is the pose's: rho and rho_dot are the contour's
+    (_grid_local)."""
     u, du = uniform_grid(spec.nodes)
-    return geometry_at(params, pose, u, du, _uniform_basis(params.q, spec.nodes))
+    basis = _uniform_basis(params.q, spec.nodes)
+    return _placed(pose, u, du, basis, *_grid_local(params, u, basis))
+
+
+def _grid_local(params: ContourParams, u: np.ndarray, basis):
+    """eval_local on a uniform grid u, whose fourier_basis is basis:
+    evaluated on first request and kept read-only on the contour, one per
+    node count, as its arc-length table is, so every pose shares it."""
+    kept = vars(params).setdefault("_grid_local", {})
+    if u.size not in kept:
+        local = eval_local(params, u, basis)
+        for array in local:
+            array.flags.writeable = False
+        kept[u.size] = local
+    return kept[u.size]
 
 
 def perimeter(params: ContourParams) -> float:

@@ -121,7 +121,10 @@ def field_stack(scenario: Scenario, far_field: bool = False, nodes: int = None):
     with P_w the star-orthogonal complement of w. With far_field, the same
     on the limit rows of _derivative_fields, the bearing block collapsed to
     one column sqrt(Z) ||w|| e_phi: X X^T is the long-range information
-    2(E/N0) T, with T free of the range.
+    2(E/N0) T. The limit rows are free of the range, but they are weighted
+    on the pose's own lit arc, whose nodes and weights w, v follow the
+    near-field bearings, so T moves with d at O(1/d) toward a range-free
+    limit.
     """
     lit = scenario.lit_arc if nodes is None else _lit_arc(scenario, nodes)
     return _weighted_stack(scenario, _lit_fields(scenario, lit, far_field), lit.weights.w,
@@ -163,7 +166,7 @@ def _lit_arc(scenario: Scenario, nodes: int):
 def _lit_fields(scenario: Scenario, lit, far_field: bool):
     """_derivative_fields on a lit arc; NoIlluminationError when none of its
     nodes is lit. A field that overflows is not finite, and neither is its
-    factor, which check_rank refuses."""
+    factor, which invert_info_matrix refuses."""
     if lit.table.u.size == 0:
         raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -272,13 +275,22 @@ class FisherInfo:
 
 def _ladder_start(scenario: Scenario):
     """4, the stride of the grid a sized bound starts on (every fourth node
-    of the full grid), or None when no coarser grid can converge: the
-    integral of v^2 ||r_dot|| (v the least smooth weight, which kinks at
-    the shadow boundaries for alpha <= 2) moves by more than SMOOTH_REL_TOL
-    from every eighth to every fourth node. Both integrals are read off the
-    full grid's lit arc, so a bound that takes the full grid gathers no
-    subgrid."""
-    arc = scenario.lit_arc
+    of the full grid), or None when no coarser grid can converge
+    (_smoothness_screen). The screen runs once per pose: its answer is kept
+    on the lit arc, as the arc keeps its subgrids, and the exact and the
+    long-range bound read it alike."""
+    kept = vars(scenario.lit_arc)
+    if "_ladder_start" not in kept:
+        kept["_ladder_start"] = _smoothness_screen(scenario.lit_arc)
+    return kept["_ladder_start"]
+
+
+def _smoothness_screen(arc):
+    """_ladder_start on a lit arc: None when the integral of v^2 ||r_dot||
+    (v the least smooth weight, which kinks at the shadow boundaries for
+    alpha <= 2) moves by more than SMOOTH_REL_TOL from every eighth to
+    every fourth node. Both integrals are read off the full grid's lit arc,
+    so a bound that takes the full grid gathers no subgrid."""
     terms = arc.weights.v ** 2 * arc.table.arc * arc.table.du
     fine, half = (stride * float(np.sum(terms[arc.index % stride == 0])) for stride in (4, 8))
     return 4 if fine > 0.0 and abs(fine - half) <= SMOOTH_REL_TOL * fine else None

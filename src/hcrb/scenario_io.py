@@ -49,7 +49,9 @@ _NUMBER = ("a finite number", _finite)
 _INTEGER = ("an integer", _integer)
 _NUMBERS = ("an array of finite numbers",
             lambda value: isinstance(value, list) and all(map(_finite, value)))
-_ARRAY_SIZE = ("an integer >= 2", lambda value: _integer(value) and value >= 2)
+# N enters the bounds as N^2 - 1 (fisher.radar_constants), a float64
+_ARRAY_SIZE = ("an integer >= 2 with N^2 - 1 finite in float64",
+               lambda value: _integer(value) and value >= 2 and _finite(value * value - 1))
 _BOOLEAN = ("true or false", lambda value: isinstance(value, bool))
 
 # A key's default is a value, a function of the section as given, or one of:

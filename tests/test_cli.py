@@ -270,6 +270,19 @@ def test_overflowing_scenario_exits_one(tmp_path, capsys, edit, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exponent", [160, 400])
+@pytest.mark.parametrize("argv", [["--print-normalized"], []], ids=("normalized", "bounds"))
+def test_array_size_whose_square_overflows_exits_one(tmp_path, capsys, exponent, argv):
+    """The bounds read N^2 - 1 as a float64 (M = pi^2 (N^2 - 1) / 12): an N
+    for which it is not finite is refused at load, one error line naming
+    the key, even before --print-normalized echoes the file."""
+    path = _vehicle_with(tmp_path, lambda doc: doc["radar"][0].update(N=10**exponent))
+    assert entry(["bounds", "--scenario", path, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: radar[0].N must be an integer >= 2 with N^2 - 1 finite")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds"],
     ["bounds", "--asymptotic"],

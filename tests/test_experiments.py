@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ import pytest
 
 import hcrb._linalg
 import hcrb.contour
+import hcrb.fisher
 import hcrb.multiradar
 from hcrb._pool import THREADS_ENV, map_items, worker_count
-from hcrb.contour import TargetPose
+from hcrb.contour import ContourParams, TargetPose, geometry_table
 from hcrb.errors import ScenarioError
 from hcrb.experiments import (
     BOW_OFFSET,
@@ -272,6 +274,40 @@ def test_sweep_gathers_each_lit_arc_once(scenario, monkeypatch):
     assert len(gathers) == 3 * 2
     assert len(qrs) == 3 * 2 * 2
     assert len(table.rows) == 3 * 14
+
+
+def test_sweep_screens_each_pose_and_evaluates_its_contour_once(scenario, monkeypatch):
+    # the exact and the far-field bound of a pose read one smoothness
+    # screen, kept on its lit arc; rho and rho_dot on the quadrature grid
+    # are the contour's, evaluated once for the whole sweep and shared
+    # read-only, with only the placement done per pose
+    screens, local = [], []
+    screen, eval_local = hcrb.fisher._smoothness_screen, hcrb.contour.eval_local
+
+    def counted_screen(arc):
+        screens.append(arc)
+        return screen(arc)
+
+    def counted_local(params, u, basis=None):
+        if np.size(u) == scenario.quadrature.nodes:
+            local.append(params)
+        return eval_local(params, u, basis)
+
+    monkeypatch.setattr(hcrb.fisher, "_smoothness_screen", counted_screen)
+    monkeypatch.setattr(hcrb.contour, "eval_local", counted_local)
+    contour = ContourParams(scenario.contour.m, scenario.contour.n)
+    fresh = replace(scenario, contour=contour)
+    table = run_range_sweep(fresh, n_points=30)
+    assert len(table.rows) == 30 * 14
+    assert len(screens) == 30 and len({id(arc) for arc in screens}) == 30
+    assert local == [contour]
+
+    tables = [geometry_table(contour, TargetPose(d, 0.4, 1.0)) for d in (10.0, 20.0)]
+    assert local == [contour]
+    for name in ("rho", "rho_dot"):
+        assert getattr(tables[0], name) is getattr(tables[1], name)
+        assert not getattr(tables[0], name).flags.writeable
+    assert not np.array_equal(tables[0].r, tables[1].r)
 
 
 def test_diversity_frozen_defaults(scenario, bundle):
