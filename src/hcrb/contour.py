@@ -8,7 +8,7 @@ the roughness-weighted illumination profiles (w, v) derive from r and rdot.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -158,17 +158,13 @@ class GeometryTable:
         """The table at the nodes that index (an increasing index array)
         picks; du must be per node, as on a quadrature grid. Consecutive
         nodes, as on a lit arc that does not wrap, are views of this table
-        (its basis rows are the grid's shared arrays); other evenly spaced
-        ones are sliced and copied into contiguous rows; the rest are
-        gathered with np.take. Each is cheaper than fancy indexing."""
-        step = index[1] - index[0] if index.size > 1 else 0
-        if step > 0 and np.all(np.diff(index) == step):
-            index = slice(index[0], index[-1] + 1, step)
+        (its basis rows are the grid's shared arrays); the rest are
+        gathered with np.take, which is cheaper than fancy indexing."""
+        if index.size and index[-1] - index[0] + 1 == index.size:
+            index = slice(index[0], index[-1] + 1)
 
         def pick(value):
-            if not isinstance(index, slice):
-                return np.take(value, index, axis=-1)
-            return value[..., index] if step == 1 else value[..., index].copy()
+            return value[..., index] if isinstance(index, slice) else np.take(value, index, -1)
 
         nodes = {name: pick(value) for name, value in vars(self).items() if name != "basis"}
         return GeometryTable(**nodes, basis=tuple(pick(part) for part in self.basis))
@@ -193,15 +189,6 @@ def fourier_basis(q: int, u):
     ku = k * u
     sigma, varsigma = np.cos(ku), np.sin(ku)
     return sigma, varsigma, -k * varsigma, k * sigma
-
-
-@lru_cache(maxsize=1)
-def _uniform_basis(q: int, nodes: int):
-    """fourier_basis on uniform_grid(nodes), shared read-only by every pose."""
-    basis = fourier_basis(q, uniform_grid(nodes)[0])
-    for array in basis:
-        array.flags.writeable = False
-    return basis
 
 
 def eval_local(params: ContourParams, u, basis=None):
@@ -278,8 +265,7 @@ class PoseField:
         arcs = vars(self).setdefault("_subgrids", {})
         if stride not in arcs:
             keep = np.flatnonzero(self.index % stride == 0)
-            table = self.table.at(keep)
-            table = replace(table, du=stride * table.du)
+            table = replace(self.table.at(keep), du=stride * self.table.du[keep])
             w = self.weights.w[keep]
             arcs[stride] = PoseField(table=table,
                                      weights=ReflectionWeights(w=w, v=self.weights.v[keep]),
@@ -311,24 +297,25 @@ def geometry_table(params: ContourParams, pose: TargetPose,
                    spec: QuadratureSpec = QuadratureSpec()) -> GeometryTable:
     """Evaluate the full contour geometry on the uniform quadrature grid; the
     contour's regularity is its admission's (ContourParams.arc_length).
-    Only the placement is the pose's: rho and rho_dot are the contour's
-    (_grid_local)."""
-    u, du = uniform_grid(spec.nodes)
-    basis = _uniform_basis(params.q, spec.nodes)
-    return _placed(pose, u, du, basis, *_grid_local(params, u, basis))
+    Only the placement is the pose's: the grid, its Fourier basis and rho,
+    rho_dot on it are the contour's (_uniform_local)."""
+    return _placed(pose, *_uniform_local(params, spec.nodes))
 
 
-def _grid_local(params: ContourParams, u: np.ndarray, basis):
-    """eval_local on a uniform grid u, whose fourier_basis is basis:
-    evaluated on first request and kept read-only on the contour, one per
-    node count, as its arc-length table is, so every pose shares it."""
-    kept = vars(params).setdefault("_grid_local", {})
-    if u.size not in kept:
-        local = eval_local(params, u, basis)
-        for array in local:
+def _uniform_local(params: ContourParams, nodes: int):
+    """The contour's record of uniform_grid(nodes): u, du, the
+    fourier_basis at u, and rho, rho_dot (eval_local). Evaluated on first
+    request and kept read-only on the contour, one per node count, as its
+    arc-length table is, so every pose shares it."""
+    kept = vars(params).setdefault("_uniform_local", {})
+    if nodes not in kept:
+        u, du = uniform_grid(nodes)
+        basis = fourier_basis(params.q, u)
+        record = (u, du, basis, *eval_local(params, u, basis))
+        for array in (u, du, *basis, *record[3:]):
             array.flags.writeable = False
-        kept[u.size] = local
-    return kept[u.size]
+        kept[nodes] = record
+    return kept[nodes]
 
 
 def perimeter(params: ContourParams) -> float:

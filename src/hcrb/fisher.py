@@ -8,10 +8,12 @@ arc; the long-range information is the Gram of the same stack's far-field
 limit. FisherInfo keeps R from the QR of that stack and turns it into a
 bound, exact or long-range: crb() for the whole state (shape unknown),
 pose_block().crb() for the pose rows (shape known). Each stack is sized:
-built on the coarsest grid whose bounds have converged (sized_info).
+built on the coarsest grid whose bounds have converged (sized_info). A
+sized FisherInfo keeps the information on half its nodes that it was
+checked against (coarse) and reads its estimate (quad_error) from it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -114,7 +116,8 @@ def field_stack(scenario: Scenario, far_field: bool = False, nodes: int = None):
     The rows run in the state order, d, phi, heading, then the shape, so
     R's leading 3x3 block is the pose information with the shape known.
     The columns are the lit nodes of the grid of `nodes` points (default
-    quadrature.nodes, which it must divide; _lit_arc), in three blocks,
+    quadrature.nodes, which it must divide: every (quadrature.nodes /
+    nodes)-th node of scenario.lit_arc, PoseField.subgrid), in three blocks,
     each node scaled by the square root of its quadrature weight:
     X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
         sqrt(M) w cos(phi) eta]
@@ -126,41 +129,12 @@ def field_stack(scenario: Scenario, far_field: bool = False, nodes: int = None):
     near-field bearings, so T moves with d at O(1/d) toward a range-free
     limit.
     """
-    lit = scenario.lit_arc if nodes is None else _lit_arc(scenario, nodes)
-    return _weighted_stack(scenario, _lit_fields(scenario, lit, far_field), lit.weights.w,
-                           lit.weights.v, lit.table.arc * lit.table.du, lit.table.phi,
-                           lit.w_norm_sq)
-
-
-def field_stacks(scenario: Scenario, far_field: bool, nodes: int):
-    """field_stack on the grid of `nodes` points and on its even half, every
-    other node at twice the weight (nodes/2 points), the derivative fields
-    evaluated once: the half's are the even nodes' columns of the full
-    grid's. The two stacks are the same to rounding as field_stack on each
-    grid."""
-    lit = _lit_arc(scenario, nodes)
-    fields = _lit_fields(scenario, lit, far_field)
-    q = lit.table.arc * lit.table.du
-    stack = _weighted_stack(scenario, fields, lit.weights.w, lit.weights.v, q,
-                            lit.table.phi, lit.w_norm_sq)
-    even = np.flatnonzero(lit.index % 2 == 0)
-    w, q = lit.weights.w[even], 2.0 * q[even]
-    half = _weighted_stack(scenario, tuple(None if f is None else f[:, even] for f in fields),
-                           w, lit.weights.v[even], q, lit.table.phi[even],
-                           float(np.sum(w * w * q)))
-    return stack, half
-
-
-def _lit_arc(scenario: Scenario, nodes: int):
-    """The pose's lit arc on the grid of `nodes` points, every
-    (quadrature.nodes / nodes)-th node of scenario.lit_arc
-    (PoseField.subgrid); ScenarioError unless nodes divides
-    quadrature.nodes."""
-    stride, rest = divmod(scenario.quadrature.nodes, nodes)
+    full = scenario.quadrature.nodes
+    stride, rest = divmod(full, full if nodes is None else nodes)
     if rest:
-        raise ScenarioError(f"{nodes} nodes are no subgrid of the "
-                            f"{scenario.quadrature.nodes}-node quadrature")
-    return scenario.lit_arc.subgrid(stride)
+        raise ScenarioError(f"{nodes} nodes are no subgrid of the {full}-node quadrature")
+    lit = scenario.lit_arc.subgrid(stride)
+    return _weighted_stack(scenario, _lit_fields(scenario, lit, far_field), lit)
 
 
 def _lit_fields(scenario: Scenario, lit, far_field: bool):
@@ -173,10 +147,20 @@ def _lit_fields(scenario: Scenario, lit, far_field: bool):
         return _derivative_fields(scenario.contour, scenario.pose, lit.table, far_field)
 
 
-def _weighted_stack(scenario: Scenario, fields, w, v, q, phi, w_norm_sq: float):
-    """field_stack's rows from the derivative fields (mu, eta, xi) at lit
-    nodes with weights w and v, quadrature weights q = ||r_dot|| du and
-    bearings phi; w_norm_sq is ||w||^2 on that grid."""
+def _weighted_stack(scenario: Scenario, fields, lit, half: bool = False):
+    """field_stack's rows from the derivative fields (mu, eta, xi) on the
+    lit arc lit, read with its weights w and v, quadrature weights
+    q = ||r_dot|| du, bearings phi and ||w||^2. With half, the rows on the
+    arc's even half instead, every other node of its grid at twice the
+    weight: the even nodes' columns of the same fields, the same to
+    rounding as field_stack on the grid of half as many nodes."""
+    w, v, q, phi = lit.weights.w, lit.weights.v, lit.table.arc * lit.table.du, lit.table.phi
+    w_norm_sq = lit.w_norm_sq
+    if half:
+        even = np.flatnonzero(lit.index % 2 == 0)
+        fields = tuple(None if f is None else f[:, even] for f in fields)
+        w, v, q, phi = w[even], v[even], 2.0 * q[even], phi[even]
+        w_norm_sq = float(np.sum(w * w * q))
     mu, eta, xi = fields
     n = w.size
     big_l, big_m, big_z = radar_constants(scenario)
@@ -188,7 +172,7 @@ def _weighted_stack(scenario: Scenario, fields, w, v, q, phi, w_norm_sq: float):
     np.multiply(mu, scale * np.sqrt(big_l) * w_hat, out=stack[:, :n])
     xi_block = stack[:, n:2 * n]
     np.multiply(xi, scale * (scenario.alpha + 1.0) * v * root_q, out=xi_block)
-    # P_w: one rank-1 update against w, whose squared norm the caller holds
+    # P_w: one rank-1 update against w, whose squared norm the arc holds
     w_col = unit_weights(w_hat)
     xi_block -= np.outer(star_inner(w_col, w_col.with_values(xi_block)) / w_norm_sq, w_hat)
     if eta is None:
@@ -229,15 +213,16 @@ class FisherInfo:
     once and kept.
 
     A single radar's information records its quadrature (sized_info):
-    nodes, the grid it was built on, and quad_error, the estimate the grid
-    was accepted on (None when the full grid was taken without one). Its
-    pose block records the grid only; a fused information records neither.
+    nodes, the grid it was built on, and coarse, the information on the
+    grid of half as many nodes that it was checked against (None when the
+    full grid was taken without a check). Its pose block records the grid
+    only; a fused information records neither.
     """
 
     r: np.ndarray
     labels: tuple
     nodes: int = None
-    quad_error: float = None
+    coarse: "FisherInfo" = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -264,13 +249,30 @@ class FisherInfo:
         covariance.flags.writeable = False
         return CrbReport(covariance=covariance, labels=self.labels)
 
-    def recording(self, quad_error: float) -> "FisherInfo":
-        """This information with its quadrature estimate recorded, keeping
-        the pose block and the bound already computed."""
-        info = replace(self, quad_error=quad_error)
-        vars(info).update((name, value) for name, value in vars(self).items()
-                          if name in ("_pose_block", "_crb"))
-        return info
+    @cached_property
+    def quad_error(self) -> float:
+        """The estimate the grid was accepted on, read on first request and
+        kept: the largest relative change of the reported variances
+        (c_range, c_bearing, c_heading, with the shape known and unknown)
+        from coarse, on the even half of this grid, to this information.
+
+        An information singular on both grids is left out: a radar whose
+        shape-unknown information is singular until fused is sized by its
+        pose block. One singular on one grid only has not converged (inf).
+        None without coarse, or when the pose block is singular on both
+        grids: nothing can be compared.
+        """
+        if self.coarse is None:
+            return None
+        changes = []
+        for pair in ((self.pose_block(), self.coarse.pose_block()), (self, self.coarse)):
+            ours, theirs = map(_reported, pair)
+            if ours is None and theirs is None:
+                continue
+            if ours is None or theirs is None:
+                return np.inf
+            changes.append(float(np.max(np.abs(ours - theirs) / ours)))
+        return max(changes) if changes else None
 
 
 def _ladder_start(scenario: Scenario):
@@ -305,32 +307,12 @@ def _reported(info: FisherInfo):
         return None
 
 
-def _quad_error(fine: FisherInfo, coarse: FisherInfo):
-    """The largest relative change of the reported variances (c_range,
-    c_bearing, c_heading, with the shape known and unknown) from coarse, on
-    the even half of fine's nodes, to fine.
-
-    An information singular on both grids is left out: a radar whose
-    shape-unknown information is singular until fused is sized by its pose
-    block. One singular on one grid only has not converged (inf). None when
-    the pose block is singular on both grids: nothing can be compared.
-    """
-    changes = []
-    for ours, theirs in ((_reported(fine.pose_block()), _reported(coarse.pose_block())),
-                         (_reported(fine), _reported(coarse))):
-        if ours is None and theirs is None:
-            continue
-        if ours is None or theirs is None:
-            return np.inf
-        changes.append(float(np.max(np.abs(ours - theirs) / ours)))
-    return max(changes) if changes else None
-
-
-def _info(scenario: Scenario, stack: np.ndarray, nodes: int) -> FisherInfo:
-    """The information of a field stack on the grid of `nodes` points; the
-    stack is overwritten by its QR."""
-    return FisherInfo(r=triangular_factor(stack),
-                      labels=tuple(gamma_labels(scenario.contour.q)), nodes=nodes)
+def _info(scenario: Scenario, stack: np.ndarray, nodes: int,
+          coarse: FisherInfo = None) -> FisherInfo:
+    """The information of a field stack on the grid of `nodes` points,
+    checked against coarse; the stack is overwritten by its QR."""
+    labels = tuple(gamma_labels(scenario.contour.q))
+    return FisherInfo(r=triangular_factor(stack), labels=labels, nodes=nodes, coarse=coarse)
 
 
 def sized_info(scenario: Scenario, far_field: bool = False) -> FisherInfo:
@@ -339,28 +321,28 @@ def sized_info(scenario: Scenario, far_field: bool = False) -> FisherInfo:
 
     Starting on n = nodes/4 (quadrature.nodes), the factor on n nodes is
     reported when its variances move by at most QUAD_REL_TOL from those of
-    the factor on n/2 nodes, the even half of its grid (_quad_error; on
-    the first grid the two stacks share their derivative fields,
-    field_stacks). Otherwise n doubles, and the full grid is reported as
-    it stands. The full grid is taken at once when no grid below it can
-    converge (_ladder_start) or the pose block is singular on both grids:
-    there the bound is the unsized one, bit for bit.
+    its coarse factor on n/2 nodes, the even half of its grid (quad_error;
+    on the first grid the two stacks share their derivative fields,
+    _weighted_stack). Otherwise n doubles, the factor on n/2 nodes its
+    coarse one, and the full grid is reported as it stands. The full grid
+    is taken at once when no grid below it can converge (_ladder_start) or
+    the pose block is singular on both grids: there the bound is the
+    unsized one, bit for bit.
     """
     nodes = scenario.quadrature.nodes
     stride = _ladder_start(scenario)
     if stride is not None:
+        lit = scenario.lit_arc.subgrid(stride)
+        fields = _lit_fields(scenario, lit, far_field)
         n = nodes // stride
-        stack, half = field_stacks(scenario, far_field, n)
-        coarse, fine = _info(scenario, half, n // 2), _info(scenario, stack, n)
-        while True:
-            error = _quad_error(fine, coarse)
-            if error is None:
-                break
-            if error <= QUAD_REL_TOL or n == nodes:
-                return fine.recording(error)
-            coarse, n = fine, 2 * n
-            fine = _info(scenario, field_stack(scenario, far_field, n), n)
-    return _info(scenario, field_stack(scenario, far_field, nodes), nodes)
+        half = _info(scenario, _weighted_stack(scenario, fields, lit, half=True), n // 2)
+        info = _info(scenario, _weighted_stack(scenario, fields, lit), n, half)
+        while info.quad_error is not None:
+            if info.quad_error <= QUAD_REL_TOL or n == nodes:
+                return info
+            n *= 2
+            info = _info(scenario, field_stack(scenario, far_field, n), n, info)
+    return _info(scenario, field_stack(scenario, far_field), nodes)
 
 
 def efim_exact(scenario: Scenario) -> FisherInfo:

@@ -205,6 +205,9 @@ def build(doc: dict) -> ScenarioBundle:
                             sample_rate=doc["waveform"]["fs"],
                             carrier=doc["waveform"]["fc"])
     quadrature = QuadratureSpec(nodes=doc["quadrature"]["nodes"])
+    if 32 * contour.q * quadrature.nodes > np.iinfo(np.intp).max:  # 4 Q x nodes float64
+        raise ScenarioError(f"quadrature.nodes = {quadrature.nodes}: its Fourier basis "
+                            "is beyond numpy's array size limit")
     scenario = Scenario(contour=contour, pose=pose, alpha=channel["alpha"],
                         array_n=first.array_n, waveform=waveform, energy=energy,
                         quadrature=quadrature)

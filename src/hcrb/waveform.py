@@ -146,7 +146,13 @@ def _workspace(scenario: Scenario, kind: str, amps: np.ndarray, d: np.ndarray,
     """Tables for echoes of amplitudes amps from ranges d at bearings phi."""
     wf = scenario.waveform
     delays = 2.0 * d / SPEED_OF_LIGHT
-    n_total = wf.samples + int(np.ceil(delays.max() * wf.sample_rate)) + FRAME_GUARD
+    delay_samples = np.ceil(delays.max() * wf.sample_rate)
+    # N x n_total (frame) and K x n_total (delayed chirps) complex128 samples
+    rows, cols = max(scenario.array_n, delays.size), wf.samples + delay_samples + FRAME_GUARD
+    if 16.0 * rows * cols > np.iinfo(np.intp).max:
+        raise ScenarioError(f"synthesis needs {rows:.3g} x {cols:.3g} complex samples, "
+                            "beyond numpy's array size limit")
+    n_total = wf.samples + int(delay_samples) + FRAME_GUARD
     steer = steering(scenario.array_n, phi)
     delayed = _delayed_chirps(wf, delays, n_total)
     # the trial threads share these tables

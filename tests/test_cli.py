@@ -303,6 +303,25 @@ def test_physical_gain_at_an_overflowing_range_exits_one(tmp_path, capsys, argv)
                    "in the physical-gain model\n")
 
 
+@pytest.mark.parametrize("edit, argv, message", [
+    # the range delay sets the frame's length, the array its rows
+    (lambda doc: doc["target"].update(x=1e160), ["simulate", "--trials", "1"],
+     "error: synthesis needs 57 x 1.33e+161 complex samples, "),
+    (lambda doc: doc["radar"][0].update(N=10**30), ["simulate", "--trials", "1"],
+     "error: synthesis needs 1e+30 x 2.01e+04 complex samples, "),
+    (lambda doc: doc["quadrature"].update(nodes=8 * 10**30), ["bounds"],
+     f"error: quadrature.nodes = {8 * 10**30}: its Fourier basis is "),
+], ids=("simulate_far_target", "simulate_large_array", "bounds_large_quadrature"))
+def test_arrays_past_numpys_index_range_exit_one(tmp_path, capsys, edit, argv, message):
+    """A frame or a Fourier basis with more bytes than numpy can index is
+    one error line, exit 1: it is refused before any array of that size is
+    asked for, so this test allocates nothing."""
+    path = _vehicle_with(tmp_path, edit)
+    assert entry([argv[0], "--scenario", path, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == message + "beyond numpy's array size limit\n"
+
+
 def test_radar_facing_asymptotic_unknown_shape_exits_two(tmp_path, capsys):
     """With the bow facing the radar the shape block is singular: the
     asymptotic unknown-shape bound exits 2, the known-shape bound still 0.

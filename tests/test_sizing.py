@@ -13,12 +13,12 @@ from hcrb._linalg import triangular_factor
 from hcrb.asymptotics import t_blocks
 from hcrb.contour import QuadratureSpec, TargetPose, geometry_table
 from hcrb.errors import IdentifiabilityError, ScenarioError
-from hcrb.experiments import BOW_OFFSET, SWEEP_RADAR, ray_positions, run_diversity
+from hcrb.experiments import (BOW_OFFSET, SWEEP_RADAR, ray_positions, run_diversity,
+                              run_range_sweep)
 from hcrb.fisher import (
     FisherInfo,
     efim_exact,
     field_stack,
-    field_stacks,
     gamma_labels,
     sized_info,
 )
@@ -54,7 +54,8 @@ def _variances(info: FisherInfo) -> np.ndarray:
 def test_subgrid_arc_is_the_coarse_grid_arc(scenario):
     """Every fourth node of the full-grid arc at four times the weight is
     the arc a 1024-node quadrature evaluates, with no geometry evaluated;
-    the arc keeps it, one per stride, and field_stack reads it."""
+    the arc keeps it, one per stride, and field_stack reads it: the full
+    grid's stack reads the arc itself, the 1024-node one its kept subgrid."""
     coarse = scenario.lit_arc.subgrid(4)
     table = geometry_table(scenario.contour, scenario.pose, QuadratureSpec(1024))
     lit = coarse.index
@@ -66,8 +67,11 @@ def test_subgrid_arc_is_the_coarse_grid_arc(scenario):
     assert scenario.lit_arc.subgrid(4) is coarse
     assert scenario.lit_arc.subgrid(2) is not coarse
     assert scenario.lit_arc.subgrid(1) is scenario.lit_arc
-    assert fisher._lit_arc(scenario, 1024) is coarse
-    assert fisher._lit_arc(scenario, scenario.quadrature.nodes) is scenario.lit_arc
+    fresh = scenario.with_pose(scenario.pose)
+    field_stack(fresh, nodes=fresh.quadrature.nodes)
+    assert "_subgrids" not in vars(fresh.lit_arc)
+    field_stack(fresh, nodes=1024)
+    assert vars(fresh.lit_arc)["_subgrids"] == {4: fresh.lit_arc.subgrid(4)}
     for nodes in (1000, 2 * scenario.quadrature.nodes):
         with pytest.raises(ScenarioError):
             field_stack(scenario, nodes=nodes)
@@ -77,13 +81,16 @@ def test_subgrid_arc_is_the_coarse_grid_arc(scenario):
 @pytest.mark.parametrize("energy", [EnergySpec(e_over_n0_db=40.0), EnergySpec(gain=2e3)],
                          ids=["fixed", "physical"])
 def test_even_half_shares_the_derivative_fields(scenario, far_field, energy):
-    """The even-half stack that field_stacks builds from the 1024-node
+    """The even-half stack that _weighted_stack builds from the 1024-node
     derivative fields is the stack field_stack builds on 512 nodes, and
     the full one is field_stack's on 1024."""
     scenario = replace(scenario, energy=energy)
-    stack, half = field_stacks(scenario, far_field, 1024)
-    for got, want in ((stack, field_stack(scenario, far_field, 1024)),
-                      (half, field_stack(scenario, far_field, 512))):
+    lit = scenario.lit_arc.subgrid(4)
+    fields = fisher._lit_fields(scenario, lit, far_field)
+    for got, want in ((fisher._weighted_stack(scenario, fields, lit),
+                       field_stack(scenario, far_field, 1024)),
+                      (fisher._weighted_stack(scenario, fields, lit, half=True),
+                       field_stack(scenario, far_field, 512))):
         npt.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
@@ -161,13 +168,18 @@ def test_rough_surfaces_keep_the_full_grid_bit_for_bit():
 
 
 def test_smooth_surfaces_record_their_estimate(scenario):
-    """A sized information records its grid and its estimate, the largest
-    relative change of the six reported variances from the grid of half as
-    many nodes; its pose block records the grid."""
+    """A sized information records its grid, the information on the grid
+    of half as many nodes (the even half of its stack), and its estimate,
+    the largest relative change of the six reported variances from that
+    grid; its pose block records the grid."""
     info = efim_exact(scenario)
     assert info.nodes == info.pose_block().nodes == scenario.quadrature.nodes // 4
-    half_stack = field_stacks(scenario, False, info.nodes)[1]
+    lit = scenario.lit_arc.subgrid(4)
+    half_stack = fisher._weighted_stack(scenario, fisher._lit_fields(scenario, lit, False),
+                                        lit, half=True)
     half = FisherInfo(r=triangular_factor(half_stack), labels=info.labels)
+    assert info.coarse.nodes == info.nodes // 2
+    npt.assert_array_equal(info.coarse.r, half.r)
     change = np.abs(_variances(info) - _variances(half)) / _variances(info)
     assert info.quad_error == change.max() <= 1e-10
 
@@ -181,10 +193,10 @@ def test_an_information_singular_on_one_grid_only_has_not_converged(scenario,
     original = fisher._info
     start = scenario.quadrature.nodes // 4
 
-    def rank_short_at_start(sc, stack, nodes):
+    def rank_short_at_start(sc, stack, nodes, coarse=None):
         if nodes == start:
             stack[-1] = 0.0
-        return original(sc, stack, nodes)
+        return original(sc, stack, nodes, coarse)
 
     monkeypatch.setattr(fisher, "_info", rank_short_at_start)
     sc = scenario.with_pose(scenario.pose)
@@ -208,3 +220,26 @@ def test_a_singular_pose_block_takes_the_full_grid(scenario):
     with pytest.raises(IdentifiabilityError, match="endfire"):
         t_blocks(fresh)
     assert "lit_arc" not in vars(fresh)
+
+
+@pytest.mark.parametrize("heading_deg", [60.0, 90.0, 120.0])
+def test_reported_bounds_reuse_the_ladders_inversions(scenario, monkeypatch, heading_deg):
+    """Each sweep pose inverts eight factors: the pose block and the whole
+    factor, on its grid and on the coarse one, for the exact and the
+    long-range bound. The rows read the bounds the estimate computed on
+    the information the ladder returns; rebuilding that information
+    without them would invert the two accepted factors of each bound
+    again (twelve per pose)."""
+    calls = []
+    original = fisher.invert_info_matrix
+
+    def counted(r, labels=None):
+        calls.append(r.shape[0])
+        return original(r, labels)
+
+    monkeypatch.setattr(fisher, "invert_info_matrix", counted)
+    pose = scenario.pose
+    moved = scenario.with_pose(TargetPose(pose.d, pose.phi, np.radians(heading_deg)))
+    table = run_range_sweep(moved, n_points=3)
+    assert len(table.rows) == 3 * 14
+    assert len(calls) == 3 * 8

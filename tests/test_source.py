@@ -1,6 +1,7 @@
 """Rules on the package source itself, and on the README's example."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -53,3 +54,30 @@ def test_readme_lists_every_scenario_key_with_its_kind_and_default():
             elif not callable(default) and default is not _OMITTED:
                 assert f"| {default:g} " in row, row
     assert set(rows) == names
+
+
+def test_readme_code_names_resolve():
+    # every backticked module.name or Class.attr whose head is a module or
+    # class of the package names something in it; scenario keys such as
+    # contour.Q are the key table's (the test above)
+    readme = (ROOT / "README.md").read_text()
+    package = Path(hcrb.__file__).parent
+    modules = {path.stem: importlib.import_module(f"hcrb.{path.stem}")
+               for path in package.glob("*.py") if path.stem != "__init__"}
+    classes = {name: value for module in modules.values() for name, value in vars(module).items()
+               if isinstance(value, type) and value.__module__ == module.__name__}
+    keys = {f"{name}.{key}" for name, fields in [*_SCHEMA.items(), ("target", _POLAR_TARGET)]
+            for key in fields}
+    cited, missing = set(), set()
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        found = re.match(r"(\w+)\.(\w+)", span)
+        if found is None or found.group(0) in keys:
+            continue
+        head, name = found.groups()
+        owner = modules.get(head, classes.get(head))
+        if owner is not None:
+            cited.add(found.group(0))
+            if not hasattr(owner, name) and name not in getattr(owner, "__dataclass_fields__", {}):
+                missing.add(found.group(0))
+    assert len(cited) >= 20
+    assert missing == set()
