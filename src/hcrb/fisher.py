@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from ._linalg import invert_info_matrix, triangular_factor
 from .contour import PERP, ContourParams, GeometryTable, TargetPose, rotation
 from .errors import IdentifiabilityError, NoIlluminationError, ScenarioError
-from .scenario import Scenario
+from .scenario import SPEED_OF_LIGHT, Scenario
 from .starcalc import star_inner, unit_weights
 from .waveform import effective_bandwidth
 

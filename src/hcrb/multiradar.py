@@ -35,9 +35,14 @@ class RadarPose:
 
         Range and bearing come from the offset target - position; bearing and
         heading are measured from the boresight kappa (TargetPose wraps both).
+        A range beyond float64 is a ScenarioError, not an overflow warning.
         """
-        delta = np.asarray(target_xy, dtype=float).reshape(2) - self.position
-        dist = float(np.hypot(*delta))
+        with np.errstate(over="ignore"):
+            delta = np.asarray(target_xy, dtype=float).reshape(2) - self.position
+            dist = float(np.hypot(*delta))
+        if not np.isfinite(dist):
+            raise ScenarioError(f"target range {dist:g} m: the offset ({delta[0]:g}, "
+                                f"{delta[1]:g}) m from a radar overflows float64")
         if dist <= 0.0:
             raise ScenarioError("target coincides with a radar position")
         return TargetPose(d=dist,

@@ -5,11 +5,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .contour import ContourParams, PoseField, QuadratureSpec, TargetPose, pose_field
 from .errors import ScenarioError
 
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact in SI (tests check it against scipy)
 DEFAULT_CARRIER_HZ = 77e9  # used only for the wavelength heuristic in segmentation
 
 

@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy.fft
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from ._pool import map_items, map_workers
 from .contour import arclength_params, geometry_at, perimeter, reflection_weights
 from .errors import ScenarioError
-from .scenario import Scenario, SegmentationConfig, WaveformSpec
+from .scenario import SPEED_OF_LIGHT, Scenario, SegmentationConfig, WaveformSpec
 
 # Guard samples appended after the last echo so delayed chirps never wrap.
 FRAME_GUARD = 8

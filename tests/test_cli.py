@@ -322,6 +322,18 @@ def test_arrays_past_numpys_index_range_exit_one(tmp_path, capsys, edit, argv, m
     assert err == message + "beyond numpy's array size limit\n"
 
 
+@pytest.mark.parametrize("argv", [["bounds"], ["simulate", "--trials", "1"]],
+                         ids=("bounds", "simulate"))
+def test_range_past_float64_exits_one(tmp_path, capsys, argv):
+    """A target whose range from the radar overflows float64 is refused at
+    load: one error line, exit 1, and no overflow warning before it."""
+    path = _vehicle_with(tmp_path, lambda doc: doc["target"].update(x=1.7e308, y=1.7e308))
+    assert entry([argv[0], "--scenario", path, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: target range inf m: the offset (1.7e+308, 1.7e+308) m "
+                   "from a radar overflows float64\n")
+
+
 def test_radar_facing_asymptotic_unknown_shape_exits_two(tmp_path, capsys):
     """With the bow facing the radar the shape block is singular: the
     asymptotic unknown-shape bound exits 2, the known-shape bound still 0.

@@ -2,8 +2,14 @@
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import scipy.constants
 
 import hcrb
 from hcrb.scenario_io import _OMITTED, _POLAR_TARGET, _REQUIRED, _SCHEMA
@@ -22,6 +28,50 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+_IMPORT_PROBE = """
+import json, sys
+import hcrb
+from hcrb.cli import entry
+from hcrb.experiments import run_range_sweep
+from hcrb.scenario_io import load_file
+from hcrb.waveform import synthesis_workspace, synthesize_frame
+
+def loaded():
+    return {name: name in sys.modules for name in ("scipy.optimize", "scipy.constants")}
+
+entry(["bounds", "--scenario", sys.argv[1]])
+bundle = load_file(sys.argv[1])
+sc = bundle.scenario
+run_range_sweep(sc, 3)
+hcrb.t_blocks(sc)
+hcrb.fuse(sc, bundle.target_xy, bundle.heading,
+          hcrb.uniform_constellation(bundle.target_xy, 2, radius=7.0))
+bounds = loaded()
+frame = synthesize_frame(synthesis_workspace(sc, bundle.segmentation), seed=0)
+hcrb.estimate(frame, sc.waveform)
+print(json.dumps({"bounds": bounds, "estimate": loaded()}))
+"""
+
+
+def test_bounds_load_neither_the_optimizer_nor_scipy_constants():
+    # a fresh process that computes bounds only (hcrb bounds, a sweep, the
+    # long-range limit, a fusion) never imports scipy.optimize
+    # (the estimators' polishes import it on first use) nor scipy.constants
+    # (SPEED_OF_LIGHT is scenario's literal); estimating a frame then loads
+    # the optimizer (which itself brings scipy.constants)
+    env = {**os.environ, "PYTHONPATH": str(Path(hcrb.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                          str(ROOT / "scenarios" / "vehicle.json")],
+                         capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded["bounds"] == {"scipy.optimize": False, "scipy.constants": False}
+    assert loaded["estimate"]["scipy.optimize"]
+
+
+def test_speed_of_light_is_scipys_constant():
+    assert hcrb.scenario.SPEED_OF_LIGHT == scipy.constants.c
 
 
 def test_readme_library_example_runs(monkeypatch):
