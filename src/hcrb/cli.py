@@ -21,6 +21,7 @@ from .estimators import estimate
 from .experiments import (
     MC_RANGES,
     ResultTable,
+    _trial_seeds,
     run_diversity,
     run_mc,
     run_range_sweep,
@@ -217,8 +218,7 @@ def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
     else:
         workspace = synthesis_workspace(scenario, bundle.segmentation)
 
-    seeds = np.random.SeedSequence(args.seed).generate_state(
-        args.trials, dtype=np.uint64)
+    seeds = _trial_seeds(args.seed, trials=args.trials)
     table = ResultTable(seed=args.seed)
     kind = "point" if args.point else "extended"
     sweep = f"simulate:{scenario.pose.d:.6g}"

@@ -7,7 +7,7 @@ from the radar at the origin. All reflection geometry (d, phi, beta) and
 the roughness-weighted illumination profiles (w, v) derive from r and rdot.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -70,6 +70,8 @@ class ContourParams:
         object.__setattr__(self, "n", n)
         if m.ndim != 1 or m.shape != n.shape or m.size < 1:
             raise ScenarioError("contour needs equally sized 1-D coefficient vectors, Q >= 1")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(n))):
+            raise ScenarioError("contour coefficients must be finite")
         if not (m[0] > 0.0 and n[0] > 0.0):
             raise ScenarioError("contour must cycle anti-clockwise: a_1 > 0 and b_1 > 0")
 
@@ -114,6 +116,8 @@ class TargetPose:
     def __post_init__(self):
         if not self.d > 0.0:
             raise ScenarioError(f"target range must be positive, got {self.d}")
+        if not (np.isfinite(self.phi) and np.isfinite(self.heading)):
+            raise ScenarioError(f"target angles must be finite, got {self.phi}, {self.heading}")
         object.__setattr__(self, "phi", wrap_angle(self.phi))
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
@@ -140,14 +144,13 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class GeometryTable:
-    """Vectorized geometry over a quadrature grid; the source of all fields."""
+    """The contour's geometry placed at one pose, over parameters u; the
+    source of all fields. The quadrature weights are the lit arc's."""
 
     u: np.ndarray          # (K,) nodes
-    du: np.ndarray         # quadrature weights in u, scalar array or (K,)
     rho: np.ndarray        # (2, K) local contour
     rho_dot: np.ndarray    # (2, K)
     r: np.ndarray          # (2, K) global positions
-    r_dot: np.ndarray      # (2, K)
     d: np.ndarray          # (K,)
     phi: np.ndarray        # (K,)
     beta: np.ndarray       # (K,)
@@ -156,10 +159,9 @@ class GeometryTable:
 
     def at(self, index) -> "GeometryTable":
         """The table at the nodes that index (an increasing index array)
-        picks; du must be per node, as on a quadrature grid. Consecutive
-        nodes, as on a lit arc that does not wrap, are views of this table
-        (its basis rows are the grid's shared arrays); the rest are
-        gathered with np.take, which is cheaper than fancy indexing."""
+        picks. Consecutive nodes, as on a lit arc that does not wrap, are
+        views of this table (its basis rows are the grid's shared arrays);
+        the rest are gathered with np.take, cheaper than fancy indexing."""
         if index.size and index[-1] - index[0] + 1 == index.size:
             index = slice(index[0], index[-1] + 1)
 
@@ -170,8 +172,7 @@ class GeometryTable:
         return GeometryTable(**nodes, basis=tuple(pick(part) for part in self.basis))
 
 
-@dataclass(frozen=True)
-class ReflectionWeights:
+class ReflectionWeights(NamedTuple):
     """Roughness-shaped illumination profiles along the contour.
 
     w = (sin+(phi-beta))^(alpha+1) and v = (sin+(phi-beta))^alpha cos(phi-beta),
@@ -204,13 +205,12 @@ def eval_local(params: ContourParams, u, basis=None):
     return rho, rho_dot
 
 
-def geometry_at(params: ContourParams, pose: TargetPose, u: np.ndarray,
-                du=None) -> GeometryTable:
+def geometry_at(params: ContourParams, pose: TargetPose, u: np.ndarray) -> GeometryTable:
     basis = fourier_basis(params.q, u)
-    return _placed(pose, u, du, basis, *eval_local(params, u, basis))
+    return _placed(pose, u, basis, *eval_local(params, u, basis))
 
 
-def _placed(pose: TargetPose, u, du, basis, rho, rho_dot) -> GeometryTable:
+def _placed(pose: TargetPose, u, basis, rho, rho_dot) -> GeometryTable:
     """The geometry of the local contour rho, rho_dot at u, rotated by the
     pose's heading and placed at its center."""
     rot = rotation(pose.heading)
@@ -220,16 +220,13 @@ def _placed(pose: TargetPose, u, du, basis, rho, rho_dot) -> GeometryTable:
     phi = np.arctan2(r[1], r[0])
     beta = np.arctan2(r_dot[1], r_dot[0])
     arc = np.hypot(r_dot[0], r_dot[1])
-    if du is None:
-        du = np.array(0.0)
-    return GeometryTable(u=u, du=np.asarray(du, dtype=float), rho=rho, rho_dot=rho_dot,
-                         r=r, r_dot=r_dot, d=d, phi=phi, beta=beta, arc=arc,
-                         basis=basis)
+    return GeometryTable(u=u, rho=rho, rho_dot=rho_dot, r=r, d=d, phi=phi, beta=beta,
+                         arc=arc, basis=basis)
 
 
 def reflection_weights(geometry, alpha: float) -> ReflectionWeights:
     """Illumination weights on a GeometryTable."""
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ScenarioError(f"surface roughness must be >= 0, got {alpha}")
     theta = np.asarray(geometry.phi) - np.asarray(geometry.beta)
     sp = np.maximum(np.sin(theta), 0.0)
@@ -245,52 +242,51 @@ class PoseField:
     """One pose's lit arc on one grid (Scenario.lit_arc on the full grid),
     read by the bounds and the synthesis energy norm.
 
-    table and weights hold the lit quadrature nodes only (w > 0, in grid
-    order; none for a fully shadowed pose): the shadow adds nothing to any
-    bound. index holds each lit node's index on the grid. w_norm_sq is the
-    squared star norm of w over the whole contour.
+    It holds the lit quadrature nodes only (w > 0, in grid order; none for
+    a fully shadowed pose), as the shadow adds nothing to any bound: their
+    geometry table, reflection weights w and v, arc-length weights ds =
+    ||r_dot|| du and index on the grid. w_norm_sq is the squared star norm
+    of w over the whole contour.
     """
 
     table: GeometryTable
-    weights: ReflectionWeights
+    w: np.ndarray
+    v: np.ndarray
+    ds: np.ndarray
     w_norm_sq: float
     index: np.ndarray
 
     def subgrid(self, stride: int) -> "PoseField":
-        """The arc on the grid of every stride-th node, at stride times the
-        weight, with no geometry evaluated: built on first request and
-        kept, one per stride, so every bound of the pose shares it."""
+        """The arc on the grid of every stride-th node at stride times ds
+        (exactly: strides are powers of two), with no geometry evaluated:
+        built on first request and kept, one per stride."""
         if stride == 1:
             return self
         arcs = vars(self).setdefault("_subgrids", {})
         if stride not in arcs:
             keep = np.flatnonzero(self.index % stride == 0)
-            table = replace(self.table.at(keep), du=stride * self.table.du[keep])
-            w = self.weights.w[keep]
-            arcs[stride] = PoseField(table=table,
-                                     weights=ReflectionWeights(w=w, v=self.weights.v[keep]),
-                                     w_norm_sq=float(np.sum(w * w * (table.arc * table.du))),
+            w, ds = self.w[keep], stride * self.ds[keep]
+            arcs[stride] = PoseField(table=self.table.at(keep), w=w, v=self.v[keep], ds=ds,
+                                     w_norm_sq=float(np.sum(w * w * ds)),
                                      index=self.index[keep] // stride)
         return arcs[stride]
 
 
 def pose_field(scenario) -> PoseField:
-    """The lit arc of a Scenario's target pose: its geometry table and
-    reflection weights at the lit quadrature nodes, and ||w||^2."""
+    """The lit arc of a Scenario's target pose on the full grid, its ds the
+    trapezoid's ||r_dot|| 2 pi / nodes."""
     scenario.contour.arc_length  # the contour's admission
     table = geometry_table(scenario.contour, scenario.pose, scenario.quadrature)
-    weights = reflection_weights(table, scenario.alpha)
-    w_norm_sq = float(np.sum(weights.w * weights.w * (table.arc * table.du)))
-    lit = np.flatnonzero(weights.w > 0.0)
-    return PoseField(table=table.at(lit),
-                     weights=ReflectionWeights(w=weights.w[lit], v=weights.v[lit]),
-                     w_norm_sq=w_norm_sq, index=lit)
+    w, v = reflection_weights(table, scenario.alpha)
+    ds = table.arc * (TWO_PI / scenario.quadrature.nodes)
+    lit = np.flatnonzero(w > 0.0)
+    return PoseField(table=table.at(lit), w=w[lit], v=v[lit], ds=ds[lit],
+                     w_norm_sq=float(np.sum(w * w * ds)), index=lit)
 
 
-def uniform_grid(nodes: int):
-    """Uniform periodic grid with equal weights (trapezoid on a periodic function)."""
-    u = np.arange(nodes) * (TWO_PI / nodes)
-    return u, np.full(nodes, TWO_PI / nodes)
+def uniform_grid(nodes: int) -> np.ndarray:
+    """Nodes of the uniform periodic grid (the trapezoid weighs each 2 pi / nodes)."""
+    return np.arange(nodes) * (TWO_PI / nodes)
 
 
 def geometry_table(params: ContourParams, pose: TargetPose,
@@ -303,16 +299,16 @@ def geometry_table(params: ContourParams, pose: TargetPose,
 
 
 def _uniform_local(params: ContourParams, nodes: int):
-    """The contour's record of uniform_grid(nodes): u, du, the
-    fourier_basis at u, and rho, rho_dot (eval_local). Evaluated on first
-    request and kept read-only on the contour, one per node count, as its
-    arc-length table is, so every pose shares it."""
+    """The contour's record of uniform_grid(nodes): u, the fourier_basis
+    at u, and rho, rho_dot (eval_local). Evaluated on first request and
+    kept read-only on the contour, one per node count, as its arc-length
+    table is, so every pose shares it."""
     kept = vars(params).setdefault("_uniform_local", {})
     if nodes not in kept:
-        u, du = uniform_grid(nodes)
+        u = uniform_grid(nodes)
         basis = fourier_basis(params.q, u)
-        record = (u, du, basis, *eval_local(params, u, basis))
-        for array in (u, du, *basis, *record[3:]):
+        record = (u, basis, *eval_local(params, u, basis))
+        for array in (u, *basis, *record[2:]):
             array.flags.writeable = False
         kept[nodes] = record
     return kept[nodes]
@@ -333,7 +329,7 @@ def arclength_params(params: ContourParams, fractions) -> np.ndarray:
 def _check_simple(params: ContourParams) -> None:
     """ScenarioError when two sides of the contour's polygon on
     uniform_grid(POLYGON_SIDES) cross, a side and its two neighbours aside."""
-    a = eval_local(params, uniform_grid(POLYGON_SIDES)[0])[0].T
+    a = eval_local(params, uniform_grid(POLYGON_SIDES))[0].T
     b = np.roll(a, -1, axis=0)
     i, j = np.triu_indices(POLYGON_SIDES, k=2)
     keep = (i > 0) | (j < POLYGON_SIDES - 1)

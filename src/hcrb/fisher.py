@@ -29,7 +29,7 @@ ENDFIRE_TOL = 1e-8
 # largest relative change of a reported variance when a bound's node count
 # doubles, for the bound to be reported on fewer than quadrature.nodes nodes
 QUAD_REL_TOL = 1e-10
-# largest relative change of the integral of v^2 ||r_dot|| (v the least smooth
+# largest relative change of the integral of v^2 ds (v the least smooth
 # weight) from every eighth to every fourth node for which a bound is sized
 SMOOTH_REL_TOL = 1e-14
 
@@ -117,7 +117,7 @@ def field_stack(scenario: Scenario, far_field: bool = False, nodes: int = None):
     The columns are the lit nodes of the grid of `nodes` points (default
     quadrature.nodes, which it must divide: every (quadrature.nodes /
     nodes)-th node of scenario.lit_arc, PoseField.subgrid), in three blocks,
-    each node scaled by the square root of its quadrature weight:
+    each node scaled by the square root of its weight ds (PoseField.ds):
     X = sqrt(2 E/N0 / ||w||^2) [sqrt(L) w mu | (alpha+1) P_w(v xi) |
         sqrt(M) w cos(phi) eta]
     with P_w the star-orthogonal complement of w. With far_field, the same
@@ -140,7 +140,7 @@ def _lit_fields(scenario: Scenario, lit, far_field: bool):
     """_derivative_fields on a lit arc; NoIlluminationError when none of its
     nodes is lit. A field that overflows is not finite, and neither is its
     factor, which invert_info_matrix refuses."""
-    if lit.table.u.size == 0:
+    if lit.w.size == 0:
         raise NoIlluminationError("no contour point is lit: sin(phi - beta) <= 0 everywhere")
     with np.errstate(over="ignore", invalid="ignore"):
         return _derivative_fields(scenario.contour, scenario.pose, lit.table, far_field)
@@ -148,29 +148,29 @@ def _lit_fields(scenario: Scenario, lit, far_field: bool):
 
 def _weighted_stack(scenario: Scenario, fields, lit, half: bool = False):
     """field_stack's rows from the derivative fields (mu, eta, xi) on the
-    lit arc lit, read with its weights w and v, quadrature weights
-    q = ||r_dot|| du, bearings phi and ||w||^2. With half, the rows on the
+    lit arc lit, read with its weights w and v, arc-length weights
+    ds = ||r_dot|| du, bearings phi and ||w||^2. With half, the rows on the
     arc's even half instead, every other node of its grid at twice the
     weight: the even nodes' columns of the same fields, the same to
     rounding as field_stack on the grid of half as many nodes."""
-    w, v, q, phi = lit.weights.w, lit.weights.v, lit.table.arc * lit.table.du, lit.table.phi
+    w, v, ds, phi = lit.w, lit.v, lit.ds, lit.table.phi
     w_norm_sq = lit.w_norm_sq
     if half:
         even = np.flatnonzero(lit.index % 2 == 0)
         fields = tuple(None if f is None else f[:, even] for f in fields)
-        w, v, q, phi = w[even], v[even], 2.0 * q[even], phi[even]
-        w_norm_sq = float(np.sum(w * w * q))
+        w, v, ds, phi = w[even], v[even], 2.0 * ds[even], phi[even]
+        w_norm_sq = float(np.sum(w * w * ds))
     mu, eta, xi = fields
     n = w.size
     big_l, big_m, big_z = radar_constants(scenario)
     scale = np.sqrt(2.0 * scenario.e_over_n0(w_norm_sq) / w_norm_sq)
 
     stack = np.empty((mu.shape[0], 2 * n + (n if eta is not None else 1)))
-    root_q = np.sqrt(q)
-    w_hat = w * root_q
+    root_ds = np.sqrt(ds)
+    w_hat = w * root_ds
     np.multiply(mu, scale * np.sqrt(big_l) * w_hat, out=stack[:, :n])
     xi_block = stack[:, n:2 * n]
-    np.multiply(xi, scale * (scenario.alpha + 1.0) * v * root_q, out=xi_block)
+    np.multiply(xi, scale * (scenario.alpha + 1.0) * v * root_ds, out=xi_block)
     # P_w: one rank-1 update against w, whose squared norm the arc holds
     w_col = unit_weights(w_hat)
     xi_block -= np.outer(star_inner(w_col, w_col.with_values(xi_block)) / w_norm_sq, w_hat)
@@ -287,12 +287,12 @@ def _ladder_start(scenario: Scenario):
 
 
 def _smoothness_screen(arc):
-    """_ladder_start on a lit arc: None when the integral of v^2 ||r_dot||
+    """_ladder_start on a lit arc: None when the integral of v^2 ds
     (v the least smooth weight, which kinks at the shadow boundaries for
     alpha <= 2) moves by more than SMOOTH_REL_TOL from every eighth to
     every fourth node. Both integrals are read off the full grid's lit arc,
     so a bound that takes the full grid gathers no subgrid."""
-    terms = arc.weights.v ** 2 * arc.table.arc * arc.table.du
+    terms = arc.v ** 2 * arc.ds
     fine, half = (stride * float(np.sum(terms[arc.index % stride == 0])) for stride in (4, 8))
     return 4 if fine > 0.0 and abs(fine - half) <= SMOOTH_REL_TOL * fine else None
 

@@ -27,6 +27,8 @@ class RadarPose:
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float).reshape(2)
+        if not (np.all(np.isfinite(pos)) and np.isfinite(self.kappa)):
+            raise ScenarioError(f"radar position {pos} and kappa {self.kappa} must be finite")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "kappa", float(wrap_angle(self.kappa)))
 
@@ -116,10 +118,9 @@ def fuse(
         per_db = total_e_over_n0_db - 10.0 * np.log10(len(radars))
         # fixed mode: the linear E/N0 of the share, whatever the norm
         scale = np.sqrt(template.with_e_over_n0_db(per_db).e_over_n0(1.0))
-        template = unit_energy(template)
     if factors is None:
-        factors = [radar_factor(template, target_xy, heading, radar)
-                   for radar in radars]
+        source = template if total_e_over_n0_db is None else unit_energy(template)
+        factors = [radar_factor(source, target_xy, heading, radar) for radar in radars]
     elif len(factors) != len(radars):
         raise ScenarioError(f"{len(factors)} factors for {len(radars)} radars")
 
@@ -140,7 +141,7 @@ def uniform_constellation(target_xy, count: int, radius: float,
     """Radars on a circle around the target, each boresighted at the center."""
     if count < 1:
         raise ScenarioError("constellation needs at least one radar")
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise ScenarioError("constellation radius must be positive")
     target_xy = np.asarray(target_xy, dtype=float).reshape(2)
     out = []

@@ -23,13 +23,13 @@ class WaveformSpec:
     carrier: float = DEFAULT_CARRIER_HZ
 
     def __post_init__(self):
-        if self.bandwidth <= 0.0 or self.duration <= 0.0:
+        if not (self.bandwidth > 0.0 and self.duration > 0.0):
             raise ScenarioError("waveform needs positive bandwidth and duration")
-        if self.carrier <= 0.0:
+        if not self.carrier > 0.0:
             raise ScenarioError(f"carrier frequency must be positive, got {self.carrier:g} Hz")
         if self.sample_rate == 0.0:
             object.__setattr__(self, "sample_rate", 2.0 * self.bandwidth)
-        if self.sample_rate < 2.0 * self.bandwidth:
+        if not self.sample_rate >= 2.0 * self.bandwidth:
             raise ScenarioError(
                 f"sample rate {self.sample_rate:g} Hz under-samples the complex baseband "
                 f"(need >= 2B = {2 * self.bandwidth:g} Hz)"
@@ -59,9 +59,9 @@ class EnergySpec:
     def __post_init__(self):
         if (self.e_over_n0_db is None) == (self.gain is None):
             raise ScenarioError("set exactly one of e_over_n0_db or gain")
-        if self.n0 <= 0.0:
+        if not self.n0 > 0.0:
             raise ScenarioError("noise PSD must be positive")
-        if self.gain is not None and self.gain < 0.0:
+        if self.gain is not None and not self.gain >= 0.0:
             raise ScenarioError("gain must be non-negative")
         if self.e_over_n0_db is not None:
             try:
@@ -84,7 +84,7 @@ class SegmentationConfig:
     segment_length: float = 0.2
 
     def __post_init__(self):
-        if self.segment_length <= 0.0:
+        if not self.segment_length > 0.0:
             raise ScenarioError("segment length must be positive")
 
     def count(self, perimeter_m: float) -> int:
@@ -104,9 +104,9 @@ class Scenario:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        if self.array_n < 2:
+        if not self.array_n >= 2:
             raise ScenarioError(f"need at least 2 antennas, got {self.array_n}")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ScenarioError(f"surface roughness must be >= 0, got {self.alpha}")
 
     @cached_property

@@ -1,5 +1,7 @@
 """Contour geometry: Fourier curves, poses, illumination weights, arc length."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,8 @@ from conftest import random_scenario
 
 from hcrb.contour import (
     ContourParams,
+    GeometryTable,
+    PoseField,
     QuadratureSpec,
     TargetPose,
     arclength_params,
@@ -15,6 +19,7 @@ from hcrb.contour import (
     geometry_at,
     geometry_table,
     perimeter,
+    pose_field,
     reflection_weights,
     rotation,
     uniform_grid,
@@ -47,8 +52,7 @@ def test_circle_hand_values():
     """Radius-2 circle at 10 m broadside: all quantities have textbook values."""
     pose = TargetPose(d=10.0, phi=0.0, heading=0.0)
     assert perimeter(CIRCLE) == pytest.approx(4.0 * np.pi, rel=1e-9)
-    u, du = uniform_grid(512)
-    g = geometry_at(CIRCLE, pose, u, du)
+    g = geometry_at(CIRCLE, pose, uniform_grid(512))
     npt.assert_allclose(g.arc, 2.0, rtol=1e-12)  # |rho_dot| = radius
     assert g.d.min() == pytest.approx(8.0, rel=1e-12)
     assert g.d.max() == pytest.approx(12.0, rel=1e-12)
@@ -62,21 +66,22 @@ def test_global_frame_is_pose_plus_rotated_local(scenario):
     rho, rho_dot = eval_local(scenario.contour, u)
     R = rotation(scenario.pose.heading)
     npt.assert_allclose(g.r, scenario.pose.p[:, None] + R @ rho, atol=1e-12)
-    npt.assert_allclose(g.r_dot, R @ rho_dot, atol=1e-12)
+    npt.assert_allclose(g.arc * np.stack([np.cos(g.beta), np.sin(g.beta)]), R @ rho_dot,
+                        atol=1e-12)
     npt.assert_allclose(g.d, np.hypot(g.r[0], g.r[1]), rtol=1e-15)
 
 
 def test_rotation_consistency(scenario):
     """Rotating bearing and heading together spins r(u) but changes nothing else."""
     delta = 0.83
-    u, du = uniform_grid(256)
-    g1 = geometry_at(scenario.contour, scenario.pose, u, du)
+    u = uniform_grid(256)
+    g1 = geometry_at(scenario.contour, scenario.pose, u)
     pose2 = TargetPose(
         scenario.pose.d,
         wrap_angle(scenario.pose.phi + delta),
         wrap_angle(scenario.pose.heading + delta),
     )
-    g2 = geometry_at(scenario.contour, pose2, u, du)
+    g2 = geometry_at(scenario.contour, pose2, u)
     npt.assert_allclose(g2.d, g1.d, rtol=1e-12)
     npt.assert_allclose(g2.r, rotation(delta) @ g1.r, atol=1e-10)
     w1 = reflection_weights(g1, 5.0)
@@ -140,9 +145,9 @@ def test_arclength_params_inverts_cumulative_length(scenario):
     u_f = arclength_params(scenario.contour, fractions)
     # dense cumulative trapezoid as the independent check
     nodes = 1 << 15
-    u, du = uniform_grid(nodes)
-    table = geometry_at(scenario.contour, scenario.pose, u, du)
-    s = np.concatenate(([0.0], np.cumsum(table.arc) * du[0]))
+    u = uniform_grid(nodes)
+    table = geometry_at(scenario.contour, scenario.pose, u)
+    s = np.concatenate(([0.0], np.cumsum(table.arc) * (2.0 * np.pi / nodes)))
     total = s[-1]
     grid = np.concatenate((u, [2.0 * np.pi]))
     npt.assert_allclose(
@@ -187,11 +192,21 @@ def test_arc_length_failure_raises_on_every_read():
 
 
 def test_geometry_table_grid(scenario):
-    table = geometry_table(scenario.contour, scenario.pose, QuadratureSpec(nodes=64))
+    """The table is the placed geometry on the uniform grid and nothing
+    else; the quadrature weights are the lit arc's, ds = ||r_dot|| 2 pi /
+    nodes at each lit node."""
+    spec = QuadratureSpec(nodes=64)
+    table = geometry_table(scenario.contour, scenario.pose, spec)
+    assert [f.name for f in fields(GeometryTable)] == [
+        "u", "rho", "rho_dot", "r", "d", "phi", "beta", "arc", "basis"]
     assert table.u.shape == (64,)
-    npt.assert_allclose(table.du, 2.0 * np.pi / 64.0)
+    npt.assert_allclose(np.diff(table.u), 2.0 * np.pi / 64.0)
     assert np.all(table.arc > 0.0)
-    assert np.all(np.isfinite(table.r_dot))
+    assert np.all(np.isfinite(table.beta))
+    assert [f.name for f in fields(PoseField)] == [
+        "table", "w", "v", "ds", "w_norm_sq", "index"]
+    arc = pose_field(replace(scenario, quadrature=spec))
+    npt.assert_array_equal(arc.ds, table.arc[arc.index] * (2.0 * np.pi / 64))
 
 
 def test_geometry_table_shares_one_read_only_basis(scenario):
@@ -200,8 +215,8 @@ def test_geometry_table_shares_one_read_only_basis(scenario):
     other = geometry_table(scenario.contour, TargetPose(20.0, -0.3, 1.0), spec)
     assert all(a is b for a, b in zip(table.basis, other.basis))
     assert not any(array.flags.writeable for array in table.basis)
-    fresh = geometry_at(scenario.contour, scenario.pose, table.u, table.du)
-    for name in ("rho", "rho_dot", "r", "r_dot", "d", "phi", "beta", "arc"):
+    fresh = geometry_at(scenario.contour, scenario.pose, table.u)
+    for name in ("rho", "rho_dot", "r", "d", "phi", "beta", "arc"):
         assert np.array_equal(getattr(table, name), getattr(fresh, name)), name
     for cached, computed in zip(table.basis, fresh.basis):
         assert np.array_equal(cached, computed)
@@ -210,7 +225,7 @@ def test_geometry_table_shares_one_read_only_basis(scenario):
 def _crosses_by_loop(params: ContourParams, nodes: int = 256) -> bool:
     """The crossing test's referee: each pair of polygon sides but a side and
     its two neighbours, one at a time, by the sign of the orientations."""
-    rho, _ = eval_local(params, uniform_grid(nodes)[0])
+    rho, _ = eval_local(params, uniform_grid(nodes))
     pts = [tuple(p) for p in rho.T]
 
     def orient(o, a, b):

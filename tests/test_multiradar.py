@@ -11,6 +11,7 @@ from conftest import SCENARIO_FILE, mp_inverse_gram
 
 from hcrb.contour import wrap_angle
 from hcrb.errors import IdentifiabilityError, ScenarioError
+from hcrb import multiradar
 from hcrb.experiments import BOW_OFFSET, run_diversity
 from hcrb.fisher import efim_exact, field_stack
 from hcrb.multiradar import (
@@ -18,6 +19,7 @@ from hcrb.multiradar import (
     _chain_matrix,
     fuse,
     peb,
+    radar_factor,
     radar_local_scenario,
     uniform_constellation,
     unit_energy,
@@ -154,6 +156,25 @@ def test_energy_budget_split(scenario):
     per = 40.0 - 10.0 * np.log10(4.0)
     each_at_per = fuse(scenario.with_e_over_n0_db(per), TARGET, HEADING, radars)
     npt.assert_allclose(fused.matrix, each_at_per.matrix, rtol=1e-12, atol=0)
+
+
+def test_fuse_scales_given_factors_without_a_template(bundle, monkeypatch):
+    """Given the per-radar factors, fuse only scales them by the budget's
+    share: it builds no unit-energy template, and fuses the same R as when
+    it builds the factors itself."""
+    scenario, target, heading = bundle.scenario, bundle.target_xy, bundle.heading
+    radars = uniform_constellation(target, 3, 7.0, start_angle=heading - BOW_OFFSET)
+    unit = unit_energy(scenario)
+    factors = [radar_factor(unit, target, heading, radar) for radar in radars]
+    built = fuse(scenario, target, heading, radars, total_e_over_n0_db=40.0)
+
+    def refuse(template):
+        raise AssertionError("fuse built a template it does not read")
+
+    monkeypatch.setattr(multiradar, "unit_energy", refuse)
+    given = fuse(scenario, target, heading, radars, total_e_over_n0_db=40.0,
+                 factors=factors)
+    npt.assert_array_equal(given.r, built.r)
 
 
 def test_budget_ignores_the_template_energy_mode(scenario, bundle):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ import pytest
 from conftest import SCENARIO_FILE
 
 from hcrb.cli import entry
+from hcrb.contour import ContourParams, TargetPose
 from hcrb.errors import ScenarioError
+from hcrb.multiradar import RadarPose, uniform_constellation
+from hcrb.scenario import EnergySpec, SegmentationConfig, WaveformSpec
 from hcrb.scenario_io import (
     _POLAR_TARGET,
     _SCHEMA,
@@ -221,3 +225,35 @@ def test_every_field_at_an_extreme_loads_or_is_one_error_line(tmp_path, capsys, 
                 elif code not in (0, 1):
                     failures.append(f"{case}: exit {code}")
     assert failures == []
+
+
+NAN, INF = float("nan"), float("inf")
+_NON_FINITE = {
+    "contour-nan": lambda sc: ContourParams([2.0, NAN], [1.0, 0.0]),
+    "contour-inf": lambda sc: ContourParams([2.0, INF], [1.0, 0.0]),
+    "bandwidth": lambda sc: WaveformSpec(bandwidth=NAN, duration=1e-5),
+    "duration": lambda sc: WaveformSpec(bandwidth=1e9, duration=NAN),
+    "sample-rate": lambda sc: WaveformSpec(bandwidth=1e9, duration=1e-5, sample_rate=NAN),
+    "carrier": lambda sc: WaveformSpec(bandwidth=1e9, duration=1e-5, carrier=NAN),
+    "n0": lambda sc: EnergySpec(e_over_n0_db=40.0, n0=NAN),
+    "gain": lambda sc: EnergySpec(gain=NAN),
+    "bearing": lambda sc: TargetPose(d=6.7, phi=NAN, heading=1.0),
+    "heading": lambda sc: TargetPose(d=6.7, phi=0.3, heading=INF),
+    "kappa": lambda sc: RadarPose(position=[0.0, 0.0], kappa=NAN),
+    "radar-position": lambda sc: RadarPose(position=[NAN, 0.0]),
+    "segment": lambda sc: SegmentationConfig(NAN),
+    "array": lambda sc: replace(sc, array_n=NAN),
+    "alpha": lambda sc: replace(sc, alpha=NAN),
+    "radius": lambda sc: uniform_constellation([6.0, 3.0], 3, NAN),
+}
+
+
+@pytest.mark.parametrize("make", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+def test_library_refuses_non_finite_input(scenario, make):
+    """A NaN fails every bound a constructor checks, and contour
+    coefficients, angles and radar positions must be finite: each is a
+    ScenarioError where it is built, not a NaN perimeter, a RuntimeWarning,
+    an untyped ValueError later or a misleading NoIlluminationError. Scenario files never get this far: the
+    schema refuses non-finite numbers at load."""
+    with pytest.raises(ScenarioError):
+        make(scenario)

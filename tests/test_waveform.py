@@ -325,7 +325,8 @@ def _origin_shifted_workspace(sc, seg, shift):
     weights = reflection_weights(geo, sc.alpha)
     table = geometry_table(sc.contour, sc.pose, sc.quadrature)
     w2 = star_norm_sq(
-        SampledField(reflection_weights(table, sc.alpha).w, table.arc, table.du)
+        SampledField(reflection_weights(table, sc.alpha).w, table.arc,
+                     2.0 * np.pi / sc.quadrature.nodes)
     )
     amps = sc.gain_g(w2) * np.sqrt(total / k) * weights.w
     delays = 2.0 * geo.d / SPEED_OF_LIGHT
