@@ -7,11 +7,19 @@ full rank: sigma_max^2 <= ||R||_F^2 and 1/sigma_min^2 <= ||R^-1||_F^2, so
 NULL_RCOND ||R||_F^2 ||R^-1||_F^2 < 1/2 puts every sigma^2 of R above
 twice the cutoff at which check_rank calls a direction null. The SVD of
 check_rank runs only when that product is not below 1/2 or R^-1 does not
-exist, and it alone decides those cases and names their null space."""
+exist, and it alone decides those cases and names their null space.
+
+The two LAPACK routines come from scipy's compiled wrappers,
+scipy/linalg/_flapack, loaded from their file: the same functions that
+scipy.linalg.lapack exports, without importing scipy.linalg (5 MB of
+start-up beside scipy.fft, which loads most of what scipy.linalg needs).
+Only the test-only solve_spd imports scipy.linalg, in its body."""
+
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqrt, dtrtri
 
 from ._pool import _ONE_BLAS_THREAD
 from .errors import IdentifiabilityError, ScenarioError
@@ -23,6 +31,25 @@ NULL_RCOND = 1e-12
 QR_BLOCK = 8
 
 
+def _load_flapack():
+    """scipy.linalg._flapack, loaded from its file in scipy's directory
+    without importing scipy.linalg; imported through scipy.linalg only when
+    that file is not found (its location is scipy's private layout)."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations or ()]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    if spec is None:
+        from scipy.linalg import _flapack
+        return _flapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
+dgeqrt, dtrtri = _FLAPACK.dgeqrt, _FLAPACK.dtrtri
+
+
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve gram @ x = rhs for a symmetric positive definite gram matrix.
 
@@ -30,6 +57,8 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     quantity it projects out is not identifiable, so IdentifiabilityError is
     raised rather than a regularized answer returned.
     """
+    import scipy.linalg
+
     gram = np.atleast_2d(np.asarray(gram, dtype=float))
     try:
         factor = scipy.linalg.cho_factor(gram, check_finite=False)

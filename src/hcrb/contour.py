@@ -116,6 +116,8 @@ class TargetPose:
     def __post_init__(self):
         if not self.d > 0.0:
             raise ScenarioError(f"target range must be positive, got {self.d}")
+        if not self.d < np.inf:
+            raise ScenarioError(f"target range must be finite, got {self.d}")
         if not (np.isfinite(self.phi) and np.isfinite(self.heading)):
             raise ScenarioError(f"target angles must be finite, got {self.phi}, {self.heading}")
         object.__setattr__(self, "phi", wrap_angle(self.phi))

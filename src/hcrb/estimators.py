@@ -17,13 +17,15 @@ spreads its de-chirped row transforms and their powers over the pool;
 inside pooled trials it runs one row at a time on the trial's thread.
 Either way the profile is the same bits.
 
-Only the two polishes need scipy.optimize, so each stage imports
-minimize_scalar where its polish runs: a process that computes bounds and
-never estimates a frame does not load the optimizer (about 0.1 s and
-16 MB). scipy.fft stays a module-level import: perfbench's tracer looks
-each traced module up in sys.modules when it installs.
+The polish is Brent's bounded minimizer (R. P. Brent, Algorithms for
+Minimization without Derivatives, 1973) as scipy.optimize's "bounded"
+method runs it, transcribed step for step into _bounded_minimum, so no
+process loads scipy.optimize (about 0.1 s and 20 MB, with the scipy.linalg
+it brings). scipy.fft stays a module-level import: perfbench's tracer
+looks each traced module up in sys.modules when it installs.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +47,9 @@ BEAT_MARGIN = 3.0
 
 # bearings on the coarse beamscan grid, strictly inside (-pi/2, pi/2)
 SCAN_POINTS = 2048
+
+# function evaluations after which a polish stops (scipy's maxiter default)
+_POLISH_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,99 @@ def _dechirped_profile(y: np.ndarray, ref: np.ndarray, nfft: int) -> np.ndarray:
     return profile
 
 
+def _sign_or_one(v):
+    """np.sign(v) + (v == 0): -1.0 below zero, 1.0 from zero up, NaN for NaN."""
+    if v != v:
+        return v
+    return -1.0 if v < 0.0 else 1.0
+
+
+def _nan_max(x, y):
+    """np.maximum(x, y) of two floats: NaN when either is."""
+    return x if x > y or x != x else y
+
+
+def _bounded_minimum(func, lo: float, hi: float, xatol: float) -> float:
+    """A local minimizer of func on [lo, hi]: Brent's golden-section search
+    with parabolic steps, transcribed step for step from scipy.optimize's
+    minimize_scalar(method="bounded") (maxiter 500), so that it evaluates
+    func at the same points, in the same order, and returns the same bits
+    of x. Plain float arithmetic replaces numpy's scalar calls; the two
+    helpers keep np.sign's and np.maximum's NaN behaviour."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_or_one(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + _sign_or_one(rat) * _nan_max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _POLISH_MAXITER:
+            break
+    return float(xf)
+
+
 def estimate_direction(frame: SignalFrame, waveform: WaveformSpec) -> DirectionEstimate:
     """Beamscan bearing on the dominant de-chirped range bin.
 
@@ -177,14 +275,10 @@ def estimate_direction(frame: SignalFrame, waveform: WaveformSpec) -> DirectionE
         a = steering(n_elem, phi)
         return -abs(a.conj() @ snapshot) ** 2
 
-    from scipy.optimize import minimize_scalar
-
     lo = grid[max(peak - 1, 0)]
     hi = grid[min(peak + 1, len(grid) - 1)]
-    res = minimize_scalar(negpower, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
     return DirectionEstimate(
-        phi=float(res.x),
+        phi=_bounded_minimum(negpower, lo, hi, 1e-10),
         peak_to_median=ratio,
         confident=ratio >= CONFIDENCE_RATIO,
     )
@@ -249,11 +343,8 @@ def estimate_range(
         probe = np.exp(-2j * np.pi * (idx / nfft) * n_idx)
         return -abs(np.einsum("i,i->", mix, probe)) ** 2
 
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(negmag, bounds=(coarse - 1.0, coarse + 1.0),
-                          method="bounded", options={"xatol": 1e-7})
-    cycles = _signed_cycles(float(res.x), nfft)
+    cycles = _signed_cycles(_bounded_minimum(negmag, coarse - 1.0, coarse + 1.0, 1e-7),
+                            nfft)
     sweep_rate = waveform.bandwidth / waveform.duration
     tau = abs(cycles) * frame.sample_rate / sweep_rate
     return RangeEstimate(

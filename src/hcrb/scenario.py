@@ -34,6 +34,10 @@ class WaveformSpec:
                 f"sample rate {self.sample_rate:g} Hz under-samples the complex baseband "
                 f"(need >= 2B = {2 * self.bandwidth:g} Hz)"
             )
+        for name, value in (("bandwidth", self.bandwidth), ("duration", self.duration),
+                            ("sample rate", self.sample_rate), ("carrier", self.carrier)):
+            if not value < np.inf:
+                raise ScenarioError(f"waveform {name} must be finite, got {value:g}")
         if self.bandwidth * self.duration < 100.0:
             warnings.warn("time-bandwidth product is small; chirp approximations degrade",
                           stacklevel=2)
@@ -61,8 +65,12 @@ class EnergySpec:
             raise ScenarioError("set exactly one of e_over_n0_db or gain")
         if not self.n0 > 0.0:
             raise ScenarioError("noise PSD must be positive")
+        if not self.n0 < np.inf:
+            raise ScenarioError(f"noise PSD must be finite, got {self.n0:g}")
         if self.gain is not None and not self.gain >= 0.0:
             raise ScenarioError("gain must be non-negative")
+        if self.gain is not None and not self.gain < np.inf:
+            raise ScenarioError(f"gain must be finite, got {self.gain:g}")
         if self.e_over_n0_db is not None:
             try:
                 linear = 10.0 ** (float(self.e_over_n0_db) / 10.0)

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import small_waveform
@@ -238,3 +240,125 @@ def test_point_estimator_is_unbiased_and_efficient():
     assert abs(phi_err.mean()) < 0.1 * sigma_phi
     assert 0.5 < d_err.var() / crb[0, 0] < 2.0
     assert 0.5 < phi_err.var() / crb[1, 1] < 2.0
+
+
+def _scipy_polish(func, lo, hi, xatol):
+    return minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol}).x
+
+
+def _polish_trace(polish, func, lo, hi, xatol):
+    """The bits of the point polish returns and of every point it asks func
+    for, in order; or the ValueError it raises."""
+    points = []
+
+    def recorded(x):
+        points.append(np.float64(x).tobytes())
+        return func(x)
+
+    try:
+        x = polish(recorded, lo, hi, xatol)
+    except ValueError as err:
+        return str(err), points
+    return np.float64(x).tobytes(), points
+
+
+def _assert_polishes_agree(func, lo, hi, xatol, polish=estimators._bounded_minimum):
+    ours = _polish_trace(polish, func, lo, hi, xatol)
+    theirs = _polish_trace(_scipy_polish, func, lo, hi, xatol)
+    assert ours == theirs
+    return ours
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+intervals = st.tuples(st.floats(-1e3, 1e3, **_FINITE),
+                      st.floats(0.0, 1e3, **_FINITE)).map(lambda t: (t[0], t[0] + t[1]))
+tolerances = st.sampled_from([1e-12, 1e-10, 1e-7, 1e-5, 1e-2])
+
+
+@given(intervals, st.floats(-2e3, 2e3, **_FINITE), st.integers(1, 3), tolerances)
+def test_polish_is_scipys_on_single_minima(interval, centre, power, xatol):
+    """Smooth single-minimum functions, the minimum inside the interval or
+    beyond either bound: the same points asked for, the same x returned,
+    bit for bit, as scipy's bounded minimize_scalar."""
+    _assert_polishes_agree(lambda x: (x - centre) ** (2 * power), *interval, xatol)
+
+
+@given(intervals, st.floats(0.01, 50.0, **_FINITE), st.floats(-1.0, 1.0, **_FINITE),
+       tolerances)
+def test_polish_is_scipys_on_several_minima(interval, freq, slope, xatol):
+    _assert_polishes_agree(lambda x: np.cos(freq * x) + slope * x, *interval, xatol)
+
+
+@given(intervals, tolerances)
+def test_polish_is_scipys_on_flat_and_monotone_functions(interval, xatol):
+    """A constant, and minima at the lower and the upper bound."""
+    for func in (lambda x: 1.0, lambda x: x, lambda x: -x, lambda x: np.tanh(-x)):
+        _assert_polishes_agree(func, *interval, xatol)
+
+
+@given(intervals, st.floats(-1e3, 1e3, **_FINITE), tolerances)
+def test_polish_is_scipys_where_the_function_is_nan(interval, edge, xatol):
+    """NaN beyond a point, and NaN everywhere: the comparisons that NaN
+    fails steer both the same way."""
+    _assert_polishes_agree(lambda x: np.nan if x > edge else (x - edge) ** 2, *interval, xatol)
+    _assert_polishes_agree(lambda x: np.nan, *interval, xatol)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_polish_is_scipys_where_its_arithmetic_overflows():
+    """Bounds whose width or midpoint overflow put inf and NaN into the
+    steps: some runs end at once, others at the 500-call limit. scipy's
+    numpy scalars warn there (hence the filters); the polish's floats do
+    not."""
+    calls = set()
+    for interval in ((-1.5e308, 1.5e308), (0.0, 1.7e308), (-1.7e308, -1.6e308),
+                     (0.0, 5e-324)):
+        for func in (lambda x: 1.0, abs, lambda x: -x, lambda x: np.nan):
+            calls.add(len(_assert_polishes_agree(func, *interval, 1e-5)[1]))
+    assert {1, estimators._POLISH_MAXITER} <= calls
+
+
+def test_polish_sign_and_maximum_are_numpys():
+    """The polish's two scalar helpers give np.sign(v) + (v == 0) and
+    np.maximum's value, NaN included, on the values its steps can meet."""
+    values = (-np.inf, -1.5, -0.0, 0.0, 5e-324, 2.0, np.inf, np.nan)
+    for v in values:
+        want = np.sign(v) + (v == 0)
+        assert np.float64(estimators._sign_or_one(v)).tobytes() == want.tobytes(), v
+        for w in values:
+            want = np.maximum(v, w)
+            got = np.float64(estimators._nan_max(v, w))
+            assert got.tobytes() == want.tobytes(), (v, w)
+
+
+def test_polish_refuses_the_bounds_scipy_refuses():
+    for lo, hi in ((np.nan, 1.0), (0.0, np.inf), (2.0, 1.0)):
+        message, points = _assert_polishes_agree(lambda x: x, lo, hi, 1e-5)
+        assert isinstance(message, str) and points == []
+
+
+@pytest.mark.parametrize("kind", ("extended", "point"))
+def test_frame_polishes_are_scipys(kind, bundle, monkeypatch):
+    """On seeded frames, both stages' polishes (bearing, then range) ask for
+    the same points and return the same bits as scipy's."""
+    if kind == "extended":
+        sc = bundle.scenario
+        workspace = synthesis_workspace(sc, bundle.segmentation)
+    else:
+        sc = _point_scenario(25.0, -0.3, EnergySpec(e_over_n0_db=30.0),
+                             small_waveform())
+        workspace = point_workspace(sc)
+    polish = estimators._bounded_minimum
+    seen = []
+
+    def refereed(func, lo, hi, xatol):
+        seen.append(_assert_polishes_agree(func, lo, hi, xatol, polish))
+        return polish(func, lo, hi, xatol)
+
+    monkeypatch.setattr(estimators, "_bounded_minimum", refereed)
+    for seed in range(3):
+        estimate(synthesize_frame(workspace, seed), sc.waveform)
+    assert len(seen) == 6
+    assert all(len(points) > 5 for _, points in seen)

@@ -257,3 +257,57 @@ def test_library_refuses_non_finite_input(scenario, make):
     schema refuses non-finite numbers at load."""
     with pytest.raises(ScenarioError):
         make(scenario)
+
+
+# (field named in the error, constructor call)
+_INFINITE = {
+    "bandwidth": ("waveform bandwidth", lambda: WaveformSpec(bandwidth=INF, duration=1e-5)),
+    "duration": ("waveform duration", lambda: WaveformSpec(bandwidth=1e9, duration=INF)),
+    "sample-rate": ("waveform sample rate",
+                    lambda: WaveformSpec(bandwidth=1e9, duration=1e-5, sample_rate=INF)),
+    "sample-rate-2B": ("waveform sample rate",
+                       lambda: WaveformSpec(bandwidth=1.7e308, duration=1e-5)),
+    "carrier": ("waveform carrier",
+                lambda: WaveformSpec(bandwidth=1e9, duration=1e-5, carrier=INF)),
+    "range": ("target range", lambda: TargetPose(d=INF, phi=0.3, heading=1.0)),
+    "gain": ("gain", lambda: EnergySpec(gain=INF)),
+    "n0": ("noise PSD", lambda: EnergySpec(gain=1.0, n0=INF)),
+}
+
+
+@pytest.mark.parametrize("field, make", _INFINITE.values(), ids=_INFINITE.keys())
+def test_library_refuses_infinite_input(field, make):
+    """+inf passes every "positive" bound that refuses NaN, so each field is
+    also held finite: a ScenarioError naming the field where the spec is
+    built, where an infinite duration or bandwidth used to end in an
+    untyped OverflowError at WaveformSpec.samples. A bandwidth whose
+    default sample rate 2B overflows is refused as well; a scenario file
+    reaches that one (B = 1.7e308)."""
+    with pytest.raises(ScenarioError, match=f"^{field} must be finite, got inf"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: WaveformSpec(bandwidth=0.0, duration=1e-5),
+     "waveform needs positive bandwidth and duration"),
+    (lambda: WaveformSpec(bandwidth=-INF, duration=1e-5),
+     "waveform needs positive bandwidth and duration"),
+    (lambda: WaveformSpec(bandwidth=1e9, duration=-1e-5),
+     "waveform needs positive bandwidth and duration"),
+    (lambda: TargetPose(d=0.0, phi=0.3, heading=1.0), "target range must be positive, got 0.0"),
+    (lambda: TargetPose(d=-INF, phi=0.3, heading=1.0), "target range must be positive, got -inf"),
+], ids=["B-zero", "B-minus-inf", "T-negative", "d-zero", "d-minus-inf"])
+def test_non_positive_input_keeps_its_error_text(make, message):
+    """The texts a scenario file reaches (B <= 0, d <= 0) are unchanged."""
+    with pytest.raises(ScenarioError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_a_file_whose_default_sample_rate_overflows_is_one_error_line(tmp_path, capsys):
+    doc = json.loads(SCENARIO_FILE.read_text())
+    doc["waveform"] = {"B": 1.7e308, "T": 1e-5}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert entry(["bounds", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == "error: waveform sample rate must be finite, got inf\n"

@@ -39,7 +39,8 @@ from hcrb.scenario_io import load_file
 from hcrb.waveform import synthesis_workspace, synthesize_frame
 
 def loaded():
-    return {name: name in sys.modules for name in ("scipy.optimize", "scipy.constants")}
+    return {name: name in sys.modules
+            for name in ("scipy.optimize", "scipy.linalg", "scipy.constants", "scipy.fft")}
 
 entry(["bounds", "--scenario", sys.argv[1]])
 bundle = load_file(sys.argv[1])
@@ -55,19 +56,21 @@ print(json.dumps({"bounds": bounds, "estimate": loaded()}))
 """
 
 
-def test_bounds_load_neither_the_optimizer_nor_scipy_constants():
-    # a fresh process that computes bounds only (hcrb bounds, a sweep, the
-    # long-range limit, a fusion) never imports scipy.optimize
-    # (the estimators' polishes import it on first use) nor scipy.constants
-    # (SPEED_OF_LIGHT is scenario's literal); estimating a frame then loads
-    # the optimizer (which itself brings scipy.constants)
+def test_no_process_loads_scipy_optimize_linalg_or_constants():
+    # a fresh process that computes bounds (hcrb bounds, a sweep, the
+    # long-range limit, a fusion) and then estimates a frame never imports
+    # scipy.optimize (the estimators' polish is in-package), scipy.linalg
+    # (_linalg loads LAPACK's extension from its file) nor scipy.constants
+    # (SPEED_OF_LIGHT is scenario's literal); scipy.fft, which waveform and
+    # estimators import at module level, shows the probe sees loaded modules
     env = {**os.environ, "PYTHONPATH": str(Path(hcrb.__file__).parent.parent)}
     run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                           str(ROOT / "scenarios" / "vehicle.json")],
                          capture_output=True, text=True, env=env, check=True)
     loaded = json.loads(run.stdout.splitlines()[-1])
-    assert loaded["bounds"] == {"scipy.optimize": False, "scipy.constants": False}
-    assert loaded["estimate"]["scipy.optimize"]
+    for stage in ("bounds", "estimate"):
+        assert loaded[stage] == {"scipy.optimize": False, "scipy.linalg": False,
+                                 "scipy.constants": False, "scipy.fft": True}, stage
 
 
 def test_speed_of_light_is_scipys_constant():
