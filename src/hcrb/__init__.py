@@ -36,7 +36,7 @@ from .multiradar import RadarPose, fuse, peb, uniform_constellation
 from .scenario import EnergySpec, Scenario, SegmentationConfig, WaveformSpec
 from .scenario_io import ScenarioBundle, build, dumps_normalized, load_file, normalize
 from .starcalc import SampledField, star_inner
-from .waveform import (
+from .frames import (
     SignalFrame,
     chirp,
     dump_frame,

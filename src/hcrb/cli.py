@@ -27,9 +27,9 @@ from .experiments import (
     run_range_sweep,
 )
 from .fisher import efim_exact, point_target_crb
+from .frames import dump_frame, synthesize_frame
 from .multiradar import fuse, peb
 from .scenario_io import SCHEMA_VERSION, ScenarioBundle, dumps_normalized, load_file
-from .waveform import dump_frame, point_workspace, synthesis_workspace, synthesize_frame
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,6 +211,8 @@ def _frame_dir(text: str) -> Path:
 
 
 def _cmd_simulate(args, bundle: ScenarioBundle) -> ResultTable:
+    from .waveform import point_workspace, synthesis_workspace
+
     dump_dir = None if args.dump_frames is None else _frame_dir(args.dump_frames)
     scenario = bundle.scenario
     if args.point:

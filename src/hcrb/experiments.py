@@ -20,10 +20,10 @@ from .asymptotics import t_blocks
 from .errors import IdentifiabilityError, ScenarioError
 from .estimators import estimate
 from .fisher import efim_exact, point_target_crb
+from .frames import synthesize_frame
 from .multiradar import (RadarPose, fuse, peb, radar_factor, uniform_constellation,
                          unit_energy)
 from .scenario import Scenario, SegmentationConfig
-from .waveform import point_workspace, synthesis_workspace, synthesize_frame
 
 # Range sweeps move the target along the segment below with the received
 # energy pinned, so range is the only moving part.
@@ -220,6 +220,8 @@ def run_mc(scenario: Scenario, ranges=MC_RANGES, trials: int = 500, seed: int = 
     if trials < 2:
         raise ScenarioError(
             f"Monte Carlo needs at least 2 trials to form a variance, got {trials}")
+    from .waveform import point_workspace, synthesis_workspace
+
     table = ResultTable(seed=seed)
     for index, xy in enumerate(_mc_positions(ranges)):
         moved = scenario.with_pose(SWEEP_RADAR.local_pose(xy, scenario.pose.heading))

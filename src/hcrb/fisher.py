@@ -23,7 +23,7 @@ from .contour import PERP, ContourParams, GeometryTable, TargetPose, rotation
 from .errors import IdentifiabilityError, NoIlluminationError, ScenarioError
 from .scenario import SPEED_OF_LIGHT, Scenario
 from .starcalc import star_inner, unit_weights
-from .waveform import effective_bandwidth
+from .frames import effective_bandwidth
 
 ENDFIRE_TOL = 1e-8
 # largest relative change of a reported variance when a bound's node count

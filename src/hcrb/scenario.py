@@ -38,6 +38,10 @@ class WaveformSpec:
                             ("sample rate", self.sample_rate), ("carrier", self.carrier)):
             if not value < np.inf:
                 raise ScenarioError(f"waveform {name} must be finite, got {value:g}")
+        if not self.duration * self.sample_rate < np.inf:
+            raise ScenarioError(
+                f"waveform duration times sample rate (the sample count) must be finite, "
+                f"got {self.duration:g} s x {self.sample_rate:g} Hz")
         if self.bandwidth * self.duration < 100.0:
             warnings.warn("time-bandwidth product is small; chirp approximations degrade",
                           stacklevel=2)

@@ -10,6 +10,7 @@ from conftest import SCENARIO_FILE
 
 import hcrb.cli
 import hcrb.experiments
+import hcrb.waveform
 from hcrb import __version__
 from hcrb._pool import THREADS_ENV
 from hcrb.cli import entry
@@ -270,6 +271,19 @@ def test_overflowing_scenario_exits_one(tmp_path, capsys, edit, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["bounds"], ["simulate", "--trials", "1"]],
+                         ids=("bounds", "simulate"))
+def test_sample_count_that_overflows_exits_one(tmp_path, capsys, argv):
+    """T = 1e300 s at fs = 2 GHz: T fs overflows, so the file is refused at
+    load, one error line and no CSV, where it used to end in a traceback."""
+    path = _vehicle_with(tmp_path, lambda doc: doc["waveform"].update(T=1e300))
+    out = tmp_path / "out.csv"
+    assert entry([*argv, "--scenario", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: waveform duration times sample rate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exponent", [160, 400])
 @pytest.mark.parametrize("argv", [["--print-normalized"], []], ids=("normalized", "bounds"))
 def test_array_size_whose_square_overflows_exits_one(tmp_path, capsys, exponent, argv):
@@ -517,7 +531,7 @@ def test_unwritable_out_exits_one_before_mc_runs(tmp_path, capsys, monkeypatch,
 
 def test_dump_frames_onto_a_file_exits_one(tmp_path, capsys, monkeypatch):
     # a frame directory that cannot be made must not cost the workspace
-    monkeypatch.setattr(hcrb.cli, "synthesis_workspace",
+    monkeypatch.setattr(hcrb.waveform, "synthesis_workspace",
                         lambda *args, **kwargs: pytest.fail("synthesis ran"))
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -530,7 +544,7 @@ def test_dump_frames_onto_a_file_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_empty_dump_frames_exits_one_before_synthesis(capsys, monkeypatch):
-    monkeypatch.setattr(hcrb.cli, "synthesis_workspace",
+    monkeypatch.setattr(hcrb.waveform, "synthesis_workspace",
                         lambda *args, **kwargs: pytest.fail("synthesis ran"))
     assert entry(["simulate", "--scenario", SCENARIO, "--trials", "1",
                   "--dump-frames", ""]) == 1

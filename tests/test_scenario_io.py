@@ -287,6 +287,15 @@ def test_library_refuses_infinite_input(field, make):
         make()
 
 
+def test_library_refuses_a_sample_count_that_overflows():
+    """Finite B, T and fs whose product T fs (the sample count) overflows:
+    a ScenarioError naming both fields, where WaveformSpec.samples used to
+    end in an untyped OverflowError."""
+    with pytest.raises(ScenarioError, match=r"^waveform duration times sample rate "
+                       r"\(the sample count\) must be finite, got 1e\+300 s x 2e\+09 Hz$"):
+        WaveformSpec(bandwidth=1e9, duration=1e300)
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: WaveformSpec(bandwidth=0.0, duration=1e-5),
      "waveform needs positive bandwidth and duration"),

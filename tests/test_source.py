@@ -36,11 +36,11 @@ import hcrb
 from hcrb.cli import entry
 from hcrb.experiments import run_range_sweep
 from hcrb.scenario_io import load_file
-from hcrb.waveform import synthesis_workspace, synthesize_frame
 
 def loaded():
     return {name: name in sys.modules
-            for name in ("scipy.optimize", "scipy.linalg", "scipy.constants", "scipy.fft")}
+            for name in ("scipy.fft", "scipy._lib._util", "scipy.optimize",
+                         "scipy.linalg", "scipy.constants")}
 
 entry(["bounds", "--scenario", sys.argv[1]])
 bundle = load_file(sys.argv[1])
@@ -49,7 +49,8 @@ run_range_sweep(sc, 3)
 hcrb.t_blocks(sc)
 hcrb.fuse(sc, bundle.target_xy, bundle.heading,
           hcrb.uniform_constellation(bundle.target_xy, 2, radius=7.0))
-bounds = loaded()
+bounds = {"waveform": "hcrb.waveform" in sys.modules, **loaded()}
+from hcrb.waveform import synthesis_workspace, synthesize_frame
 frame = synthesize_frame(synthesis_workspace(sc, bundle.segmentation), seed=0)
 hcrb.estimate(frame, sc.waveform)
 print(json.dumps({"bounds": bounds, "estimate": loaded()}))
@@ -58,19 +59,38 @@ print(json.dumps({"bounds": bounds, "estimate": loaded()}))
 
 def test_no_process_loads_scipy_optimize_linalg_or_constants():
     # a fresh process that computes bounds (hcrb bounds, a sweep, the
-    # long-range limit, a fusion) and then estimates a frame never imports
-    # scipy.optimize (the estimators' polish is in-package), scipy.linalg
-    # (_linalg loads LAPACK's extension from its file) nor scipy.constants
-    # (SPEED_OF_LIGHT is scenario's literal); scipy.fft, which waveform and
-    # estimators import at module level, shows the probe sees loaded modules
+    # long-range limit, a fusion) imports neither hcrb.waveform nor any
+    # SciPy FFT (nor scipy._lib._util, which it would bring); once it has
+    # synthesized and estimated a frame, scipy.fft is loaded, which shows
+    # the probe sees loaded modules. No stage imports scipy.optimize (the
+    # estimators' polish is in-package), scipy.linalg (_linalg loads
+    # LAPACK's extension from its file) nor scipy.constants (SPEED_OF_LIGHT
+    # is scenario's literal)
     env = {**os.environ, "PYTHONPATH": str(Path(hcrb.__file__).parent.parent)}
     run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                           str(ROOT / "scenarios" / "vehicle.json")],
                          capture_output=True, text=True, env=env, check=True)
     loaded = json.loads(run.stdout.splitlines()[-1])
-    for stage in ("bounds", "estimate"):
-        assert loaded[stage] == {"scipy.optimize": False, "scipy.linalg": False,
-                                 "scipy.constants": False, "scipy.fft": True}, stage
+    assert loaded["bounds"] == {"waveform": False, "scipy.fft": False,
+                                "scipy._lib._util": False, "scipy.optimize": False,
+                                "scipy.linalg": False, "scipy.constants": False}
+    assert loaded["estimate"] == {"scipy.fft": True, "scipy._lib._util": True,
+                                  "scipy.optimize": False, "scipy.linalg": False,
+                                  "scipy.constants": False}
+
+
+def test_waveform_reexports_the_frame_names():
+    # hcrb.waveform.<name> is still each name that moved to hcrb.frames
+    # (perfbench traces hcrb.waveform.synthesize_frame and .chirp)
+    import hcrb.frames
+    import hcrb.waveform
+
+    moved = {name for name, value in vars(hcrb.frames).items()
+             if getattr(value, "__module__", None) == "hcrb.frames"}
+    assert moved == {"chirp", "effective_bandwidth", "steering", "SignalFrame",
+                     "synthesize_frame", "dump_frame"}
+    for name in moved:
+        assert getattr(hcrb.waveform, name) is getattr(hcrb.frames, name), name
 
 
 def test_speed_of_light_is_scipys_constant():
